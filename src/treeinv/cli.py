@@ -33,7 +33,13 @@ from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.partition import check_self_normalization, partition_report, verify_z_identity
 from treeinv.poly import Series
 from treeinv.tensormap import PolyMap
-from treeinv.trees import DEFAULT_BUDGET, enumerate_trees, tree_count, tree_sum_inverse
+from treeinv.trees import (
+    DEFAULT_BUDGET,
+    enumerate_trees,
+    labeled_shape_census,
+    tree_count,
+    tree_sum_inverse,
+)
 
 
 def _frac_str(value) -> str:
@@ -127,8 +133,6 @@ def _cmd_trees(args) -> int:
         seen = 0
         for _tree in enumerate_trees(V, d, budget=args.budget):
             seen += 1
-        from treeinv._kernel import labeled_shape_census
-
         shapes = len(labeled_shape_census(V, d))
         payload["enumerated"] = seen
         payload["shapes"] = shapes

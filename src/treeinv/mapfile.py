@@ -32,6 +32,19 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise MapFormatError(lineno, f"bad rational {token!r}: {exc}") from None
 
 
+def _parse_header_int(fields: list[str], lineno: int, minimum: int, message: str) -> int:
+    """The single argument of an n or d line: a digit string for an int >= minimum."""
+    value = minimum - 1
+    if len(fields) == 2 and fields[1].isdigit():
+        try:
+            value = int(fields[1])
+        except ValueError:  # isdigit() admits superscripts; int() also caps digit count
+            pass
+    if value < minimum:
+        raise MapFormatError(lineno, message)
+    return value
+
+
 def parse_map(text: str) -> PolyMap:
     """Parse one map block from text."""
     name: str | None = None
@@ -60,17 +73,13 @@ def parse_map(text: str) -> PolyMap:
                 raise MapFormatError(lineno, "n before map directive")
             if n is not None:
                 raise MapFormatError(lineno, "duplicate n directive")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 1:
-                raise MapFormatError(lineno, "n takes one positive integer")
-            n = int(fields[1])
+            n = _parse_header_int(fields, lineno, 1, "n takes one positive integer")
         elif keyword == "d":
             if name is None:
                 raise MapFormatError(lineno, "d before map directive")
             if d is not None:
                 raise MapFormatError(lineno, "duplicate d directive")
-            if len(fields) != 2 or not fields[1].isdigit() or int(fields[1]) < 2:
-                raise MapFormatError(lineno, "d takes one integer >= 2")
-            d = int(fields[1])
+            d = _parse_header_int(fields, lineno, 2, "d takes one integer >= 2")
         elif keyword == "w":
             if n is None or d is None:
                 raise MapFormatError(lineno, "w before n and d directives")

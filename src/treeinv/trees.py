@@ -4,12 +4,12 @@ The inverse of F(x) = x - H(x) expands as a sum over labeled trees: for
 each internal count V there are (d*V)!/(d!)^V trees on one root (valence
 1), V internal vertices (valence d+1), and N = (d-1)V + 1 leaves
 (valence 1).  Each tree contributes its contraction amplitude divided by
-V!ized N!; the degree-N part of G comes entirely from the V-th stratum.
+V! N!; the degree-N part of G comes entirely from the V-th stratum.
 
 Two evaluation paths are provided and must agree:
 
-* "labeled" walks every tree of a stratum through the enumeration
-  kernel, grouping equal-amplitude trees by rooted shape on the fly.
+* "labeled" walks every tree of a stratum (labeled_shape_census),
+  grouping equal-amplitude trees by rooted shape on the fly.
 * "grouped" never touches labeled trees: it generates the rooted shapes
   directly and weights each amplitude by the reciprocal of the shape's
   automorphism count, which is exactly the labeled multiplicity divided
@@ -26,7 +26,6 @@ from math import factorial
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
-from treeinv._kernel import decode_parents, labeled_shape_census
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
 from treeinv.poly import Poly, Series
 from treeinv.tensormap import PolyMap
@@ -165,6 +164,119 @@ def tree_count(V: int, d: int) -> int:
     return factorial(V + N - 1) // factorial(d) ** V
 
 
+def _stratum_sequence(V: int, d: int) -> list[int]:
+    """Sorted multiset {1^d, ..., V^d} whose orderings encode the stratum."""
+    return [v for v in range(1, V + 1) for _ in range(d)]
+
+
+def decode_parents(seq, T: int) -> list[int]:
+    """Rooted parent array of the tree encoded by seq on vertices 0..T-1.
+
+    seq must have length T - 2; entry parents[0] is -1.  The decode pairs
+    the smallest available valence-1 vertex with each sequence element,
+    then joins the last such vertex to T - 1, and a breadth-first pass
+    from vertex 0 orients every edge toward the root.
+    """
+    degree = [1] * T
+    for v in seq:
+        degree[v] += 1
+
+    adj: list[list[int]] = [[] for _ in range(T)]
+    ptr = 0
+    leaf = -1
+    for v in seq:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        adj[leaf].append(v)
+        adj[v].append(leaf)
+        degree[v] -= 1
+        if degree[v] == 1 and v < ptr:
+            leaf = v
+        else:
+            leaf = -1
+    if leaf < 0:
+        while degree[ptr] != 1:
+            ptr += 1
+        leaf = ptr
+    adj[leaf].append(T - 1)
+    adj[T - 1].append(leaf)
+
+    parents = [-1] * T
+    order = [0]
+    seen = [False] * T
+    seen[0] = True
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parents[v] = u
+                order.append(v)
+    return parents
+
+
+def _shape_code(parents: list[int], T: int, intern: dict) -> int:
+    """Canonical integer code of the rooted shape, by subtree interning.
+
+    Leaves code to 0; an internal vertex codes to the interned sorted
+    tuple of its children's codes.  The tree's code is the code of the
+    root's single child.
+    """
+    children: list[list[int]] = [[] for _ in range(T)]
+    for v in range(1, T):
+        children[parents[v]].append(v)
+
+    code = [0] * T
+    # parents came from a breadth-first pass, so children always carry
+    # higher discovery depth; a reverse sweep over a depth-ordered list
+    # is obtained by re-walking from the root.  The root itself stays
+    # uncoded: only its child's code identifies the shape.
+    order = [0]
+    head = 0
+    while head < len(order):
+        order.extend(children[order[head]])
+        head += 1
+    for v in reversed(order):
+        kids = children[v]
+        if kids and v != 0:
+            key = tuple(sorted(code[c] for c in kids))
+            idx = intern.get(key)
+            if idx is None:
+                idx = len(intern) + 1
+                intern[key] = idx
+            code[v] = idx
+    return code[children[0][0]]
+
+
+def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(multiplicity, representative parent tuple) per rooted shape.
+
+    Walks all (d*V)!/(d!)^V labeled trees of the stratum in sequence-
+    lexicographic order and aggregates them by the canonical code of
+    their rooted shape; shapes are listed in order of first appearance.
+    Amplitudes depend only on the shape, so one representative per shape
+    suffices downstream.  V = 0 is the bare root-leaf edge.
+    """
+    T = d * V + 2
+    intern: dict = {}
+    counts: dict[int, int] = {}
+    reps: dict[int, tuple[int, ...]] = {}
+    for seq in distinct_permutations(_stratum_sequence(V, d)):
+        parents = decode_parents(seq, T)
+        key = _shape_code(parents, T, intern)
+        if key in counts:
+            counts[key] += 1
+        else:
+            counts[key] = 1
+            reps[key] = tuple(parents)
+    return [(count, reps[key]) for key, count in counts.items()]
+
+
 def enumerate_trees(
     V: int, d: int, budget: int = DEFAULT_BUDGET
 ) -> Iterator[ValencedTree]:
@@ -180,12 +292,9 @@ def enumerate_trees(
             f"stratum V={V}, d={d} holds {total} trees, over budget {budget}"
         )
     vs = VertexSet.for_internal(V, d)
-    base = []
-    for v in range(1, V + 1):
-        base.extend([v] * d)
     T = vs.total
-    for seq in distinct_permutations(base):
-        yield ValencedTree.from_parents(vs, decode_parents(list(seq), T))
+    for seq in distinct_permutations(_stratum_sequence(V, d)):
+        yield ValencedTree.from_parents(vs, decode_parents(seq, T))
 
 
 def _contract_children(child_vecs: list[list[Poly]], pmap: PolyMap) -> list[Poly]:

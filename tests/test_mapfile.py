@@ -68,6 +68,9 @@ def test_duplicate_entries_summed_and_cancelled():
         ("map a\nn 0\nd 2\nend", 2, "n"),
         ("map a\nn 1\nd 1\nend", 3, ">= 2"),
         ("map a\nn 1\nd x\nend", 3, "d"),
+        ("map a\nn ²\nd 2\nend\n", 2, "n"),
+        ("map a\nn 1\nd ²\nend\n", 3, "d"),
+        pytest.param("map a\nn " + "1" * 5000 + "\nd 2\nend\n", 2, "n", id="n-past-int-digit-limit"),
         ("map a\nn 1\nd 2\nw 1 1 1\nend", 4, "fields"),
         ("map a\nn 1\nd 2\nw 1 1 1 1/0\nend", 4, "rational"),
         ("map a\nn 1\nd 2\nw 1 1 0 2\nend", 4, "outside"),

@@ -10,9 +10,6 @@ from math import factorial
 
 import pytest
 
-from treeinv._kernel import BACKEND, decode_parents, labeled_shape_census
-from treeinv._treecore_py import decode_parents as decode_parents_py
-from treeinv._treecore_py import labeled_shape_census as census_py
 from treeinv._combinat import distinct_permutations
 from treeinv.catalog import catalog, get_fixture, univariate_map
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
@@ -23,7 +20,9 @@ from treeinv.trees import (
     VertexSet,
     amplitude,
     amplitude_vector,
+    decode_parents,
     enumerate_trees,
+    labeled_shape_census,
     shape_automorphisms,
     tree_count,
     tree_sum_inverse,
@@ -170,21 +169,6 @@ def test_decode_matches_heap_oracle_exhaustively():
         for seq in distinct_permutations(base):
             got = _parents_to_edges(decode_parents(seq, T))
             assert got == _prufer_decode_oracle(seq, T)
-
-
-def test_pure_and_compiled_kernels_agree():
-    if BACKEND != "compiled":
-        pytest.skip("compiled kernel unavailable; nothing to compare")
-    for V, d in [(0, 2), (1, 2), (2, 2), (3, 2), (4, 2), (1, 3), (2, 3), (3, 3)]:
-        a = labeled_shape_census(V, d)
-        b = census_py(V, d)
-        assert sorted(a) == sorted(b)
-        T = VertexSet.for_internal(V, d).total
-        base = []
-        for v in range(1, V + 1):
-            base.extend([v] * d)
-        for seq in itertools.islice(distinct_permutations(base), 50):
-            assert list(decode_parents(seq, T)) == list(decode_parents_py(seq, T))
 
 
 def test_census_totals_and_representatives():
