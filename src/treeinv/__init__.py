@@ -2,8 +2,8 @@
 
 H is homogeneous of degree d with a fully symmetric rational coefficient
 tensor.  The formal inverse G is computed two independent ways (a sum
-over valence-constrained labeled trees and a truncated fixed-point
-iteration), cross-checked exactly, and analyzed: Jacobian condition in
+over valence-constrained labeled trees and the fixed point G = y + H(G)
+solved degree by degree), cross-checked exactly, and analyzed: Jacobian condition in
 its equivalent forms, partition-function identities, inverse-degree
 bound, and floating-point convergence checks.
 """

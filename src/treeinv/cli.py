@@ -32,7 +32,6 @@ from treeinv.mapfile import load_map, serialize_map
 from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.partition import check_self_normalization, partition_report, verify_z_identity
 from treeinv.poly import Series
-from treeinv.tensormap import PolyMap
 from treeinv.trees import (
     DEFAULT_BUDGET,
     enumerate_trees,
@@ -249,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--method",
         choices=("fixedpoint", "trees", "both"),
         default="fixedpoint",
-        help="fixed-point iteration, tree expansion, or cross-checked both",
+        help="graded fixed point, tree expansion, or cross-checked both",
     )
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help="max labeled trees per stratum")

@@ -1,9 +1,15 @@
-"""Fixed-point inversion, oracles, and inverse-structure checks.
+"""Graded inversion, oracles, and inverse-structure checks.
 
-The production inverse comes from iterating G -> y + H(G) under degree
-truncation, which is exact and stationary after at most D steps.  The
-tree expansion must reproduce it coefficient for coefficient; the
-univariate reversion formula gives a third, closed-form check.
+The production inverse solves G = y + H(G) one homogeneous degree at a
+time.  In the tree expansion the degree-m part G_m is the sum over trees
+with (m-1)/(d-1) internal vertices, and each of the root's d subtrees
+has lower degree; so [H(G)]_m involves only G_1..G_{m-1}, and computing
+G_2, G_3, ... in order gives the exact truncated inverse with each
+homogeneous part built once.  This is the recursive form of the tree
+formula for the formal inverse (Bass, Connell and Wright 1982).  The
+tree expansion must reproduce it
+coefficient for coefficient; substitution (verify_inverse) and the
+univariate reversion formula give independent checks.
 """
 
 from __future__ import annotations
@@ -23,23 +29,53 @@ def default_degree_cap(pmap: PolyMap) -> int:
 
 
 def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
-    """Iterate G = y + H(G) truncated at D until stationary.
+    """The solution G of G = y + H(G), truncated at total degree D.
 
-    Each pass fixes at least one more homogeneous degree, so the loop
-    terminates within D iterations with G = y + trunc_D(H(G)) exact.
+    Graded recursion: G_1 = y and G_m = [H(G)]_m for m = 2..D, where the
+    degree-m part of H(G) needs only G_1..G_{m-1} (each of the d factors
+    of a monomial of H has degree at least 1).  Every monomial of H is a
+    product of G-components taken in a fixed variable order; its prefix
+    products are shared between monomials, and the degree-k part of each
+    prefix is computed once, from the prefix one factor shorter.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n = pmap.n
-    H = build_H(pmap)
-    y = [Series(Poly.variable(n, i), D) for i in range(n)]
-    G = y
-    for _ in range(D):
-        nxt = [y[i] + series_compose(H[i], G) for i in range(n)]
-        if nxt == G:
-            return G
-        G = nxt
-    return G
+    zero = Poly.zero(n)
+    # parts[j][k] is the degree-k part of G_j.
+    parts = [[zero, Poly.variable(n, j)] for j in range(n)]
+    prefix_parts: dict[tuple[tuple[int, ...], int], Poly] = {}
+
+    def prefix_part(prefix: tuple[int, ...], k: int) -> Poly:
+        """Degree-k part of the product of G_j over j in prefix (needs G_{<=k-len+1})."""
+        key = (prefix, k)
+        if key not in prefix_parts:
+            head, last = prefix[:-1], parts[prefix[-1]]
+            if not head:
+                part = last[k]
+            else:
+                part = zero
+                for j in range(1, k - len(head) + 1):
+                    if not last[j].is_zero():
+                        part = part + prefix_part(head, k - j) * last[j]
+            prefix_parts[key] = part
+        return prefix_parts[key]
+
+    # Each monomial c * x^a of H_i as (c, the variable indices it multiplies).
+    monomials = [
+        [(c, tuple(j for j, e in enumerate(a) for _ in range(e))) for a, c in h.terms.items()]
+        for h in build_H(pmap)
+    ]
+    for m in range(2, D + 1):
+        for i in range(n):
+            part = zero
+            for c, prefix in monomials[i]:
+                part = part + prefix_part(prefix, m).scale(c)
+            parts[i].append(part)
+    return [
+        Series(Poly(n, {mono: c for part in p for mono, c in part.terms.items()}), D)
+        for p in parts
+    ]
 
 
 def lagrange_oracle_1d(d: int, a, D: int) -> Series:
@@ -117,7 +153,11 @@ def polynomial_inverse_degree(pmap: PolyMap, D_cap: int) -> int | None:
     bound = pmap.gabber_bound()
     if D_cap <= bound:
         raise ValueError(f"cap {D_cap} must exceed the degree bound {bound}")
-    G = fixed_point_inverse(pmap, D_cap)
+    return _top_degree(fixed_point_inverse(pmap, D_cap), D_cap, bound)
+
+
+def _top_degree(G: list[Series], D_cap: int, bound: int) -> int | None:
+    """Largest nonzero degree of G up to D_cap if it is at most bound, else None."""
     top = 1
     for g in G:
         for deg in range(D_cap, 0, -1):
@@ -164,7 +204,7 @@ def invert_report(pmap: PolyMap, D: int | None = None) -> InverseReport:
     if not verify_inverse(pmap, G, D):
         raise AssertionError("fixed point failed inverse verification")
     bound = pmap.gabber_bound()
-    poly_deg = polynomial_inverse_degree(pmap, D) if D > bound else None
+    poly_deg = _top_degree(G, D, bound) if D > bound else None
     return InverseReport(
         series=G, verified_to=D, polynomial_degree=poly_deg, gabber_bound=bound
     )

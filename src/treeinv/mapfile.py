@@ -16,13 +16,22 @@ malformed raises MapFormatError with the offending line number.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from treeinv.errors import MapFormatError
 from treeinv.tensormap import PolyMap, SymTensor
 
 
+# The token forms serialize_map writes.  int() alone would also take signs,
+# underscores and non-ASCII digits ("+1", "1_1", "\uff12").
+_INDEX = re.compile(r"[0-9]+")
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _parse_rational(token: str, lineno: int) -> Fraction:
+    if not _RATIONAL.fullmatch(token):
+        raise MapFormatError(lineno, f"bad rational {token!r}: expected an integer or p/q")
     try:
         if "/" in token:
             p, q = token.split("/", 1)
@@ -33,12 +42,12 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
 
 
 def _parse_header_int(fields: list[str], lineno: int, minimum: int, message: str) -> int:
-    """The single argument of an n or d line: a digit string for an int >= minimum."""
+    """The single argument of an n or d line: ASCII digits for an int >= minimum."""
     value = minimum - 1
-    if len(fields) == 2 and fields[1].isdigit():
+    if len(fields) == 2 and _INDEX.fullmatch(fields[1]):
         try:
             value = int(fields[1])
-        except ValueError:  # isdigit() admits superscripts; int() also caps digit count
+        except ValueError:  # int() caps the digit count
             pass
     if value < minimum:
         raise MapFormatError(lineno, message)
@@ -88,6 +97,8 @@ def parse_map(text: str) -> PolyMap:
                     lineno, f"w takes {d + 1} indices and a coefficient, got {len(fields) - 1} fields"
                 )
             try:
+                if not all(_INDEX.fullmatch(tok) for tok in fields[1 : d + 2]):
+                    raise ValueError
                 indices = [int(tok) for tok in fields[1 : d + 2]]
             except ValueError:
                 raise MapFormatError(lineno, f"non-integer index in {line!r}") from None

@@ -319,10 +319,11 @@ class Series:
         # Truncated product: skip term pairs whose degrees already overflow.
         out: dict[Monomial, Fraction] = {}
         cap = self.cap
+        right = [(mb, cb, sum(mb)) for mb, cb in other.body.terms.items()]
         for ma, ca in self.body.terms.items():
-            da = sum(ma)
-            for mb, cb in other.body.terms.items():
-                if da + sum(mb) > cap:
+            room = cap - sum(ma)
+            for mb, cb, db in right:
+                if db > room:
                     continue
                 mono = monomial_mul(ma, mb)
                 acc = out.get(mono, _ZERO) + ca * cb

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from treeinv.catalog import catalog, get_fixture, triangular_map, univariate_map
+from treeinv.catalog import catalog, get_fixture, random_map, triangular_map, univariate_map
 from treeinv.errors import PreconditionError
 from treeinv.inversion import (
     check_quadratic_nilpotent_theorem,
@@ -19,8 +19,8 @@ from treeinv.inversion import (
     polynomial_inverse_degree,
     verify_inverse,
 )
-from treeinv.poly import Poly, Series
-from treeinv.tensormap import PolyMap, SymTensor
+from treeinv.poly import Poly, Series, series_compose
+from treeinv.tensormap import PolyMap, SymTensor, build_H
 
 
 def _series_1d(coeffs: dict[int, Fraction], cap: int) -> Series:
@@ -75,6 +75,48 @@ def test_fixed_point_satisfies_recursion():
         for i in range(pmap.n):
             rhs = Series.variable(pmap.n, i, D) + series_compose(hs[i], G)
             assert G[i] == rhs, pmap.name
+
+
+def _whole_composition_inverse(pmap: PolyMap, D: int) -> list[Series]:
+    """Reference: iterate G <- y + H(G), each pass a full truncated composition, until stationary."""
+    H = build_H(pmap)
+    y = [Series.variable(pmap.n, i, D) for i in range(pmap.n)]
+    G = y
+    while True:
+        nxt = [y[i] + series_compose(H[i], G) for i in range(pmap.n)]
+        if nxt == G:
+            return G
+        G = nxt
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_graded_inverse_matches_whole_composition_catalog(pmap):
+    for D in (1, pmap.d, 8):
+        assert fixed_point_inverse(pmap, D) == _whole_composition_inverse(pmap, D), D
+
+
+@pytest.mark.parametrize("n,d,cap,seed", [(2, 2, 6, 11), (3, 2, 5, 12), (2, 3, 6, 13), (4, 3, 5, 14)])
+def test_graded_inverse_matches_whole_composition_dense(n, d, cap, seed):
+    pmap = random_map(n, d, seed=seed)
+    assert fixed_point_inverse(pmap, cap) == _whole_composition_inverse(pmap, cap)
+
+
+def test_graded_inverse_matches_whole_composition_zero_tensor():
+    pmap = PolyMap(SymTensor(3, 3))
+    assert fixed_point_inverse(pmap, 5) == _whole_composition_inverse(pmap, 5)
+
+
+def test_graded_inverse_cap_below_degree_is_identity():
+    # Every G_m with 1 < m < d vanishes, so below the cap d the inverse is y.
+    pmap = random_map(2, 4, seed=5)
+    G = fixed_point_inverse(pmap, 3)
+    assert G == [Series.variable(2, i, 3) for i in range(2)]
+    assert G == _whole_composition_inverse(pmap, 3)
+
+
+def test_graded_inverse_random_2_2_degree_20():
+    pmap = get_fixture("random-2-2")
+    assert verify_inverse(pmap, fixed_point_inverse(pmap, 20), 20)
 
 
 def test_lagrange_pinned_catalan():

@@ -74,6 +74,11 @@ def test_duplicate_entries_summed_and_cancelled():
         ("map a\nn 1\nd 2\nw 1 1 1\nend", 4, "fields"),
         ("map a\nn 1\nd 2\nw 1 1 1 1/0\nend", 4, "rational"),
         ("map a\nn 1\nd 2\nw 1 1 0 2\nend", 4, "outside"),
+        ("map a\nn 2\nd 2\nw +1 ２ 1 1\nend", 4, "index"),
+        ("map a\nn 12\nd 2\nw 1_1 1 1 1\nend", 4, "index"),
+        ("map a\nn 1\nd 2\nw 1 1 1 1_0\nend", 4, "rational"),
+        ("map a\nn 1\nd 2\nw 1 1 1 ３/２\nend", 4, "rational"),
+        ("map a\nn ２\nd 2\nend\n", 2, "n"),
         ("map a\nn 1\nd 2\nfoo 1\nend", 4, "directive"),
         ("map a\nn 1\nd 2\nend\nw 1 1 1 1", 5, "after end"),
         ("map a\nn 1\nd 2\nw 1 1 1 1", 0, "missing end"),
