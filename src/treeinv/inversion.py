@@ -20,7 +20,7 @@ from math import comb
 
 from treeinv.errors import PreconditionError
 from treeinv.poly import Poly, Series, series_compose
-from treeinv.tensormap import PolyMap, build_H, jacobian_matrix
+from treeinv.tensormap import PolyMap, build_H, jacobian_power
 
 
 def default_degree_cap(pmap: PolyMap) -> int:
@@ -76,6 +76,18 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
         Series(Poly(n, {mono: c for part in p for mono, c in part.terms.items()}), D)
         for p in parts
     ]
+
+
+def inverse_series(pmap: PolyMap, D: int) -> list[Series]:
+    """G truncated at D, from the per-map memo.
+
+    fixed_point_inverse runs once, at the largest cap asked for so far;
+    smaller caps are truncations of it (G_m does not depend on the cap).
+    """
+    G = pmap._memo.get("G")
+    if D < 1 or G is None or G[0].cap < D:
+        G = pmap._memo["G"] = fixed_point_inverse(pmap, D)
+    return [g.truncate(D) for g in G]
 
 
 def lagrange_oracle_1d(d: int, a, D: int) -> Series:
@@ -153,7 +165,7 @@ def polynomial_inverse_degree(pmap: PolyMap, D_cap: int) -> int | None:
     bound = pmap.gabber_bound()
     if D_cap <= bound:
         raise ValueError(f"cap {D_cap} must exceed the degree bound {bound}")
-    return _top_degree(fixed_point_inverse(pmap, D_cap), D_cap, bound)
+    return _top_degree(inverse_series(pmap, D_cap), D_cap, bound)
 
 
 def _top_degree(G: list[Series], D_cap: int, bound: int) -> int | None:
@@ -173,15 +185,14 @@ def check_quadratic_nilpotent_theorem(pmap: PolyMap, D: int) -> bool:
     Raises unless M(x)^2 vanishes identically; under the precondition,
     returns whether fixed_point_inverse(map, D) equals y + H(y) exactly.
     """
-    M = jacobian_matrix(pmap)
-    if not (M * M).is_zero():
+    if not jacobian_power(pmap, 2).is_zero():
         raise PreconditionError(
             "Jacobian matrix does not square to zero; the one-step inverse "
             "form only applies to order-2 nilpotent maps"
         )
     n = pmap.n
     H = build_H(pmap)
-    G = fixed_point_inverse(pmap, D)
+    G = inverse_series(pmap, D)
     expected = [Series(Poly.variable(n, i) + H[i], D) for i in range(n)]
     return G == expected
 

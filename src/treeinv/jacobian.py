@@ -3,8 +3,10 @@
 For F = x - H with H homogeneous of degree d, write M(x) for the matrix
 of partials of H.  det(I - M(x)) = 1 identically, nilpotency of M(x),
 and vanishing of all tr M(x)^k are equivalent over characteristic zero;
-analyze() computes all three independently and refuses to return a
-verdict in which they disagree.
+analyze() computes all three and refuses to return a verdict in which
+they disagree.  The determinant is a cofactor expansion that shares
+nothing with the powers of M; nilpotency and traces read the same
+per-map powers, since they are the same matrices.
 
 The diagrammatic forms contract chains (open) or loops (closed) of k
 tensor vertices and symmetrize over the k(d-1) free legs.  No
@@ -13,7 +15,8 @@ symmetrization over legs is an average, and the result is proportional
 to the coefficients of [M(x)^k]_{ij} (resp. tr M(x)^k) monomial by
 monomial.  Both the contraction and the coefficient-extraction routes
 are computed and their agreement is asserted on every call, so a zero
-tensor is never an artifact of one code path.
+tensor is never an artifact of one code path; the contraction reads
+only the tensor, never the memoized powers.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from math import factorial
 from treeinv._combinat import distinct_permutations, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
 from treeinv.poly import Poly
-from treeinv.polymatrix import DET_DIM_GUARD, PolyMatrix
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_matrix
+from treeinv.polymatrix import DET_DIM_GUARD
+from treeinv.tensormap import PolyMap, jacobian_det, jacobian_power
 
 ChainTensor = dict[tuple[int, int, tuple[int, ...]], Fraction]
 LoopTensor = dict[tuple[int, ...], Fraction]
@@ -46,13 +49,9 @@ def nilpotency_order(pmap: PolyMap) -> int | None:
     The search stops at n: an n x n matrix nilpotent at any order is
     nilpotent at order n, so larger exponents add nothing.
     """
-    M = jacobian_matrix(pmap)
-    power = M
     for k in range(1, pmap.n + 1):
-        if power.is_zero():
+        if jacobian_power(pmap, k).is_zero():
             return k
-        if k < pmap.n:
-            power = power * M
     return None
 
 
@@ -62,13 +61,7 @@ def trace_powers(pmap: PolyMap, k_max: int | None = None) -> list[Poly]:
         k_max = pmap.n
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    M = jacobian_matrix(pmap)
-    power = M
-    traces = [power.trace()]
-    for _ in range(k_max - 1):
-        power = power * M
-        traces.append(power.trace())
-    return traces
+    return [jacobian_power(pmap, k).trace() for k in range(1, k_max + 1)]
 
 
 @dataclass
@@ -196,7 +189,7 @@ def symmetrized_chain_tensor(
                     result[(i, j, mu)] = prod[i][j] * weight
 
     # independent route: coefficients of the matrix power
-    Mk = jacobian_matrix(pmap).power(k)
+    Mk = jacobian_power(pmap, k)
     check: ChainTensor = {}
     for mu in combinations_with_replacement(range(n), K):
         mono = _monomial_of(mu, n)
@@ -231,7 +224,7 @@ def symmetrized_loop_tensor(
         if tr:
             result[mu] = tr * over_arrangements * multiplicity_factor(mu)
 
-    tr_poly = jacobian_matrix(pmap).power(k).trace()
+    tr_poly = jacobian_power(pmap, k).trace()
     check: LoopTensor = {}
     for mu in combinations_with_replacement(range(n), K):
         c = tr_poly.coefficient(_monomial_of(mu, n))

@@ -9,9 +9,10 @@ Format, one directive per line:
     end
 
 Indices are 1-based in the file.  Coefficients are integers or p/q
-rationals.  Blank lines and #-comments are ignored; duplicate w lines for
-the same canonical index set are summed.  Parsing is strict: anything
-malformed raises MapFormatError with the offending line number.
+rationals; n is at most MAX_N and d at most MAX_D.  Blank lines and
+#-comments are ignored; duplicate w lines for the same canonical index
+set are summed.  Parsing is strict: anything malformed raises
+MapFormatError with the offending line number.
 """
 
 from __future__ import annotations
@@ -41,16 +42,28 @@ def _parse_rational(token: str, lineno: int) -> Fraction:
         raise MapFormatError(lineno, f"bad rational {token!r}: {exc}") from None
 
 
-def _parse_header_int(fields: list[str], lineno: int, minimum: int, message: str) -> int:
-    """The single argument of an n or d line: ASCII digits for an int >= minimum."""
+# Largest dimension and degree a map file may declare.  Every fixture,
+# test and benchmark map is far below them; a larger header is refused
+# before any per-index work (n^2 Jacobian entries, d + 3 fields per w line).
+MAX_N = 64
+MAX_D = 32
+
+
+def _parse_header_int(
+    fields: list[str], lineno: int, minimum: int, maximum: int, message: str
+) -> int:
+    """The single argument of an n or d line: ASCII digits for an int in [minimum, maximum]."""
     value = minimum - 1
     if len(fields) == 2 and _INDEX.fullmatch(fields[1]):
         try:
             value = int(fields[1])
         except ValueError:  # int() caps the digit count
-            pass
+            value = maximum + 1
     if value < minimum:
         raise MapFormatError(lineno, message)
+    if value > maximum:
+        key = fields[0]
+        raise MapFormatError(lineno, f"{key} exceeds the limit MAX_{key.upper()} = {maximum}")
     return value
 
 
@@ -82,13 +95,13 @@ def parse_map(text: str) -> PolyMap:
                 raise MapFormatError(lineno, "n before map directive")
             if n is not None:
                 raise MapFormatError(lineno, "duplicate n directive")
-            n = _parse_header_int(fields, lineno, 1, "n takes one positive integer")
+            n = _parse_header_int(fields, lineno, 1, MAX_N, "n takes one positive integer")
         elif keyword == "d":
             if name is None:
                 raise MapFormatError(lineno, "d before map directive")
             if d is not None:
                 raise MapFormatError(lineno, "duplicate d directive")
-            d = _parse_header_int(fields, lineno, 2, "d takes one integer >= 2")
+            d = _parse_header_int(fields, lineno, 2, MAX_D, "d takes one integer >= 2")
         elif keyword == "w":
             if n is None or d is None:
                 raise MapFormatError(lineno, "w before n and d directives")

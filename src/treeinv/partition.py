@@ -5,6 +5,13 @@ log Z = sum over k >= 1 of (1/k) tr[M(G(y))^k] satisfies
 Z(y) * det(I - M(x))|_{x=G(y)} = 1 identically, and the unit-Jacobian
 condition forces Z = 1 (self-normalization).
 
+Since M(G(y))^k = (M^k)(G(y)) and composition is linear in the outer
+polynomial, log Z is one composition P(G) of the exact polynomial
+P = sum over k of (1/k) tr M(x)^k with G.  Each object a map derives
+(H, the powers of M, det(I - M), G, log Z and Z) is computed once per
+map and cap and then read from the map's memo; G at a smaller cap is a
+truncation of the largest one computed.
+
 exp and log of multivariate series ride on the scaling operator: if
 S = sum of homogeneous S_j, then E = exp(S) satisfies
 m E_m = sum_{j=1..m} j S_j E_{m-j}, and the reverse recursion yields the
@@ -17,10 +24,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from treeinv.errors import PreconditionError
-from treeinv.inversion import fixed_point_inverse
+from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
 from treeinv.poly import Poly, Series, series_compose
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_matrix
+from treeinv.tensormap import PolyMap, jacobian_det, jacobian_power
 
 
 def series_exp(s: Series) -> Series:
@@ -64,56 +71,40 @@ def series_log(s: Series) -> Series:
 
 
 def log_z_series(pmap: PolyMap, D: int) -> Series:
-    """sum over k of (1/k) tr[M(G(y))^k], truncated at degree D.
+    """sum over k of (1/k) tr[M(G(y))^k], truncated at degree D (memoized per map).
 
-    M(G(y)) has lowest degree d - 1, so only k <= D // (d - 1)
-    contribute below the cap.
+    M(G(y))^k = (M^k)(G(y)) and composition is linear in the outer
+    polynomial, so this is the one composition P(G) with the exact
+    polynomial P = sum of (1/k) tr M(x)^k.  M(G(y)) has lowest degree
+    d - 1, so only k <= D // (d - 1) contribute below the cap, and the
+    sum stops early once M^k = 0.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
-    n, d = pmap.n, pmap.d
-    G = fixed_point_inverse(pmap, D)
-    M = jacobian_matrix(pmap)
-    MG = [[series_compose(M.entries[i][j], G) for j in range(n)] for i in range(n)]
-
-    total = Series(Poly.zero(n), D)
-    k_max = D // (d - 1)
-    power = MG
-    for k in range(1, k_max + 1):
-        if k > 1:
-            power = [
-                [
-                    _series_dot(power[i], [MG[t][j] for t in range(n)])
-                    for j in range(n)
-                ]
-                for i in range(n)
-            ]
-        tr = Series(Poly.zero(n), D)
-        for i in range(n):
-            tr = tr + power[i][i]
-        total = total + tr.scale(Fraction(1, k))
-    return total
+    return pmap._memoized(("log_z", D), lambda: _log_z(pmap, D))
 
 
-def _series_dot(row: list[Series], col: list[Series]) -> Series:
-    acc = row[0] * col[0]
-    for t in range(1, len(row)):
-        acc = acc + row[t] * col[t]
-    return acc
+def _log_z(pmap: PolyMap, D: int) -> Series:
+    P = Poly.zero(pmap.n)
+    for k in range(1, D // (pmap.d - 1) + 1):
+        power = jacobian_power(pmap, k)
+        if power.is_zero():
+            break
+        P = P + power.trace().scale(Fraction(1, k))
+    return series_compose(P, inverse_series(pmap, D))
 
 
 def z_series(pmap: PolyMap, D: int) -> Series:
-    """exp of log_z_series; constant term 1."""
-    return series_exp(log_z_series(pmap, D))
+    """exp of log_z_series; constant term 1 (memoized per map)."""
+    return pmap._memoized(("z", D), lambda: series_exp(log_z_series(pmap, D)))
 
 
 def verify_z_identity(pmap: PolyMap, D: int) -> bool:
     """True iff z_series(map, D) * det(I - M(x))|_{x=G(y)} = 1 through degree D."""
-    n = pmap.n
-    G = fixed_point_inverse(pmap, D)
+    G = inverse_series(pmap, D)
     jf_at_g = series_compose(jacobian_det(pmap), G)
     product = z_series(pmap, D) * jf_at_g
-    return product == Series(Poly.const(n, Fraction(1)), D)
+    return product == Series(Poly.const(pmap.n, Fraction(1)), D)
 
 
 def check_self_normalization(pmap: PolyMap, D: int) -> bool:
@@ -142,6 +133,6 @@ class PartitionReport:
 
 def partition_report(pmap: PolyMap, D: int) -> PartitionReport:
     lz = log_z_series(pmap, D)
-    z = series_exp(lz)
+    z = z_series(pmap, D)
     one = Series(Poly.const(pmap.n, Fraction(1)), D)
     return PartitionReport(log_z=lz, z=z, self_normalized=z == one)

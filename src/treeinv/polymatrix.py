@@ -98,10 +98,7 @@ class PolyMatrix:
 
     def det(self, guard: int = DET_DIM_GUARD) -> Poly:
         """Determinant by cofactor expansion along the first column."""
-        if self.dim > guard:
-            raise GuardExceededError(
-                f"determinant guard: dim {self.dim} exceeds {guard}"
-            )
+        check_det_guard(self.dim, guard)
         return _det_cofactor(self.entries, self.n)
 
     def __eq__(self, other) -> bool:
@@ -119,6 +116,12 @@ class PolyMatrix:
             ", ".join(p.to_string() for p in row) for row in self.entries
         )
         return f"PolyMatrix[{rows}]"
+
+
+def check_det_guard(dim: int, guard: int) -> None:
+    """Refuse a cofactor determinant above the dimension guard."""
+    if dim > guard:
+        raise GuardExceededError(f"determinant guard: dim {dim} exceeds {guard}")
 
 
 def _det_cofactor(rows: list[list[Poly]], n: int) -> Poly:

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from types import MappingProxyType
 
 from treeinv._combinat import multiset_orbit_size
 from treeinv.poly import Poly
-from treeinv.polymatrix import DET_DIM_GUARD, PolyMatrix
+from treeinv.polymatrix import DET_DIM_GUARD, PolyMatrix, check_det_guard
 
 TensorKey = tuple[int, tuple[int, ...]]
 
@@ -27,7 +28,9 @@ class SymTensor:
 
     ``entries`` maps (i, sorted lower tuple) to a nonzero Fraction.
     Construction sorts lower indices, sums duplicate keys, prunes zeros,
-    and validates index ranges.
+    and validates index ranges.  A tensor is read-only afterwards (no
+    attribute can be set, ``entries`` is a read-only view), so nothing
+    derived from it can go stale.
     """
 
     __slots__ = ("n", "d", "entries")
@@ -55,9 +58,12 @@ class SymTensor:
                     clean.pop(key, None)
                 else:
                     clean[key] = acc
-        self.n = n
-        self.d = d
-        self.entries = clean
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "entries", MappingProxyType(clean))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"SymTensor is read-only; cannot set {name!r}")
 
     def get(self, i: int, lower) -> Fraction:
         """Entry for any ordering of the lower indices."""
@@ -81,13 +87,32 @@ class SymTensor:
 
 
 class PolyMap:
-    """The polynomial map F(x) = x - H(x) defined by a symmetric tensor."""
+    """The polynomial map F(x) = x - H(x) defined by a symmetric tensor.
 
-    __slots__ = ("tensor", "name")
+    ``tensor`` is read-only, so the objects derived from it (H, the powers
+    of M, det(I - M), G, log Z and Z) are computed once per map and kept
+    in a private memo that can never go stale.
+    """
+
+    __slots__ = ("_tensor", "name", "_memo")
 
     def __init__(self, tensor: SymTensor, name: str | None = None):
-        self.tensor = tensor
+        self._tensor = tensor
         self.name = name
+        self._memo: dict = {}
+
+    @property
+    def tensor(self) -> SymTensor:
+        return self._tensor
+
+    def _memoized(self, key, build):
+        """The value memoized under key, from build() on first use.
+
+        For the package's own modules; memoized values are never mutated.
+        """
+        if key not in self._memo:
+            self._memo[key] = build()
+        return self._memo[key]
 
     @property
     def n(self) -> int:
@@ -107,12 +132,15 @@ class PolyMap:
 
 
 def build_H(pmap: PolyMap) -> list[Poly]:
-    """The homogeneous components H_i of degree d.
+    """The homogeneous components H_i of degree d (memoized per map).
 
     Each canonical tensor entry contributes (orbit size / d!) times its
     value to the coefficient of the corresponding monomial.
     """
-    tensor = pmap.tensor
+    return list(pmap._memoized("H", lambda: _build_H(pmap.tensor)))
+
+
+def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
     n, d = tensor.n, tensor.d
     d_fact = factorial(d)
     coeffs: list[dict] = [dict() for _ in range(n)]
@@ -123,7 +151,7 @@ def build_H(pmap: PolyMap) -> list[Poly]:
         mono = tuple(exps)
         weight = value * multiset_orbit_size(lower) / d_fact
         coeffs[i][mono] = coeffs[i].get(mono, Fraction(0)) + weight
-    return [Poly(n, c) for c in coeffs]
+    return tuple(Poly(n, c) for c in coeffs)
 
 
 def build_F(pmap: PolyMap) -> list[Poly]:
@@ -133,17 +161,40 @@ def build_F(pmap: PolyMap) -> list[Poly]:
 
 
 def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
-    """M with M[i][j] = dH_i/dx_j, each entry homogeneous of degree d-1."""
+    """M with M[i][j] = dH_i/dx_j, each entry homogeneous of degree d-1.
+
+    A fresh matrix on every call; it shares only H with the memo.
+    """
     H = build_H(pmap)
     n = pmap.n
     return PolyMatrix([[H[i].diff(j) for j in range(n)] for i in range(n)])
 
 
+def jacobian_power(pmap: PolyMap, k: int) -> PolyMatrix:
+    """M(x)^k, k >= 1, from the per-map list of powers, extended on demand.
+
+    The result is shared with every later caller and must not be mutated.
+    """
+    if k < 1:
+        raise ValueError(f"matrix power requires k >= 1, got {k}")
+    powers = pmap._memoized("M^k", lambda: [jacobian_matrix(pmap)])
+    while len(powers) < k:
+        powers.append(powers[-1] * powers[0])
+    return powers[k - 1]
+
+
 def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
-    """det(I - M(x)); its constant term is always 1."""
+    """det(I - M(x)) by cofactor expansion; its constant term is always 1.
+
+    The guard is checked on every call, before the memo is read.  The
+    determinant is expanded from its own copy of M, never from the
+    memoized powers, so it stays an independent reading of the map.
+    """
     n = pmap.n
-    I = PolyMatrix.identity(n, n)
-    return (I - jacobian_matrix(pmap)).det(guard)
+    check_det_guard(n, guard)
+    return pmap._memoized(
+        "det", lambda: (PolyMatrix.identity(n, n) - jacobian_matrix(pmap)).det(guard)
+    )
 
 
 def norm_w(pmap: PolyMap) -> Fraction:

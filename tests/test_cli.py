@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import treeinv
 from treeinv import cli
 from treeinv.catalog import catalog, catalog_names, get_fixture
 from treeinv.jacobian import analyze
@@ -180,10 +183,16 @@ def test_catalog_unknown_name_exits_2(capsys):
 
 
 def test_entry_point_subprocess():
+    # The child sees neither pytest's pythonpath setting nor sys.path, so it
+    # is pointed at the directory this process imported treeinv from.
+    src = str(Path(treeinv.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "treeinv.cli", "trees", "--d", "2", "--internal", "2"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "6" in proc.stdout

@@ -8,7 +8,7 @@ import pytest
 
 from treeinv.catalog import catalog, get_fixture
 from treeinv.errors import MapFormatError
-from treeinv.mapfile import load_map, parse_map, save_map, serialize_map
+from treeinv.mapfile import MAX_D, MAX_N, load_map, parse_map, save_map, serialize_map
 from treeinv.tensormap import PolyMap, SymTensor, build_H
 from treeinv.poly import Poly
 
@@ -79,6 +79,10 @@ def test_duplicate_entries_summed_and_cancelled():
         ("map a\nn 1\nd 2\nw 1 1 1 1_0\nend", 4, "rational"),
         ("map a\nn 1\nd 2\nw 1 1 1 ３/２\nend", 4, "rational"),
         ("map a\nn ２\nd 2\nend\n", 2, "n"),
+        ("map a\nn 65\nd 2\nend\n", 2, "MAX_N = 64"),
+        ("map a\nn 99999999999\nd 2\nend\n", 2, "MAX_N = 64"),
+        ("map a\nn 1\nd 33\nend\n", 3, "MAX_D = 32"),
+        pytest.param("map a\nn 1\nd " + "9" * 5000 + "\nend\n", 3, "MAX_D", id="d-past-int-digit-limit"),
         ("map a\nn 1\nd 2\nfoo 1\nend", 4, "directive"),
         ("map a\nn 1\nd 2\nend\nw 1 1 1 1", 5, "after end"),
         ("map a\nn 1\nd 2\nw 1 1 1 1", 0, "missing end"),
@@ -90,6 +94,11 @@ def test_malformed_inputs_carry_line_numbers(text, lineno, fragment):
         parse_map(text)
     assert err.value.line == lineno
     assert fragment in str(err.value)
+
+
+def test_header_limits_are_inclusive():
+    pmap = parse_map(f"map a\nn {MAX_N}\nd {MAX_D}\nend\n")
+    assert (pmap.n, pmap.d) == (MAX_N, MAX_D)
 
 
 def test_serialize_parse_round_trip_catalog():

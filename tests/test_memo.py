@@ -1,0 +1,90 @@
+"""The per-map memo: what it shares, what it must not, and that it cannot go stale."""
+
+from __future__ import annotations
+
+import pytest
+
+from treeinv.catalog import catalog, get_fixture, random_map
+from treeinv.errors import GuardExceededError
+from treeinv.inversion import check_quadratic_nilpotent_theorem, polynomial_inverse_degree
+from treeinv.jacobian import analyze, symmetrized_chain_tensor, symmetrized_loop_tensor
+from treeinv.partition import (
+    check_self_normalization,
+    log_z_series,
+    partition_report,
+    verify_z_identity,
+    z_series,
+)
+from treeinv.poly import Poly
+from treeinv.polymatrix import PolyMatrix
+from treeinv.tensormap import SymTensor, jacobian_det, jacobian_power
+
+
+def test_tensor_is_read_only():
+    pmap = get_fixture("random-2-2")
+    with pytest.raises(AttributeError):
+        pmap.tensor = SymTensor(2, 2)
+    with pytest.raises(TypeError):
+        pmap.tensor.entries[(0, (0, 0))] = 1
+    with pytest.raises(AttributeError):
+        pmap.tensor.n = 3
+
+
+def test_overwritten_powers_break_chain_and_loop_agreement():
+    pmap = random_map(2, 2, seed=31)
+    M2 = jacobian_power(pmap, 2)
+    assert not M2.trace().is_zero()
+    # a wrong M^2 in the memo: the coefficient side now disagrees with the contraction
+    pmap._memo["M^k"][1] = PolyMatrix([[p.scale(2) for p in row] for row in M2.entries])
+    with pytest.raises(AssertionError):
+        symmetrized_chain_tensor(pmap, 2)
+    with pytest.raises(AssertionError):
+        symmetrized_loop_tensor(pmap, 2)
+
+
+def test_overwritten_det_breaks_analyze_agreement():
+    nonunit = get_fixture("random-2-2")
+    jacobian_det(nonunit)
+    nonunit._memo["det"] = Poly.const(2, 1)
+    with pytest.raises(AssertionError):
+        analyze(nonunit)
+
+    unit = get_fixture("triangular-3-2")
+    jacobian_det(unit)
+    unit._memo["det"] = Poly.const(3, 1) + Poly.variable(3, 0)
+    with pytest.raises(AssertionError):
+        analyze(unit)
+
+
+def test_det_guard_checked_before_memo():
+    pmap = get_fixture("random-2-2")
+    jacobian_det(pmap)
+    with pytest.raises(GuardExceededError):
+        jacobian_det(pmap, guard=1)
+
+
+def _answers(pmap, D: int) -> dict:
+    out = {
+        "log_z": log_z_series(pmap, D),
+        "z": z_series(pmap, D),
+        "z_identity": verify_z_identity(pmap, D),
+        "report": vars(partition_report(pmap, D)),
+    }
+    if D > pmap.gabber_bound():
+        out["degree"] = polynomial_inverse_degree(pmap, D)
+    if analyze(pmap).unit_jacobian:
+        out["self_norm"] = check_self_normalization(pmap, D)
+    if jacobian_power(pmap, 2).is_zero():
+        out["quadratic"] = check_quadratic_nilpotent_theorem(pmap, D)
+    return out
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_small_cap_after_large_equals_fresh_map(pmap):
+    large = max(12, pmap.gabber_bound() + 1)
+    _answers(pmap, large)
+    fresh = get_fixture(pmap.name)
+    for D in (large - 1, 5, 1):
+        assert _answers(pmap, D) == _answers(fresh, D), D
+        fresh = get_fixture(pmap.name)
+

@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from treeinv.catalog import catalog, get_fixture, univariate_map
+from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.errors import PreconditionError
 from treeinv.inversion import fixed_point_inverse
+from treeinv.jacobian import nilpotency_order
 from treeinv.partition import (
     check_self_normalization,
     log_z_series,
@@ -19,8 +20,8 @@ from treeinv.partition import (
     verify_z_identity,
     z_series,
 )
-from treeinv.poly import Poly, Series
-from treeinv.tensormap import PolyMap, SymTensor
+from treeinv.poly import Poly, Series, series_compose
+from treeinv.tensormap import PolyMap, SymTensor, jacobian_matrix
 
 
 def _series_1d(coeffs: dict[int, Fraction], cap: int) -> Series:
@@ -143,3 +144,40 @@ def test_partition_report_fields():
     rep2 = partition_report(univariate_map(2, 1), 4)
     assert not rep2.self_normalized
     assert series_exp(rep2.log_z) == rep2.z
+
+
+def _series_matrix_log_z(pmap: PolyMap, D: int) -> Series:
+    """Reference: form M(G(y)) as a matrix of series and sum (1/k) tr of its powers."""
+    n, d = pmap.n, pmap.d
+    G = fixed_point_inverse(pmap, D)
+    M = jacobian_matrix(pmap)
+    MG = [[series_compose(M.entries[i][j], G) for j in range(n)] for i in range(n)]
+    total = Series.zero(n, D)
+    power = MG
+    for k in range(1, D // (d - 1) + 1):
+        if k > 1:
+            power = [
+                [
+                    sum((power[i][t] * MG[t][j] for t in range(1, n)), power[i][0] * MG[0][j])
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        tr = sum((power[i][i] for i in range(1, n)), power[0][0])
+        total = total + tr.scale(Fraction(1, k))
+    return total
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_log_z_matches_series_matrix_catalog(pmap):
+    for D in (1, pmap.d, 8):
+        assert log_z_series(pmap, D) == _series_matrix_log_z(pmap, D), D
+
+
+@pytest.mark.parametrize("n,d,D,seed", [(2, 2, 6, 21), (3, 2, 5, 22), (2, 3, 8, 23)])
+def test_log_z_matches_series_matrix_past_n_powers(n, d, D, seed):
+    # not nilpotent and D // (d - 1) > n: the sum reaches M^k with k > n
+    pmap = random_map(n, d, seed=seed)
+    assert nilpotency_order(pmap) is None
+    assert D // (d - 1) > n
+    assert log_z_series(pmap, D) == _series_matrix_log_z(pmap, D)

@@ -1,0 +1,77 @@
+"""det(I - M), nilpotency and tr M^k against sympy, an implementation that shares no code."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.matrices import DomainMatrix  # noqa: E402
+
+from treeinv.catalog import catalog, random_map  # noqa: E402
+from treeinv.jacobian import nilpotency_order, trace_powers  # noqa: E402
+from treeinv.poly import Poly  # noqa: E402
+from treeinv.tensormap import PolyMap, jacobian_det  # noqa: E402
+
+
+def _maps() -> list[PolyMap]:
+    maps = [p for p in catalog() if 2 <= p.n <= 4]
+    for n in (2, 3, 4):
+        for d in (2, 3):
+            seed = 100 + 10 * n + d
+            maps.append(random_map(n, d, seed=seed, name=f"seeded-{n}-{d}-{seed}"))
+    return maps
+
+
+def _sympy_jacobian(pmap: PolyMap):
+    """M = dH/dx built by sympy from the tensor: H_i = (1/d!) sum over ordered tuples."""
+    n, d = pmap.n, pmap.d
+    xs = sympy.symbols(f"x1:{n + 1}")
+    H = [sympy.Integer(0)] * n
+    for i in range(n):
+        for lower in product(range(n), repeat=d):
+            value = pmap.tensor.get(i, lower)
+            if value:
+                term = sympy.Rational(value.numerator, value.denominator)
+                for j in lower:
+                    term *= xs[j]
+                H[i] += term
+        H[i] /= sympy.factorial(d)
+    M = sympy.Matrix(n, n, lambda i, j: sympy.diff(H[i], xs[j]))
+    # entries in QQ[x], where products and powers stay polynomial
+    return xs, DomainMatrix.from_Matrix(M).convert_to(sympy.QQ[xs])
+
+
+def _to_poly(expr, xs) -> Poly:
+    terms = sympy.Poly(sympy.expand(expr), *xs).terms()
+    return Poly(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
+
+
+@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+def test_det_against_berkowitz(pmap):
+    xs, M = _sympy_jacobian(pmap)
+    want = (sympy.eye(pmap.n) - M.to_Matrix()).det(method="berkowitz")
+    assert jacobian_det(pmap) == _to_poly(want, xs)
+
+
+@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+def test_nilpotency_order_against_sympy_powers(pmap):
+    _, M = _sympy_jacobian(pmap)
+    want = None
+    power = M
+    for k in range(1, pmap.n + 1):
+        if power.is_zero_matrix:
+            want = k
+            break
+        power = power * M
+    assert nilpotency_order(pmap) == want
+
+
+@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+def test_trace_powers_against_sympy_traces(pmap):
+    xs, M = _sympy_jacobian(pmap)
+    k_max = pmap.n + 1
+    want = [_to_poly((M**k).to_Matrix().trace(), xs) for k in range(1, k_max + 1)]
+    assert trace_powers(pmap, k_max) == want
