@@ -19,7 +19,15 @@ from fractions import Fraction
 from math import comb
 
 from treeinv.errors import PreconditionError
-from treeinv.poly import Poly, Series, series_compose
+from treeinv.poly import (
+    _UNIT,
+    _ZERO_PART,
+    Poly,
+    Series,
+    _graded_dot,
+    _indices,
+    series_compose_many,
+)
 from treeinv.tensormap import PolyMap, build_H, jacobian_power
 
 
@@ -41,12 +49,11 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n = pmap.n
-    zero = Poly.zero(n)
-    # parts[j][k] is the degree-k part of G_j.
-    parts = [[zero, Poly.variable(n, j)] for j in range(n)]
-    prefix_parts: dict[tuple[tuple[int, ...], int], Poly] = {}
+    # parts[j][k] is the degree-k part of G_j: (den, numerators) on poly.py's kernel.
+    parts = [[_ZERO_PART, Series.variable(n, j, D)._part(1)] for j in range(n)]
+    prefix_parts: dict[tuple[tuple[int, ...], int], tuple[int, dict[int, int]]] = {}
 
-    def prefix_part(prefix: tuple[int, ...], k: int) -> Poly:
+    def prefix_part(prefix: tuple[int, ...], k: int) -> tuple[int, dict[int, int]]:
         """Degree-k part of the product of G_j over j in prefix (needs G_{<=k-len+1})."""
         key = (prefix, k)
         if key not in prefix_parts:
@@ -54,28 +61,22 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
             if not head:
                 part = last[k]
             else:
-                part = zero
-                for j in range(1, k - len(head) + 1):
-                    if not last[j].is_zero():
-                        part = part + prefix_part(head, k - j) * last[j]
+                part = _graded_dot(
+                    (1, prefix_part(head, k - j), last[j])
+                    for j in range(1, k - len(head) + 1)
+                    if last[j][1]
+                )
             prefix_parts[key] = part
         return prefix_parts[key]
 
     # Each monomial c * x^a of H_i as (c, the variable indices it multiplies).
-    monomials = [
-        [(c, tuple(j for j, e in enumerate(a) for _ in range(e))) for a, c in h.terms.items()]
-        for h in build_H(pmap)
-    ]
+    monomials = [[(c, _indices(a)) for a, c in h.terms.items()] for h in build_H(pmap)]
     for m in range(2, D + 1):
         for i in range(n):
-            part = zero
-            for c, prefix in monomials[i]:
-                part = part + prefix_part(prefix, m).scale(c)
-            parts[i].append(part)
-    return [
-        Series(Poly(n, {mono: c for part in p for mono, c in part.terms.items()}), D)
-        for p in parts
-    ]
+            parts[i].append(
+                _graded_dot((c, prefix_part(prefix, m), _UNIT) for c, prefix in monomials[i])
+            )
+    return [Series._from_parts(n, p) for p in parts]
 
 
 def inverse_series(pmap: PolyMap, D: int) -> list[Series]:
@@ -118,9 +119,9 @@ def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
     if any(g.cap < D for g in G):
         raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
     Gt = [g.truncate(D) for g in G]
-    H = build_H(pmap)
+    HG = series_compose_many(build_H(pmap), Gt)
     for i in range(n):
-        residual = Gt[i] - series_compose(H[i], Gt) - Series(Poly.variable(n, i), D)
+        residual = Gt[i] - HG[i] - Series.variable(n, i, D)
         if not residual.is_zero():
             return False
     return True

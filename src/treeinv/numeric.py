@@ -35,18 +35,28 @@ def convergence_radius(pmap: PolyMap) -> float:
     return base ** (1.0 / (d - 1))
 
 
+def _graded_terms(p: Poly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
+    """(coefficient as a double, its (variable, exponent > 0) pairs) in graded-lex order."""
+    return [
+        (float(coeff), tuple((i, e) for i, e in enumerate(mono) if e))
+        for mono, coeff in sorted(p.terms.items(), key=_grlex_key)
+    ]
+
+
+def _eval_terms(terms: list[tuple[float, tuple[tuple[int, int], ...]]], point) -> float:
+    total = 0.0
+    for term, factors in terms:
+        for i, e in factors:
+            term *= point[i] ** e
+        total += term
+    return total
+
+
 def eval_poly_numeric(p: Poly, point) -> float:
     """Double-precision value at point, summed in graded-lex order."""
     if len(point) != p.n:
         raise ValueError(f"point has {len(point)} coordinates, poly has {p.n}")
-    total = 0.0
-    for mono, coeff in sorted(p.terms.items(), key=_grlex_key):
-        term = float(coeff)
-        for x, e in zip(point, mono):
-            if e:
-                term *= x**e
-        total += term
-    return total
+    return _eval_terms(_graded_terms(p), point)
 
 
 def eval_series_numeric(s: Series, point) -> float:
@@ -136,6 +146,9 @@ def theorem1_check(
     H = build_H(pmap)
     if G is None:
         G = fixed_point_inverse(pmap, D)
+    # sorted once per call; each point sums in the same order as eval_poly_numeric
+    G_terms = [_graded_terms(g.body) for g in G]
+    H_terms = [_graded_terms(h) for h in H]
     samples: list[SampleCheck] = []
     for point in points:
         point = tuple(float(c) for c in point)
@@ -147,10 +160,10 @@ def theorem1_check(
                 f"point {point} has sup norm {r:.6g}, outside 0.9 R = {0.9 * R:.6g}; "
                 "refusing to check a point without a convergence guarantee"
             )
-        g_num = [eval_series_numeric(G[i], point) for i in range(n)]
+        g_num = [_eval_terms(G_terms[i], point) for i in range(n)]
         residual = 0.0
         for i in range(n):
-            f_i = g_num[i] - eval_poly_numeric(H[i], g_num)
+            f_i = g_num[i] - _eval_terms(H_terms[i], g_num)
             residual = max(residual, abs(f_i - point[i]))
         if math.isinf(R):
             bound_ok = True

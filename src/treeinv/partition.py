@@ -10,12 +10,8 @@ polynomial, log Z is one composition P(G) of the exact polynomial
 P = sum over k of (1/k) tr M(x)^k with G.  Each object a map derives
 (H, the powers of M, det(I - M), G, log Z and Z) is computed once per
 map and cap and then read from the map's memo; G at a smaller cap is a
-truncation of the largest one computed.
-
-exp and log of multivariate series ride on the scaling operator: if
-S = sum of homogeneous S_j, then E = exp(S) satisfies
-m E_m = sum_{j=1..m} j S_j E_{m-j}, and the reverse recursion yields the
-logarithm; both are exact over the rationals.
+truncation of the largest one computed.  Z = exp(log Z) uses
+series_exp from poly.py (series_log is re-exported from there too).
 """
 
 from __future__ import annotations
@@ -26,48 +22,9 @@ from fractions import Fraction
 from treeinv.errors import PreconditionError
 from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
-from treeinv.poly import Poly, Series, series_compose
+from treeinv.poly import Poly, Series, series_compose, series_exp
+from treeinv.poly import series_log  # noqa: F401 - public as treeinv.partition.series_log
 from treeinv.tensormap import PolyMap, jacobian_det, jacobian_power
-
-
-def series_exp(s: Series) -> Series:
-    """exp of a series with zero constant term."""
-    if s.body.constant_term() != 0:
-        raise ValueError("series_exp needs zero constant term")
-    n = s.body.n
-    cap = s.cap
-    S = [s.homogeneous_component(m) for m in range(cap + 1)]
-    E = [Poly.const(n, Fraction(1))]
-    for m in range(1, cap + 1):
-        acc = Poly.zero(n)
-        for j in range(1, m + 1):
-            if not S[j].is_zero():
-                acc = acc + (S[j] * E[m - j]).scale(Fraction(j))
-        E.append(acc.scale(Fraction(1, m)))
-    total = Poly.zero(n)
-    for part in E:
-        total = total + part
-    return Series(total, cap)
-
-
-def series_log(s: Series) -> Series:
-    """log of a series with constant term one."""
-    if s.body.constant_term() != 1:
-        raise ValueError("series_log needs constant term 1")
-    n = s.body.n
-    cap = s.cap
-    S = [s.homogeneous_component(m) for m in range(cap + 1)]
-    L = [Poly.zero(n)]
-    for m in range(1, cap + 1):
-        acc = S[m].scale(Fraction(m))
-        for j in range(1, m):
-            if not L[j].is_zero() and not S[m - j].is_zero():
-                acc = acc - (L[j] * S[m - j]).scale(Fraction(j))
-        L.append(acc.scale(Fraction(1, m)))
-    total = Poly.zero(n)
-    for part in L:
-        total = total + part
-    return Series(total, cap)
 
 
 def log_z_series(pmap: PolyMap, D: int) -> Series:

@@ -1,18 +1,33 @@
 """Sparse multivariate polynomials and degree-truncated series over Q.
 
-A monomial is a tuple of non-negative integer exponents, one per variable;
-a polynomial maps monomials to nonzero ``Fraction`` coefficients.  All
-arithmetic is exact.  Values are never mutated after construction, so they
-are safe to share and to reduce in any order.
+``Poly`` is an untruncated polynomial: a monomial is a tuple of
+non-negative integer exponents, one per variable, mapped to a nonzero
+``Fraction`` coefficient.  The public constructor validates and converts
+its input; the results of ``Poly`` arithmetic are already clean and go
+through a trusted constructor that skips that check.
 
-``Series`` is a polynomial together with a total-degree cap: every
-operation discards monomials above the cap, which makes truncated
-composition and fixed-point iteration well defined.
+``Series`` is a polynomial truncated at a total-degree cap, held in a
+graded, packed, integer form: a positive int denominator ``den`` shared
+by the whole series and, for each degree k from 0 to the cap, a dict
+``comps[k]`` from packed monomial keys to int numerators.  The key of
+x^a is ``sum a_i * B**i`` with base ``B = cap + 1``.  Every exponent of a
+stored monomial is at most the cap, below ``B``, so packing never
+carries and the key of a product is the sum of its factors' keys.  The
+form is always reduced (no zero numerators, ``gcd(den, numerators) ==
+1``), so equal series have equal fields.  A truncated product pairs only
+degrees that sum to at most the cap, and sums run over the lcm of the
+denominators: no ``Fraction`` is made inside the loops.
+
+The boundary to the rest of the package is ``Poly``: ``Series(body,
+cap)`` packs a polynomial, and ``.body`` unpacks one (built on first read
+and kept).  Values are never mutated after construction, so they are
+safe to share and to reduce in any order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from treeinv.errors import DimensionMismatchError
@@ -60,6 +75,14 @@ class Poly:
                     clean[tuple(mono)] = coeff
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[Monomial, Fraction]) -> Poly:
+        """A Poly over terms that are already n-tuples mapped to nonzero Fractions."""
+        p = object.__new__(cls)
+        p.n = n
+        p.terms = terms
+        return p
 
     # -- constructors ------------------------------------------------
 
@@ -112,10 +135,10 @@ class Poly:
         return degree is None or degrees == {degree}
 
     def homogeneous_component(self, degree: int) -> Poly:
-        return Poly(self.n, {m: c for m, c in self.terms.items() if sum(m) == degree})
+        return Poly._trusted(self.n, {m: c for m, c in self.terms.items() if sum(m) == degree})
 
     def truncate(self, cap: int) -> Poly:
-        return Poly(self.n, {m: c for m, c in self.terms.items() if sum(m) <= cap})
+        return Poly._trusted(self.n, {m: c for m, c in self.terms.items() if sum(m) <= cap})
 
     # -- arithmetic --------------------------------------------------
 
@@ -134,10 +157,10 @@ class Poly:
                 out.pop(mono, None)
             else:
                 out[mono] = acc
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def __neg__(self) -> Poly:
-        return Poly(self.n, {m: -c for m, c in self.terms.items()})
+        return Poly._trusted(self.n, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: Poly) -> Poly:
         return self + (-other)
@@ -153,13 +176,13 @@ class Poly:
                     out.pop(mono, None)
                 else:
                     out[mono] = acc
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def scale(self, value) -> Poly:
         value = _as_fraction(value)
         if value == 0:
             return Poly.zero(self.n)
-        return Poly(self.n, {m: c * value for m, c in self.terms.items()})
+        return Poly._trusted(self.n, {m: c * value for m, c in self.terms.items()})
 
     def __pow__(self, k: int) -> Poly:
         if k < 0:
@@ -185,7 +208,7 @@ class Poly:
             lowered = list(mono)
             lowered[i] = e - 1
             out[tuple(lowered)] = coeff * e
-        return Poly(self.n, out)
+        return Poly._trusted(self.n, out)
 
     def eval_fraction(self, point: list[Fraction] | tuple[Fraction, ...]) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -266,20 +289,118 @@ def poly_compose(f: Poly, gs: list[Poly]) -> Poly:
     return result
 
 
-class Series:
-    """Polynomial truncated at a total-degree cap.
 
-    Invariant: every stored monomial has total degree <= cap.  Binary
-    operations require equal caps so that truncation is unambiguous.
+
+# -- the series kernel ------------------------------------------------
+#
+# A homogeneous part is a pair (den, dict) of a positive int denominator
+# and packed keys mapped to int numerators; a Series holds one
+# denominator for all its degrees.  The graded recursions (the fixed
+# point in inversion.py, series_exp and series_log below) work on parts.
+
+
+def _pack(mono: Monomial, base: int) -> int:
+    key = 0
+    for e in reversed(mono):
+        key = key * base + e
+    return key
+
+
+def _unpack(key: int, n: int, base: int) -> Monomial:
+    exps = []
+    for _ in range(n):
+        key, e = divmod(key, base)
+        exps.append(e)
+    return tuple(exps)
+
+
+def _addmul(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
+    """acc += a * b on packed keys and int numerators."""
+    get = acc.get
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            k = ka + kb
+            acc[k] = get(k, 0) + va * vb
+
+
+def _graded_dot(terms) -> tuple[int, dict[int, int]]:
+    """The reduced part sum of c * a * b over (c, a, b) in terms.
+
+    c is an int or Fraction and a, b are parts.  The products are summed
+    over the lcm of their denominators, each scaled once before its
+    product loop.
+    """
+    terms = list(terms)
+    dens = [c.denominator * a[0] * b[0] for c, a, b in terms]
+    L = lcm(*dens)
+    acc: dict[int, int] = {}
+    for (c, (_, a), (_, b)), den in zip(terms, dens):
+        f = c.numerator * (L // den)
+        if len(a) > len(b):
+            a, b = b, a
+        if f != 1:
+            a = {k: v * f for k, v in a.items()}
+        _addmul(acc, a, b)
+    acc = {k: v for k, v in acc.items() if v}
+    g = gcd(L, *acc.values())
+    if g > 1:
+        return L // g, {k: v // g for k, v in acc.items()}
+    return L, acc
+
+
+# The constant part 1, so that a sum of c * a is _graded_dot over (c, a, _UNIT).
+_UNIT = (1, {0: 1})
+_ZERO_PART = (1, {})
+
+
+class Series:
+    """Polynomial truncated at a total-degree cap, on the packed integer kernel.
+
+    Invariant: every stored monomial has total degree <= cap, and the
+    form is reduced (see the module docstring).  Binary operations
+    require equal dimensions and caps so that truncation is unambiguous.
+    ``body`` is the same series as a ``Poly``.
     """
 
-    __slots__ = ("body", "cap")
+    __slots__ = ("n", "cap", "den", "comps", "_body")
 
     def __init__(self, body: Poly, cap: int):
         if cap < 0:
             raise ValueError(f"cap must be non-negative, got {cap}")
-        self.body = body.truncate(cap)
+        base = cap + 1
+        kept = [(m, c, deg) for m, c in body.terms.items() if (deg := sum(m)) <= cap]
+        # over the lcm of reduced Fractions, the numerators share no factor with it
+        den = lcm(*(c.denominator for _, c, _ in kept))
+        comps: list[dict[int, int]] = [{} for _ in range(base)]
+        for m, c, deg in kept:
+            comps[deg][_pack(m, base)] = c.numerator * (den // c.denominator)
+        self.n = body.n
         self.cap = cap
+        self.den = den
+        self.comps = comps
+        self._body = None
+
+    @classmethod
+    def _reduced(cls, n: int, cap: int, den: int, comps: list[dict[int, int]]) -> Series:
+        """Trusted constructor: drops zero numerators and divides out the common factor.
+
+        comps must hold, for each degree 0..cap, keys packed in base cap + 1.
+        """
+        comps = [{k: v for k, v in c.items() if v} for c in comps]
+        g = gcd(den, *(v for c in comps for v in c.values()))
+        if g > 1:
+            den //= g
+            comps = [{k: v // g for k, v in c.items()} for c in comps]
+        s = object.__new__(cls)
+        s.n, s.cap, s.den, s.comps, s._body = n, cap, den, comps, None
+        return s
+
+    @classmethod
+    def _from_parts(cls, n: int, parts: list[tuple[int, dict[int, int]]]) -> Series:
+        """The series whose degree-k part is parts[k]: cap len(parts) - 1, keys in that base."""
+        den = lcm(*(p[0] for p in parts))
+        comps = [c if d == den else {k: v * (den // d) for k, v in c.items()} for d, c in parts]
+        return cls._reduced(n, len(parts) - 1, den, comps)
 
     @classmethod
     def zero(cls, n: int, cap: int) -> Series:
@@ -294,8 +415,19 @@ class Series:
         return cls(Poly.variable(n, i), cap)
 
     @property
-    def n(self) -> int:
-        return self.body.n
+    def body(self) -> Poly:
+        if self._body is None:
+            self._body = self._poly(self.comps)
+        return self._body
+
+    def _poly(self, comps: list[dict[int, int]]) -> Poly:
+        n, den, base = self.n, self.den, self.cap + 1
+        return Poly._trusted(
+            n, {_unpack(k, n, base): Fraction(v, den) for c in comps for k, v in c.items()}
+        )
+
+    def _part(self, degree: int) -> tuple[int, dict[int, int]]:
+        return self.den, self.comps[degree]
 
     def _check_compat(self, other: Series) -> None:
         if self.n != other.n or self.cap != other.cap:
@@ -305,64 +437,130 @@ class Series:
 
     def __add__(self, other: Series) -> Series:
         self._check_compat(other)
-        return Series(self.body + other.body, self.cap)
+        return _lincomb(self.n, self.cap, [(1, self), (1, other)])
 
     def __neg__(self) -> Series:
-        return Series(-self.body, self.cap)
+        return _lincomb(self.n, self.cap, [(-1, self)])
 
     def __sub__(self, other: Series) -> Series:
         self._check_compat(other)
-        return Series(self.body - other.body, self.cap)
+        return _lincomb(self.n, self.cap, [(1, self), (-1, other)])
 
     def __mul__(self, other: Series) -> Series:
         self._check_compat(other)
-        # Truncated product: skip term pairs whose degrees already overflow.
-        out: dict[Monomial, Fraction] = {}
+        # Truncated product: degree da of self pairs only with degrees <= cap - da.
         cap = self.cap
-        right = [(mb, cb, sum(mb)) for mb, cb in other.body.terms.items()]
-        for ma, ca in self.body.terms.items():
-            room = cap - sum(ma)
-            for mb, cb, db in right:
-                if db > room:
-                    continue
-                mono = monomial_mul(ma, mb)
-                acc = out.get(mono, _ZERO) + ca * cb
-                if acc == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = acc
-        return Series(Poly(self.n, out), cap)
+        out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+        right = other.comps
+        for da, a in enumerate(self.comps):
+            if a:
+                for db in range(cap - da + 1):
+                    if right[db]:
+                        _addmul(out[da + db], a, right[db])
+        return Series._reduced(self.n, cap, self.den * other.den, out)
 
     def scale(self, value) -> Series:
-        return Series(self.body.scale(value), self.cap)
+        return _lincomb(self.n, self.cap, [(_as_fraction(value), self)])
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.body.coefficient(mono)
+        mono = tuple(mono)
+        if len(mono) != self.n or any(e < 0 for e in mono) or sum(mono) > self.cap:
+            return _ZERO
+        v = self.comps[sum(mono)].get(_pack(mono, self.cap + 1))
+        return _ZERO if v is None else Fraction(v, self.den)
 
     def is_zero(self) -> bool:
-        return self.body.is_zero()
+        return not any(self.comps)
 
     def truncate(self, cap: int) -> Series:
-        return Series(self.body, min(cap, self.cap))
+        if cap < 0:
+            raise ValueError(f"cap must be non-negative, got {cap}")
+        if cap >= self.cap:
+            return self
+        n, old, new = self.n, self.cap + 1, cap + 1
+        comps = [
+            {_pack(_unpack(k, n, old), new): v for k, v in c.items()}
+            for c in self.comps[:new]
+        ]
+        return Series._reduced(n, cap, self.den, comps)
 
     def homogeneous_component(self, degree: int) -> Poly:
-        return self.body.homogeneous_component(degree)
+        return self._poly([self.comps[degree]] if 0 <= degree <= self.cap else [])
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Series)
+            and self.n == other.n
             and self.cap == other.cap
-            and self.body == other.body
+            and self.den == other.den
+            and self.comps == other.comps
         )
 
     def __hash__(self):
-        return hash((self.cap, self.body))
+        return hash(
+            (self.n, self.cap, self.den, tuple(frozenset(c.items()) for c in self.comps))
+        )
 
     def __repr__(self) -> str:
         return f"Series({self.to_string()!r}, cap={self.cap})"
 
     def to_string(self, var: str = "y") -> str:
         return self.body.to_string(var)
+
+
+def _lincomb(n: int, cap: int, terms) -> Series:
+    """sum of c * s over (c, s) in terms, for int or Fraction c, over the lcm of denominators."""
+    dens = [c.denominator * s.den for c, s in terms]
+    L = lcm(*dens)
+    out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+    for (c, s), den in zip(terms, dens):
+        f = c.numerator * (L // den)
+        if not f:
+            continue
+        for acc, comp in zip(out, s.comps):
+            get = acc.get
+            for k, v in comp.items():
+                acc[k] = get(k, 0) + v * f
+    return Series._reduced(n, cap, L, out)
+
+
+def _indices(mono: Monomial) -> tuple[int, ...]:
+    """The variable index of each factor of x^mono, in increasing order."""
+    return tuple(j for j, e in enumerate(mono) for _ in range(e))
+
+
+def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
+    """[f(g_1, ..., g_n) mod degree cap for f in fs], sharing products.
+
+    Each monomial of an f is the product of its factors in increasing
+    variable order; every prefix of such a product is computed once for
+    all the polynomials.  All substituents must share one ambient
+    dimension and one cap, which the results carry.  Exact: equals full
+    composition followed by truncation.
+    """
+    if not gs:
+        raise DimensionMismatchError("series composition needs at least one substituent")
+    for f in fs:
+        if len(gs) != f.n:
+            raise DimensionMismatchError(f"expected {f.n} substituents, got {len(gs)}")
+    cap = gs[0].cap
+    n_out = gs[0].n
+    for g in gs:
+        if g.cap != cap or g.n != n_out:
+            raise DimensionMismatchError("substituents have mixed dimension or cap")
+    products: dict[tuple[int, ...], Series] = {(): Series.one(n_out, cap)}
+    products.update(((j,), g) for j, g in enumerate(gs))
+
+    def product(prefix: tuple[int, ...]) -> Series:
+        got = products.get(prefix)
+        if got is None:
+            got = products[prefix] = product(prefix[:-1]) * gs[prefix[-1]]
+        return got
+
+    return [
+        _lincomb(n_out, cap, [(c, product(_indices(m))) for m, c in f.terms.items()])
+        for f in fs
+    ]
 
 
 def series_compose(f: Poly, gs: list[Series]) -> Series:
@@ -372,32 +570,41 @@ def series_compose(f: Poly, gs: list[Series]) -> Series:
     result carries that cap.  Exact: equals full composition followed by
     truncation.
     """
-    if len(gs) != f.n:
-        raise DimensionMismatchError(f"expected {f.n} substituents, got {len(gs)}")
-    if not gs:
-        raise DimensionMismatchError("series composition needs at least one substituent")
-    cap = gs[0].cap
-    n_out = gs[0].n
-    for g in gs:
-        if g.cap != cap or g.n != n_out:
-            raise DimensionMismatchError("substituents have mixed dimension or cap")
-    result = Series.zero(n_out, cap)
-    # Memoize truncated powers of each substituent across terms of f.
-    powers: dict[tuple[int, int], Series] = {}
+    return series_compose_many([f], gs)[0]
 
-    def power(j: int, e: int) -> Series:
-        key = (j, e)
-        if key not in powers:
-            if e == 1:
-                powers[key] = gs[j]
-            else:
-                powers[key] = power(j, e - 1) * gs[j]
-        return powers[key]
 
-    for mono, coeff in f.terms.items():
-        term = Series.one(n_out, cap).scale(coeff)
-        for j, e in enumerate(mono):
-            if e:
-                term = term * power(j, e)
-        result = result + term
-    return result
+def series_exp(s: Series) -> Series:
+    """exp of a series with zero constant term.
+
+    Through the scaling operator: with S the sum of its homogeneous parts
+    S_j, E = exp(S) satisfies m E_m = sum_{j=1..m} j S_j E_{m-j}; series_log
+    runs the reverse recursion.  Both are exact over the rationals.
+    """
+    if s.comps[0]:
+        raise ValueError("series_exp needs zero constant term")
+    cap = s.cap
+    E = [_UNIT]
+    for m in range(1, cap + 1):
+        E.append(
+            _graded_dot(
+                (Fraction(j, m), s._part(j), E[m - j]) for j in range(1, m + 1) if s.comps[j]
+            )
+        )
+    return Series._from_parts(s.n, E)
+
+
+def series_log(s: Series) -> Series:
+    """log of a series with constant term one."""
+    if s.coefficient((0,) * s.n) != 1:
+        raise ValueError("series_log needs constant term 1")
+    cap = s.cap
+    L = [_ZERO_PART]
+    for m in range(1, cap + 1):
+        terms = [(1, s._part(m), _UNIT)]
+        terms += [
+            (Fraction(-j, m), L[j], s._part(m - j))
+            for j in range(1, m)
+            if L[j][1] and s.comps[m - j]
+        ]
+        L.append(_graded_dot(terms))
+    return Series._from_parts(s.n, L)

@@ -128,6 +128,61 @@ def test_invert_json_rationals(capsys, tmp_path):
     assert coeffs[(4,)] == "5/8"
 
 
+# Non-integer coefficients: series are held over one shared denominator,
+# so these pin that every printed coefficient is a reduced p/q and that
+# terms come in graded-lex order.
+GOLDEN_MAP = "map golden-2-2\nn 2\nd 2\nw 1 1 2 1/2\nw 2 1 1 -2/3\nw 2 2 2 3/4\nend\n"
+
+
+def _terms(*pairs) -> list[dict]:
+    return [{"monomial": list(m), "coeff": c} for m, c in pairs]
+
+
+def test_invert_json_golden_rationals(capsys, tmp_path):
+    path = tmp_path / "golden.map"
+    path.write_text(GOLDEN_MAP)
+    assert cli.run(["invert", "--map", str(path), "--degree", "4", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "map": "golden-2-2",
+        "n": 2,
+        "d": 2,
+        "degree": 4,
+        "method": "fixedpoint",
+        "series": [
+            _terms(
+                ((1, 0), "1/1"), ((1, 1), "1/2"), ((1, 2), "7/16"), ((3, 0), "-1/6"),
+                ((1, 3), "29/64"), ((3, 1), "-11/24"),
+            ),
+            _terms(
+                ((0, 1), "1/1"), ((0, 2), "3/8"), ((2, 0), "-1/3"), ((0, 3), "9/32"),
+                ((2, 1), "-7/12"), ((0, 4), "135/512"), ((2, 2), "-29/32"), ((4, 0), "11/72"),
+            ),
+        ],
+        "verified": True,
+    }
+
+
+def test_zfun_golden_rationals(capsys, tmp_path):
+    path = tmp_path / "golden.map"
+    path.write_text(GOLDEN_MAP)
+    assert cli.run(["zfun", "--map", str(path), "--degree", "3"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "map golden-2-2: partition series to degree 3",
+        "  log Z = 5/4 y2 + 7/8 y2^2 - 3/4 y1^2 + 161/192 y2^3 - 7/4 y1^2 y2",
+        "  Z     = 1 + 5/4 y2 + 53/32 y2^2 - 3/4 y1^2 + 289/128 y2^3 - 43/16 y1^2 y2",
+        "  Z * JF(G(y)) = 1: True",
+    ]
+    assert cli.run(["zfun", "--map", str(path), "--degree", "3", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["log_z"] == _terms(
+        ((0, 1), "5/4"), ((0, 2), "7/8"), ((2, 0), "-3/4"), ((0, 3), "161/192"), ((2, 1), "-7/4")
+    )
+    assert payload["z"] == _terms(
+        ((0, 0), "1/1"), ((0, 1), "5/4"), ((0, 2), "53/32"), ((2, 0), "-3/4"),
+        ((0, 3), "289/128"), ((2, 1), "-43/16"),
+    )
+
+
 def test_zfun_univar2(capsys, tmp_path):
     path = tmp_path / "u2.map"
     save_map(get_fixture("univar-2"), path)

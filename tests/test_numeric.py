@@ -9,7 +9,10 @@ from math import factorial
 import pytest
 
 from treeinv.catalog import catalog, get_fixture, univariate_map
+from treeinv.inversion import fixed_point_inverse
 from treeinv.numeric import (
+    RadiusReport,
+    SampleCheck,
     convergence_radius,
     default_sample_points,
     eval_poly_numeric,
@@ -17,7 +20,7 @@ from treeinv.numeric import (
     theorem1_check,
 )
 from treeinv.poly import Poly, Series
-from treeinv.tensormap import PolyMap, SymTensor, norm_w
+from treeinv.tensormap import PolyMap, SymTensor, build_H, norm_w
 from treeinv.trees import tree_count
 
 
@@ -127,3 +130,40 @@ def test_default_sample_points_within_radius_and_bound_holds():
             assert max(abs(c) for c in pt) <= 0.9 * radius
         report = theorem1_check(pmap, 12 if pmap.d == 2 else 13, points, tol=1e-2)
         assert report.bounds_ok, pmap.name
+
+
+def _eval_sorting_per_point(p: Poly, point) -> float:
+    """The evaluator theorem1_check used to call: sorts p at every point."""
+    total = 0.0
+    for mono, coeff in sorted(p.terms.items(), key=lambda kv: (sum(kv[0]), kv[0])):
+        term = float(coeff)
+        for x, e in zip(point, mono):
+            if e:
+                term *= x**e
+        total += term
+    return total
+
+
+def _per_point_report(pmap, D, points, tol):
+    """theorem1_check's report, with every polynomial sorted again at each point."""
+    G = fixed_point_inverse(pmap, D)
+    H = build_H(pmap)
+    R = convergence_radius(pmap)
+    samples = []
+    for point in points:
+        point = tuple(float(c) for c in point)
+        r = max(abs(c) for c in point)
+        g_num = [_eval_sorting_per_point(g.body, point) for g in G]
+        residual = 0.0
+        for i in range(pmap.n):
+            residual = max(residual, abs(g_num[i] - _eval_sorting_per_point(H[i], g_num) - point[i]))
+        bound_ok = math.isinf(R) or max(abs(v) for v in g_num) <= r / (1.0 - r / R) + tol
+        samples.append(SampleCheck(point, tuple(g_num), residual, bound_ok))
+    return RadiusReport(norm_w=float(norm_w(pmap)), radius=R, tol=tol, samples=samples)
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_theorem1_report_bit_identical_to_per_point_path(pmap):
+    D = 12 if pmap.d == 2 else 13
+    points = default_sample_points(pmap, seed=3)
+    assert theorem1_check(pmap, D, points, tol=1e-2) == _per_point_report(pmap, D, points, 1e-2)

@@ -1,4 +1,4 @@
-"""det(I - M), nilpotency and tr M^k against sympy, an implementation that shares no code."""
+"""det(I - M), nilpotency, tr M^k and F(G) = y against sympy, an implementation that shares no code."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from treeinv.catalog import catalog, random_map  # noqa: E402
+from treeinv.inversion import fixed_point_inverse  # noqa: E402
 from treeinv.jacobian import nilpotency_order, trace_powers  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
 from treeinv.tensormap import PolyMap, jacobian_det  # noqa: E402
@@ -25,8 +26,8 @@ def _maps() -> list[PolyMap]:
     return maps
 
 
-def _sympy_jacobian(pmap: PolyMap):
-    """M = dH/dx built by sympy from the tensor: H_i = (1/d!) sum over ordered tuples."""
+def _sympy_H(pmap: PolyMap):
+    """H built by sympy from the tensor: H_i = (1/d!) sum over ordered index tuples."""
     n, d = pmap.n, pmap.d
     xs = sympy.symbols(f"x1:{n + 1}")
     H = [sympy.Integer(0)] * n
@@ -39,6 +40,13 @@ def _sympy_jacobian(pmap: PolyMap):
                     term *= xs[j]
                 H[i] += term
         H[i] /= sympy.factorial(d)
+    return xs, H
+
+
+def _sympy_jacobian(pmap: PolyMap):
+    """M = dH/dx built by sympy from the tensor."""
+    n = pmap.n
+    xs, H = _sympy_H(pmap)
     M = sympy.Matrix(n, n, lambda i, j: sympy.diff(H[i], xs[j]))
     # entries in QQ[x], where products and powers stay polynomial
     return xs, DomainMatrix.from_Matrix(M).convert_to(sympy.QQ[xs])
@@ -75,3 +83,38 @@ def test_trace_powers_against_sympy_traces(pmap):
     k_max = pmap.n + 1
     want = [_to_poly((M**k).to_Matrix().trace(), xs) for k in range(1, k_max + 1)]
     assert trace_powers(pmap, k_max) == want
+
+
+def _inverse_cases() -> list[tuple[PolyMap, int]]:
+    cases = [(p, 6 if p.d == 2 else 7) for p in catalog() if 2 <= p.n <= 4]
+    for n, d, D in ((2, 2, 6), (3, 2, 5), (2, 3, 7)):
+        for seed in (1, 2):
+            cases.append((random_map(n, d, seed=seed, name=f"seeded-{n}-{d}-{seed}"), D))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "pmap,D", _inverse_cases(), ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}"
+)
+def test_inverse_satisfies_F_of_G_expanded_by_sympy(pmap, D):
+    """sympy expands G - H(G) with H from the tensor; truncated at D it is y."""
+    n = pmap.n
+    xs, H = _sympy_H(pmap)
+    ys = sympy.symbols(f"y1:{n + 1}")
+    G = [
+        sympy.Poly.from_dict(
+            {m: sympy.Rational(c.numerator, c.denominator) for m, c in g.body.terms.items()},
+            *ys,
+            domain=sympy.QQ,
+        )
+        for g in fixed_point_inverse(pmap, D)
+    ]
+    for i in range(n):
+        H_of_G = sympy.Poly(0, *ys, domain=sympy.QQ)
+        for m, c in sympy.Poly(H[i], *xs).terms():
+            term = sympy.Poly(c, *ys, domain=sympy.QQ)
+            for g, e in zip(G, m):
+                term *= g**e
+            H_of_G += term
+        low = {m: c for m, c in (G[i] - H_of_G).terms() if sum(m) <= D}
+        assert low == {tuple(int(j == i) for j in range(n)): 1}, (pmap.name, i)
