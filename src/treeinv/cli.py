@@ -99,7 +99,12 @@ def _cmd_check(args) -> int:
     verdict = analyze(pmap)
     bound = pmap.gabber_bound()
     cap = max(default_degree_cap(pmap), bound + 1)
-    poly_deg = polynomial_inverse_degree(pmap, cap)
+    # no probe without a unit Jacobian: JF(G) JG = I would force det JF = 1
+    if verdict.unit_jacobian:
+        poly_deg = polynomial_inverse_degree(pmap, cap)
+        poly_line = poly_deg if poly_deg is not None else f"not detected up to degree {cap}"
+    else:
+        poly_deg, poly_line = None, "none (Jacobian not unit)"
     payload = {
         "map": pmap.name,
         "n": pmap.n,
@@ -116,7 +121,7 @@ def _cmd_check(args) -> int:
         f"  nilpotency      = {verdict.nilpotency_order if verdict.nilpotency_order is not None else 'none'}",
         f"  traces_vanish   = {str(verdict.traces_vanish).lower()}",
         f"  gabber_bound    = {bound}",
-        f"  poly_inverse    = {poly_deg if poly_deg is not None else f'not detected up to degree {cap}'}",
+        f"  poly_inverse    = {poly_line}",
     ]
     _emit(args, payload, lines)
     return 0

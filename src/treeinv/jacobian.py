@@ -6,7 +6,9 @@ and vanishing of all tr M(x)^k are equivalent over characteristic zero;
 analyze() computes all three and refuses to return a verdict in which
 they disagree.  The determinant is a cofactor expansion that shares
 nothing with the powers of M; nilpotency and traces read the same
-per-map powers, since they are the same matrices.
+per-map powers, since they are the same matrices.  Both the powers and
+the determinant are computed on packed integer parts (see polymatrix.py)
+and read here as Poly.
 
 The diagrammatic forms contract chains (open) or loops (closed) of k
 tensor vertices and symmetrize over the k(d-1) free legs.  No
@@ -16,7 +18,8 @@ to the coefficients of [M(x)^k]_{ij} (resp. tr M(x)^k) monomial by
 monomial.  Both the contraction and the coefficient-extraction routes
 are computed and their agreement is asserted on every call, so a zero
 tensor is never an artifact of one code path; the contraction reads
-only the tensor, never the memoized powers.
+only the tensor, never the memoized powers.  The chain and the loop of
+one length share one contraction walk, kept in the map's memo.
 """
 
 from __future__ import annotations
@@ -125,7 +128,15 @@ def _mat_mul(A, B, n: int):
 
 
 def _chain_products(pmap: PolyMap, k: int, K: int):
-    """Sum over leg arrangements of the k-vertex chain product, per multiset."""
+    """Sum over leg arrangements of the k-vertex chain product, per multiset.
+
+    Walked once per map and k (memoized): the chain tensor reads these
+    products and the loop tensor their traces.
+    """
+    return pmap._memoized(("chain", k), lambda: _walk_chains(pmap, k, K))
+
+
+def _walk_chains(pmap: PolyMap, k: int, K: int):
     n = pmap.n
     out: dict[tuple[int, ...], list[list[Fraction]]] = {}
     for mu in combinations_with_replacement(range(n), K):

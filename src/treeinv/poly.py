@@ -22,6 +22,12 @@ The boundary to the rest of the package is ``Poly``: ``Series(body,
 cap)`` packs a polynomial, and ``.body`` unpacks one (built on first read
 and kept).  Values are never mutated after construction, so they are
 safe to share and to reduce in any order.
+
+The same parts carry the untruncated products elsewhere: the matrix
+products and the determinant of polymatrix.py and the tree contractions
+of trees.py pack their operands in a base above every exponent the
+result can reach, so no product is truncated and the ``Poly`` product
+here is their test oracle.
 """
 
 from __future__ import annotations
@@ -298,6 +304,8 @@ def poly_compose(f: Poly, gs: list[Poly]) -> Poly:
 # denominator for all its degrees.  The graded recursions (the fixed
 # point in inversion.py, series_exp and series_log below) work on parts.
 
+Part = tuple[int, dict[int, int]]
+
 
 def _pack(mono: Monomial, base: int) -> int:
     key = 0
@@ -348,6 +356,28 @@ def _graded_dot(terms) -> tuple[int, dict[int, int]]:
     return L, acc
 
 
+def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
+    """Several dicts of numerators over one den, without zeros and with the common factor out."""
+    comps = [{k: v for k, v in c.items() if v} for c in comps]
+    g = gcd(den, *(v for c in comps for v in c.values()))
+    if g > 1:
+        den //= g
+        comps = [{k: v // g for k, v in c.items()} for c in comps]
+    return den, comps
+
+
+def _to_part(p: Poly, base: int) -> Part:
+    """p as one part, keys packed in base; every exponent of p must be below it."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    return den, {_pack(m, base): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
+
+
+def _from_part(n: int, base: int, part: Part) -> Poly:
+    """The Poly of a part whose keys are packed in base; zero numerators must be absent."""
+    den, nums = part
+    return Poly._trusted(n, {_unpack(k, n, base): Fraction(v, den) for k, v in nums.items()})
+
+
 # The constant part 1, so that a sum of c * a is _graded_dot over (c, a, _UNIT).
 _UNIT = (1, {0: 1})
 _ZERO_PART = (1, {})
@@ -386,11 +416,7 @@ class Series:
 
         comps must hold, for each degree 0..cap, keys packed in base cap + 1.
         """
-        comps = [{k: v for k, v in c.items() if v} for c in comps]
-        g = gcd(den, *(v for c in comps for v in c.values()))
-        if g > 1:
-            den //= g
-            comps = [{k: v // g for k, v in c.items()} for c in comps]
+        den, comps = _reduce(den, comps)
         s = object.__new__(cls)
         s.n, s.cap, s.den, s.comps, s._body = n, cap, den, comps, None
         return s

@@ -1,14 +1,19 @@
 """Square matrices of polynomials: products, powers, traces, determinants.
 
-Houses the derivative matrix of a polynomial map and I - M.  Determinants
-use cofactor expansion behind a dimension guard; every fixture here is
-small, and exact rational arithmetic keeps cofactors cheap at that scale.
+Houses the derivative matrix of a polynomial map and I - M.  Entries are
+``Poly`` at the boundary, but every product runs on the packed integer
+parts of ``poly.py``: an entry becomes one part (one int denominator,
+packed keys mapped to int numerators) in a base above every exponent the
+result can reach, so keys add without carrying.  A matrix product forms
+each entry with one ``_graded_dot`` and unpacks it once; the determinant
+is a cofactor expansion along the first column, on parts throughout,
+behind a dimension guard.  Entries need not be homogeneous.
 """
 
 from __future__ import annotations
 
 from treeinv.errors import DimensionMismatchError, GuardExceededError
-from treeinv.poly import Poly
+from treeinv.poly import Part, Poly, _from_part, _graded_dot, _to_part
 
 DET_DIM_GUARD = 8
 
@@ -68,16 +73,20 @@ class PolyMatrix:
 
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
-        out = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                acc = Poly.zero(self.n)
-                for k in range(self.dim):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return PolyMatrix(out)
+        base = self._degree() + other._degree() + 1
+        cols = list(zip(*other._parts(base)))
+        out = [
+            [_graded_dot((1, a, b) for a, b in zip(row, col) if a[1] and b[1]) for col in cols]
+            for row in self._parts(base)
+        ]
+        return PolyMatrix([[_from_part(self.n, base, e) for e in row] for row in out])
+
+    def _degree(self) -> int:
+        """Largest total degree of an entry, 0 for the zero matrix."""
+        return max(0, *(p.total_degree() for row in self.entries for p in row))
+
+    def _parts(self, base: int) -> list[list[Part]]:
+        return [[_to_part(p, base) for p in row] for row in self.entries]
 
     def power(self, k: int) -> PolyMatrix:
         if k < 1:
@@ -99,7 +108,9 @@ class PolyMatrix:
     def det(self, guard: int = DET_DIM_GUARD) -> Poly:
         """Determinant by cofactor expansion along the first column."""
         check_det_guard(self.dim, guard)
-        return _det_cofactor(self.entries, self.n)
+        # every product of at most dim entries has degree <= dim * (entry degree)
+        base = self.dim * self._degree() + 1
+        return _from_part(self.n, base, _det_cofactor(self._parts(base)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -124,17 +135,11 @@ def check_det_guard(dim: int, guard: int) -> None:
         raise GuardExceededError(f"determinant guard: dim {dim} exceeds {guard}")
 
 
-def _det_cofactor(rows: list[list[Poly]], n: int) -> Poly:
-    dim = len(rows)
-    if dim == 1:
+def _det_cofactor(rows: list[list[Part]]) -> Part:
+    if len(rows) == 1:
         return rows[0][0]
-    acc = Poly.zero(n)
-    for i in range(dim):
-        lead = rows[i][0]
-        if lead.is_zero():
-            continue
-        minor = [row[1:] for k, row in enumerate(rows) if k != i]
-        sub = _det_cofactor(minor, n)
-        term = lead * sub
-        acc = acc + (term if i % 2 == 0 else -term)
-    return acc
+    return _graded_dot(
+        (-1 if i % 2 else 1, row[0], _det_cofactor([r[1:] for k, r in enumerate(rows) if k != i]))
+        for i, row in enumerate(rows)
+        if row[0][1]
+    )

@@ -90,8 +90,8 @@ class PolyMap:
     """The polynomial map F(x) = x - H(x) defined by a symmetric tensor.
 
     ``tensor`` is read-only, so the objects derived from it (H, the powers
-    of M, det(I - M), G, log Z and Z) are computed once per map and kept
-    in a private memo that can never go stale.
+    of M, det(I - M), the chain contractions, G, log Z and Z) are computed
+    once per map and kept in a private memo that can never go stale.
     """
 
     __slots__ = ("_tensor", "name", "_memo")

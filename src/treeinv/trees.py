@@ -15,6 +15,11 @@ Two evaluation paths are provided and must agree:
   automorphism count, which is exactly the labeled multiplicity divided
   by V!N!.
 
+Both paths contract amplitudes on the packed integer parts of poly.py:
+a vertex's amplitudes for all n root indices share one denominator, so
+the products and sums of a contraction run on int numerators alone.
+amplitude and amplitude_vector unpack the result to Poly once.
+
 Vertex and tensor indices are 0-based throughout this module.
 """
 
@@ -22,17 +27,22 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
-from treeinv.poly import Poly, Series
+from treeinv.poly import _UNIT, _ZERO_PART, Poly, Series, _addmul, _from_part, _graded_dot, _reduce
 from treeinv.tensormap import PolyMap
 
 DEFAULT_BUDGET = 10**6
 
 Shape = tuple  # nested tuples; () is a leaf, an internal node has d entries
+
+# Amplitudes for every root index: (den, [nums_0, .., nums_{n-1}]), one int
+# denominator shared by the n components, each a dict of packed keys to
+# int numerators (see poly.py) in a base above the tree's leaf count.
+Vector = tuple[int, list[dict[int, int]]]
 
 
 class VertexSet:
@@ -297,34 +307,64 @@ def enumerate_trees(
         yield ValencedTree.from_parents(vs, decode_parents(seq, T))
 
 
-def _contract_children(child_vecs: list[list[Poly]], pmap: PolyMap) -> list[Poly]:
+def _vertex_rule(pmap: PolyMap):
+    """The tensor grouped for _contract_children: (L, [(orderings, rows)]).
+
+    One group per lower multiset: its distinct orderings, and rows of
+    (j, w_{j,lower} * L) with L the lcm of the tensor's denominators, so
+    every weight is an int.
+    """
+    entries = pmap.tensor.entries
+    L = lcm(*(v.denominator for v in entries.values()))
+    by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for (j, lower), value in entries.items():
+        by_lower.setdefault(lower, []).append((j, value.numerator * (L // value.denominator)))
+    return L, [(list(distinct_permutations(lower)), rows) for lower, rows in by_lower.items()]
+
+
+def _basis(n: int, base: int) -> Vector:
+    """The leaf vector: component j is x_j, keys packed in base."""
+    return 1, [{base**j: 1} for j in range(n)]
+
+
+def _contract_children(child_vecs: list[Vector], rule) -> Vector:
     """One internal vertex: fold d child vectors through the tensor.
 
     out[j] = sum over ordered lower tuples (k_1..k_d) of
     w_{j,k_1..k_d} * prod_t child_vecs[t][k_t].  Entries are grouped by
-    lower multiset so each symmetrized product is formed once.
+    lower multiset so each symmetrized product is formed once.  Every
+    product of one ordering has the denominator L * prod_t den_t, so the
+    sums run on int numerators alone.
     """
-    tensor = pmap.tensor
-    n = tensor.n
-    by_lower: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
-    for (j, lower), value in tensor.entries.items():
-        by_lower.setdefault(lower, []).append((j, value))
-    out = [Poly.zero(n) for _ in range(n)]
-    for lower, rows in by_lower.items():
-        sym = Poly.zero(n)
-        for perm in distinct_permutations(lower):
-            prod = child_vecs[0][perm[0]]
-            for t in range(1, len(perm)):
-                prod = prod * child_vecs[t][perm[t]]
-            sym = sym + prod
-        for j, value in rows:
-            out[j] = out[j] + sym.scale(value)
-    return out
+    L, groups = rule
+    den = L
+    for child_den, _ in child_vecs:
+        den *= child_den
+    comps = [nums for _, nums in child_vecs]
+    first, middle, last = comps[0], comps[1:-1], comps[-1]
+    out: list[dict[int, int]] = [{} for _ in first]
+    for perms, rows in groups:
+        sym: dict[int, int] = {}
+        for perm in perms:
+            prod = first[perm[0]]
+            for t, c in enumerate(middle, 1):
+                if not prod:
+                    break
+                step: dict[int, int] = {}
+                _addmul(step, prod, c[perm[t]])
+                prod = step
+            _addmul(sym, prod, last[perm[-1]])
+        if sym:
+            for j, w in rows:
+                acc = out[j]
+                get = acc.get
+                for k, v in sym.items():
+                    acc[k] = get(k, 0) + w * v
+    return _reduce(den, out)
 
 
-def _amplitude_vector_from_parents(parents, pmap: PolyMap) -> list[Poly]:
+def _amplitude_vector_from_parents(parents, rule, basis: Vector) -> Vector:
     """Amplitudes for every root index at once, by bottom-up contraction."""
-    n = pmap.n
     T = len(parents)
     children: list[list[int]] = [[] for _ in range(T)]
     order = [0]
@@ -334,14 +374,13 @@ def _amplitude_vector_from_parents(parents, pmap: PolyMap) -> list[Poly]:
     while head < len(order):
         order.extend(children[order[head]])
         head += 1
-    basis = [Poly.variable(n, j) for j in range(n)]
-    vecs: dict[int, list[Poly]] = {}
+    vecs: dict[int, Vector] = {}
     for v in reversed(order):
         kids = children[v]
         if not kids:
             vecs[v] = basis
         elif v != 0:
-            vecs[v] = _contract_children([vecs[c] for c in kids], pmap)
+            vecs[v] = _contract_children([vecs[c] for c in kids], rule)
     return vecs[children[0][0]]
 
 
@@ -351,7 +390,11 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
         raise DimensionMismatchError(
             f"tree has arity {tree.vertices.d}, map has d={pmap.d}"
         )
-    return _amplitude_vector_from_parents(tree.rooted(), pmap)
+    n, base = pmap.n, tree.vertices.N + 1
+    den, comps = _amplitude_vector_from_parents(
+        tree.rooted(), _vertex_rule(pmap), _basis(n, base)
+    )
+    return [_from_part(n, base, (den, c)) for c in comps]
 
 
 def amplitude(tree: ValencedTree, pmap: PolyMap, i: int) -> Poly:
@@ -416,16 +459,14 @@ def shape_automorphisms(shape: Shape) -> int:
     return aut
 
 
-def _amplitude_vector_from_shape(
-    shape: Shape, pmap: PolyMap, memo: dict
-) -> list[Poly]:
+def _amplitude_vector_from_shape(shape: Shape, rule, basis: Vector, memo: dict) -> Vector:
     got = memo.get(shape)
     if got is None:
         if shape == ():
-            got = [Poly.variable(pmap.n, j) for j in range(pmap.n)]
+            got = basis
         else:
             got = _contract_children(
-                [_amplitude_vector_from_shape(s, pmap, memo) for s in shape], pmap
+                [_amplitude_vector_from_shape(s, rule, basis, memo) for s in shape], rule
             )
         memo[shape] = got
     return got
@@ -443,12 +484,15 @@ def tree_sum_inverse(
     defining sum, with 1/(V! N!) weights); method "grouped" sums rooted
     shapes with 1/|Aut| weights.  Both are exact and identical.  Strata
     larger than budget raise; the check applies to both methods so the
-    two are interchangeable.
+    two are interchangeable.  Amplitudes are packed in base D + 1, so
+    stratum V's weighted sum is already the degree-N part of the Series.
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
     n, d = pmap.n, pmap.d
-    totals = [Poly.zero(n) for _ in range(n)]
+    rule = _vertex_rule(pmap)
+    basis = _basis(n, D + 1)
+    parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
     V = 0
     while (d - 1) * V + 1 <= D:
         N = (d - 1) * V + 1
@@ -459,19 +503,22 @@ def tree_sum_inverse(
             )
         if method == "labeled":
             weight = Fraction(1, factorial(V) * factorial(N))
-            for count, parents in _census(V, d):
-                vec = _amplitude_vector_from_parents(parents, pmap)
-                w = weight * count
-                for i in range(n):
-                    if not vec[i].is_zero():
-                        totals[i] = totals[i] + vec[i].scale(w)
+            weighted = [
+                (weight * count, _amplitude_vector_from_parents(parents, rule, basis))
+                for count, parents in _census(V, d)
+            ]
         else:
             memo: dict = {}
-            for shape in _shapes_with_internal(V, d):
-                vec = _amplitude_vector_from_shape(shape, pmap, memo)
-                w = Fraction(1, shape_automorphisms(shape))
-                for i in range(n):
-                    if not vec[i].is_zero():
-                        totals[i] = totals[i] + vec[i].scale(w)
+            weighted = [
+                (
+                    Fraction(1, shape_automorphisms(shape)),
+                    _amplitude_vector_from_shape(shape, rule, basis, memo),
+                )
+                for shape in _shapes_with_internal(V, d)
+            ]
+        for i in range(n):
+            parts[i][N] = _graded_dot(
+                (w, (den, comps[i]), _UNIT) for w, (den, comps) in weighted if comps[i]
+            )
         V += 1
-    return [Series(t, D) for t in totals]
+    return [Series._from_parts(n, p) for p in parts]

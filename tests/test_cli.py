@@ -12,7 +12,7 @@ import pytest
 
 import treeinv
 from treeinv import cli
-from treeinv.catalog import catalog, catalog_names, get_fixture
+from treeinv.catalog import catalog, catalog_names, get_fixture, random_map
 from treeinv.jacobian import analyze
 from treeinv.mapfile import save_map
 
@@ -60,6 +60,21 @@ def test_check_json_schema(capsys, t32_path):
         "gabber_bound": 4,
         "polynomial_inverse_degree": 4,
     }
+
+
+def test_check_skips_degree_probe_on_non_unit_map(capsys, tmp_path):
+    # a non-unit map has no polynomial inverse, so no degree probe runs; on
+    # this n=4, d=3 map a probe to its cap of 30 runs for well over 30 s
+    path = tmp_path / "r43.map"
+    save_map(random_map(4, 3, seed=1), path)
+    assert cli.run(["check", "--map", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "unit_jacobian   = false" in out
+    assert "poly_inverse    = none (Jacobian not unit)" in out
+    assert cli.run(["check", "--map", str(path), "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["unit_jacobian"] is False
+    assert payload["polynomial_inverse_degree"] is None
 
 
 def test_missing_map_file_exits_2(capsys):

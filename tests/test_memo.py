@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from treeinv import jacobian
 from treeinv.catalog import catalog, get_fixture, random_map
 from treeinv.errors import GuardExceededError
 from treeinv.inversion import check_quadratic_nilpotent_theorem, polynomial_inverse_degree
@@ -36,6 +37,38 @@ def test_overwritten_powers_break_chain_and_loop_agreement():
     assert not M2.trace().is_zero()
     # a wrong M^2 in the memo: the coefficient side now disagrees with the contraction
     pmap._memo["M^k"][1] = PolyMatrix([[p.scale(2) for p in row] for row in M2.entries])
+    with pytest.raises(AssertionError):
+        symmetrized_chain_tensor(pmap, 2)
+    with pytest.raises(AssertionError):
+        symmetrized_loop_tensor(pmap, 2)
+
+
+def test_chain_and_loop_share_one_walk(monkeypatch):
+    pmap = random_map(3, 2, seed=32)
+    walks = []
+    real = jacobian._walk_chains
+
+    def counted(pmap, k, K):
+        walks.append(k)
+        return real(pmap, k, K)
+
+    monkeypatch.setattr(jacobian, "_walk_chains", counted)
+    for k in (1, 2):
+        symmetrized_chain_tensor(pmap, k)
+        symmetrized_loop_tensor(pmap, k)
+        symmetrized_chain_tensor(pmap, k)
+    assert walks == [1, 2]
+
+
+def test_overwritten_chain_walk_breaks_chain_and_loop_agreement():
+    pmap = random_map(2, 2, seed=31)
+    symmetrized_chain_tensor(pmap, 2)
+    walked = pmap._memo[("chain", 2)]
+    assert any(prod[i][i] for prod in walked.values() for i in range(2))
+    # a wrong walk in the memo: the contraction now disagrees with the powers of M
+    pmap._memo[("chain", 2)] = {
+        mu: [[2 * v for v in row] for row in prod] for mu, prod in walked.items()
+    }
     with pytest.raises(AssertionError):
         symmetrized_chain_tensor(pmap, 2)
     with pytest.raises(AssertionError):

@@ -1,0 +1,204 @@
+"""Matrix products, determinants and tree contractions on packed parts, against Poly loops.
+
+The oracles below are the Fraction-valued loops that computed these
+objects on untruncated Poly arithmetic: matrix product, power and
+cofactor determinant, and the tree contraction with both tree sums.
+They share no arithmetic with the packed kernel: they use Poly, and the
+tree sums take their trees and weights from the same census and shapes.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from math import factorial
+
+import pytest
+
+from treeinv._combinat import distinct_permutations
+from treeinv.catalog import catalog, random_map
+from treeinv.poly import Poly, Series
+from treeinv.polymatrix import PolyMatrix
+from treeinv.tensormap import PolyMap, jacobian_matrix
+from treeinv.trees import (
+    ValencedTree,
+    VertexSet,
+    _census,
+    _shapes_with_internal,
+    amplitude_vector,
+    shape_automorphisms,
+    tree_sum_inverse,
+)
+
+# -- matrix oracles -------------------------------------------------------
+
+
+def _oracle_mul(A: PolyMatrix, B: PolyMatrix) -> PolyMatrix:
+    dim, n = A.dim, A.n
+    out = []
+    for i in range(dim):
+        row = []
+        for j in range(dim):
+            acc = Poly.zero(n)
+            for k in range(dim):
+                acc = acc + A.entries[i][k] * B.entries[k][j]
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(out)
+
+
+def _oracle_det(rows: list[list[Poly]], n: int) -> Poly:
+    dim = len(rows)
+    if dim == 1:
+        return rows[0][0]
+    acc = Poly.zero(n)
+    for i in range(dim):
+        lead = rows[i][0]
+        if lead.is_zero():
+            continue
+        minor = [row[1:] for k, row in enumerate(rows) if k != i]
+        term = lead * _oracle_det(minor, n)
+        acc = acc + (term if i % 2 == 0 else -term)
+    return acc
+
+
+def _random_entry(rng: random.Random, n: int, max_deg: int) -> Poly:
+    """Mixed-degree polynomial with non-integer coefficients; sometimes zero."""
+    if rng.random() < 0.2:
+        return Poly.zero(n)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * n
+        for _ in range(rng.randint(0, max_deg)):
+            exps[rng.randrange(n)] += 1
+        terms[tuple(exps)] = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return Poly(n, terms)
+
+
+def _random_matrix(rng: random.Random, dim: int, n: int, max_deg: int) -> PolyMatrix:
+    rows = [[_random_entry(rng, n, max_deg) for _ in range(dim)] for _ in range(dim)]
+    if dim > 1 and rng.random() < 0.3:
+        rows[rng.randrange(dim)] = [Poly.zero(n)] * dim
+    return PolyMatrix(rows)
+
+
+def _matrix_cases() -> list:
+    cases = []
+    rng = random.Random(2024)
+    for t in range(24):
+        dim = 1 + t % 4
+        n = 1 + t % 3
+        max_deg = t % 4
+        A = _random_matrix(rng, dim, n, max_deg)
+        B = _random_matrix(rng, dim, n, (max_deg + 1) % 4)
+        cases.append(pytest.param(A, B, id=f"random-{t}"))
+    for pmap in catalog() + [random_map(3, 3, seed=5), random_map(4, 2, seed=6)]:
+        M = jacobian_matrix(pmap)
+        cases.append(pytest.param(PolyMatrix.identity(pmap.n, pmap.n) - M, M, id=f"I-M-{pmap.name}"))
+    n = 2
+    z = Poly.zero(n)
+    cases.append(pytest.param(PolyMatrix.zero(3, n), PolyMatrix.identity(3, n), id="zero"))
+    cases.append(
+        pytest.param(
+            PolyMatrix([[z, z], [Poly.const(n, Fraction(1, 3)), Poly.variable(n, 1)]]),
+            PolyMatrix([[Poly.variable(n, 0), z], [z, Poly.const(n, -2)]]),
+            id="zero-row",
+        )
+    )
+    return cases
+
+
+@pytest.mark.parametrize("A,B", _matrix_cases())
+def test_matrix_product_power_det_against_poly_loops(A, B):
+    assert A * B == _oracle_mul(A, B)
+    assert B * A == _oracle_mul(B, A)
+    want = A
+    for k in range(1, 4):
+        assert A.power(k) == want, k
+        want = _oracle_mul(want, A)
+    assert A.det() == _oracle_det(A.entries, A.n)
+    assert B.det() == _oracle_det(B.entries, B.n)
+
+
+# -- tree contraction oracles ---------------------------------------------
+
+
+def _oracle_contract(child_vecs: list[list[Poly]], pmap: PolyMap) -> list[Poly]:
+    n = pmap.n
+    by_lower: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
+    for (j, lower), value in pmap.tensor.entries.items():
+        by_lower.setdefault(lower, []).append((j, value))
+    out = [Poly.zero(n) for _ in range(n)]
+    for lower, rows in by_lower.items():
+        sym = Poly.zero(n)
+        for perm in distinct_permutations(lower):
+            prod = child_vecs[0][perm[0]]
+            for t in range(1, len(perm)):
+                prod = prod * child_vecs[t][perm[t]]
+            sym = sym + prod
+        for j, value in rows:
+            out[j] = out[j] + sym.scale(value)
+    return out
+
+
+def _oracle_from_parents(parents, pmap: PolyMap) -> list[Poly]:
+    T = len(parents)
+    children: list[list[int]] = [[] for _ in range(T)]
+    for v in range(1, T):
+        children[parents[v]].append(v)
+
+    def vec(v: int) -> list[Poly]:
+        if not children[v]:
+            return [Poly.variable(pmap.n, j) for j in range(pmap.n)]
+        return _oracle_contract([vec(c) for c in children[v]], pmap)
+
+    return vec(children[0][0])
+
+
+def _oracle_from_shape(shape, pmap: PolyMap) -> list[Poly]:
+    if shape == ():
+        return [Poly.variable(pmap.n, j) for j in range(pmap.n)]
+    return _oracle_contract([_oracle_from_shape(s, pmap) for s in shape], pmap)
+
+
+def _oracle_tree_sum(pmap: PolyMap, D: int, method: str) -> list[Series]:
+    n, d = pmap.n, pmap.d
+    totals = [Poly.zero(n) for _ in range(n)]
+    V = 0
+    while (d - 1) * V + 1 <= D:
+        N = (d - 1) * V + 1
+        if method == "labeled":
+            weighted = [
+                (Fraction(count, factorial(V) * factorial(N)), _oracle_from_parents(parents, pmap))
+                for count, parents in _census(V, d)
+            ]
+        else:
+            weighted = [
+                (Fraction(1, shape_automorphisms(s)), _oracle_from_shape(s, pmap))
+                for s in _shapes_with_internal(V, d)
+            ]
+        for w, vec in weighted:
+            for i in range(n):
+                totals[i] = totals[i] + vec[i].scale(w)
+        V += 1
+    return [Series(t, D) for t in totals]
+
+
+def _tree_maps() -> list[PolyMap]:
+    maps = list(catalog())
+    for n, d, seed in ((2, 2, 11), (3, 2, 12), (2, 3, 13), (3, 3, 14)):
+        maps.append(random_map(n, d, seed=seed, name=f"seeded-{n}-{d}-{seed}"))
+    return maps
+
+
+@pytest.mark.parametrize("pmap", _tree_maps(), ids=lambda p: p.name)
+def test_amplitudes_and_tree_sums_against_poly_contraction(pmap):
+    d = pmap.d
+    for V in range(5):
+        vs = VertexSet.for_internal(V, d)
+        for _, parents in _census(V, d):
+            tree = ValencedTree.from_parents(vs, parents)
+            assert amplitude_vector(tree, pmap) == _oracle_from_parents(tree.rooted(), pmap), V
+    D = (d - 1) * 4 + 1
+    for method in ("labeled", "grouped"):
+        assert tree_sum_inverse(pmap, D, method=method) == _oracle_tree_sum(pmap, D, method), method

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations_with_replacement, product
+from math import comb, prod
+from random import Random
 
 import pytest
 
@@ -14,7 +16,37 @@ from treeinv.catalog import catalog, random_map  # noqa: E402
 from treeinv.inversion import fixed_point_inverse  # noqa: E402
 from treeinv.jacobian import nilpotency_order, trace_powers  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
-from treeinv.tensormap import PolyMap, jacobian_det  # noqa: E402
+from treeinv.tensormap import PolyMap, SymTensor, jacobian_det, jacobian_power  # noqa: E402
+
+
+def _conjugated_map(n: int, d: int, seed: int) -> PolyMap:
+    """x - A^-1 H(A x) for H_i = c_i x_{i+1}^d (i < n), A integer unimodular.
+
+    A = P L U with every off-diagonal entry of L and U equal to +-1, redrawn
+    until every tensor entry is nonzero: a dense map with unit Jacobian and
+    M of order exactly n.
+    """
+    rng = Random(seed)
+    xs = sympy.symbols(f"x1:{n + 1}")
+    while True:
+        L = sympy.Matrix(n, n, lambda i, j: 1 if i == j else rng.choice((-1, 1)) if j < i else 0)
+        U = sympy.Matrix(n, n, lambda i, j: 1 if i == j else rng.choice((-1, 1)) if j > i else 0)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        A = (L * U).extract(perm, list(range(n)))
+        Ax = A * sympy.Matrix(xs)
+        c = [rng.choice((-2, -1, 1, 2)) for _ in range(n - 1)]
+        H = A.inv() * sympy.Matrix([c[i] * Ax[i + 1] ** d for i in range(n - 1)] + [0])
+        entries = {}
+        for i in range(n):
+            coeffs = sympy.Poly(sympy.expand(H[i]), *xs).as_dict()
+            for lower in combinations_with_replacement(range(n), d):
+                exps = tuple(lower.count(j) for j in range(n))
+                value = sympy.Rational(coeffs.get(exps, 0) * prod(sympy.factorial(e) for e in exps))
+                if value:
+                    entries[(i, lower)] = Fraction(int(value.p), int(value.q))
+        if len(entries) == n * comb(n + d - 1, d):
+            return PolyMap(SymTensor(n, d, entries), name=f"conjugated-{n}-{d}-{seed}")
 
 
 def _maps() -> list[PolyMap]:
@@ -23,6 +55,9 @@ def _maps() -> list[PolyMap]:
         for d in (2, 3):
             seed = 100 + 10 * n + d
             maps.append(random_map(n, d, seed=seed, name=f"seeded-{n}-{d}-{seed}"))
+    for n in (3, 4):
+        for d in (2, 3):
+            maps.append(_conjugated_map(n, d, seed=200 + 10 * n + d))
     return maps
 
 
@@ -75,6 +110,27 @@ def test_nilpotency_order_against_sympy_powers(pmap):
             break
         power = power * M
     assert nilpotency_order(pmap) == want
+
+
+@pytest.mark.parametrize(
+    "pmap", [p for p in _maps() if p.name.startswith("conjugated")], ids=lambda p: p.name
+)
+def test_conjugated_maps_are_unit_of_order_n(pmap):
+    assert jacobian_det(pmap) == Poly.const(pmap.n, 1)
+    assert nilpotency_order(pmap) == pmap.n
+
+
+@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+def test_jacobian_power_entries_against_sympy_powers(pmap):
+    xs, M = _sympy_jacobian(pmap)
+    power = M
+    for k in range(1, pmap.n + 1):
+        want = power.to_Matrix()
+        got = jacobian_power(pmap, k)
+        for i in range(pmap.n):
+            for j in range(pmap.n):
+                assert got.entries[i][j] == _to_poly(want[i, j], xs), (k, i, j)
+        power = power * M
 
 
 @pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
