@@ -359,7 +359,10 @@ def _graded_dot(terms) -> tuple[int, dict[int, int]]:
 def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
     """Several dicts of numerators over one den, without zeros and with the common factor out."""
     comps = [{k: v for k, v in c.items() if v} for c in comps]
-    g = gcd(den, *(v for c in comps for v in c.values()))
+    # Star-arguments come from lists here, not generators: a generator is
+    # packed into a tuple of guessed length and then resized, and the
+    # resized tuples pile up in CPython's per-length tuple free lists.
+    g = gcd(den, *[v for c in comps for v in c.values()])
     if g > 1:
         den //= g
         comps = [{k: v // g for k, v in c.items()} for c in comps]
@@ -368,7 +371,7 @@ def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, 
 
 def _to_part(p: Poly, base: int) -> Part:
     """p as one part, keys packed in base; every exponent of p must be below it."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
+    den = lcm(*[c.denominator for c in p.terms.values()])
     return den, {_pack(m, base): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
 
 
@@ -400,7 +403,7 @@ class Series:
         base = cap + 1
         kept = [(m, c, deg) for m, c in body.terms.items() if (deg := sum(m)) <= cap]
         # over the lcm of reduced Fractions, the numerators share no factor with it
-        den = lcm(*(c.denominator for _, c, _ in kept))
+        den = lcm(*[c.denominator for _, c, _ in kept])
         comps: list[dict[int, int]] = [{} for _ in range(base)]
         for m, c, deg in kept:
             comps[deg][_pack(m, base)] = c.numerator * (den // c.denominator)
@@ -424,7 +427,7 @@ class Series:
     @classmethod
     def _from_parts(cls, n: int, parts: list[tuple[int, dict[int, int]]]) -> Series:
         """The series whose degree-k part is parts[k]: cap len(parts) - 1, keys in that base."""
-        den = lcm(*(p[0] for p in parts))
+        den = lcm(*[p[0] for p in parts])
         comps = [c if d == den else {k: v * (den // d) for k, v in c.items()} for d, c in parts]
         return cls._reduced(n, len(parts) - 1, den, comps)
 

@@ -83,7 +83,7 @@ class PolyMatrix:
 
     def _degree(self) -> int:
         """Largest total degree of an entry, 0 for the zero matrix."""
-        return max(0, *(p.total_degree() for row in self.entries for p in row))
+        return max(0, max(p.total_degree() for row in self.entries for p in row))
 
     def _parts(self, base: int) -> list[list[Part]]:
         return [[_to_part(p, base) for p in row] for row in self.entries]

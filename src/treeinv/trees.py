@@ -315,7 +315,7 @@ def _vertex_rule(pmap: PolyMap):
     every weight is an int.
     """
     entries = pmap.tensor.entries
-    L = lcm(*(v.denominator for v in entries.values()))
+    L = lcm(*[v.denominator for v in entries.values()])
     by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (j, lower), value in entries.items():
         by_lower.setdefault(lower, []).append((j, value.numerator * (L // value.denominator)))
