@@ -555,7 +555,7 @@ def _lincomb(n: int, cap: int, terms) -> Series:
 
 def _indices(mono: Monomial) -> tuple[int, ...]:
     """The variable index of each factor of x^mono, in increasing order."""
-    return tuple(j for j, e in enumerate(mono) for _ in range(e))
+    return tuple([j for j, e in enumerate(mono) for _ in range(e)])
 
 
 def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:

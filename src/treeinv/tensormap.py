@@ -151,7 +151,7 @@ def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
         mono = tuple(exps)
         weight = value * multiset_orbit_size(lower) / d_fact
         coeffs[i][mono] = coeffs[i].get(mono, Fraction(0)) + weight
-    return tuple(Poly(n, c) for c in coeffs)
+    return tuple([Poly(n, c) for c in coeffs])
 
 
 def build_F(pmap: PolyMap) -> list[Poly]:
