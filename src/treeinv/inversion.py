@@ -28,7 +28,7 @@ from treeinv.poly import (
     _indices,
     series_compose_many,
 )
-from treeinv.tensormap import PolyMap, build_H, jacobian_power
+from treeinv.tensormap import PolyMap, build_H, jacobian_powers
 
 
 def default_degree_cap(pmap: PolyMap) -> int:
@@ -186,7 +186,7 @@ def check_quadratic_nilpotent_theorem(pmap: PolyMap, D: int) -> bool:
     Raises unless M(x)^2 vanishes identically; under the precondition,
     returns whether fixed_point_inverse(map, D) equals y + H(y) exactly.
     """
-    if not jacobian_power(pmap, 2).is_zero():
+    if not jacobian_powers(pmap, 2).is_zero(2):
         raise PreconditionError(
             "Jacobian matrix does not square to zero; the one-step inverse "
             "form only applies to order-2 nilpotent maps"

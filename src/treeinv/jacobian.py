@@ -6,9 +6,9 @@ and vanishing of all tr M(x)^k are equivalent over characteristic zero;
 analyze() computes all three and refuses to return a verdict in which
 they disagree.  The determinant is a cofactor expansion that shares
 nothing with the powers of M; nilpotency and traces read the same
-per-map powers, since they are the same matrices.  Both the powers and
-the determinant are computed on packed integer parts (see polymatrix.py)
-and read here as Poly.
+per-map powers, since they are the same matrices.  The powers, their
+traces and the determinant are packed integer parts (see polymatrix.py),
+read here as parts and unpacked to Poly only for trace_powers.
 
 The diagrammatic forms contract chains (open) or loops (closed) of k
 tensor vertices and symmetrize over the k(d-1) free legs.  No
@@ -17,9 +17,13 @@ symmetrization over legs is an average, and the result is proportional
 to the coefficients of [M(x)^k]_{ij} (resp. tr M(x)^k) monomial by
 monomial.  Both the contraction and the coefficient-extraction routes
 are computed and their agreement is asserted on every call, so a zero
-tensor is never an artifact of one code path; the contraction reads
-only the tensor, never the memoized powers.  The chain and the loop of
-one length share one contraction walk, kept in the map's memo.
+tensor is never an artifact of one code path.  The contraction reads
+only the tensor, never the memoized powers or the packed kernel: it
+scales the tensor to ints over the lcm L of its denominators and
+multiplies int vertex matrices, so its sums are exact over L^k; the
+coefficient route reads packed keys of M^k.  The two are compared by
+cross-multiplying ints.  The chain and the loop of one length share one
+contraction walk, kept in the map's memo.
 """
 
 from __future__ import annotations
@@ -27,16 +31,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial
+from math import factorial, lcm
 
 from treeinv._combinat import distinct_permutations, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
-from treeinv.poly import Poly
+from treeinv.poly import Poly, _from_part, _pack
 from treeinv.polymatrix import DET_DIM_GUARD
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_power
+from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
 ChainTensor = dict[tuple[int, int, tuple[int, ...]], Fraction]
 LoopTensor = dict[tuple[int, ...], Fraction]
+# (L^k, {leg multiset: int matrix}), a chain walk's sums over one denominator
+ChainSums = tuple[int, dict[tuple[int, ...], list[list[int]]]]
 
 LEG_BUDGET = 10**6
 
@@ -52,8 +58,9 @@ def nilpotency_order(pmap: PolyMap) -> int | None:
     The search stops at n: an n x n matrix nilpotent at any order is
     nilpotent at order n, so larger exponents add nothing.
     """
+    powers = jacobian_powers(pmap, pmap.n)
     for k in range(1, pmap.n + 1):
-        if jacobian_power(pmap, k).is_zero():
+        if powers.is_zero(k):
             return k
     return None
 
@@ -64,7 +71,8 @@ def trace_powers(pmap: PolyMap, k_max: int | None = None) -> list[Poly]:
         k_max = pmap.n
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
-    return [jacobian_power(pmap, k).trace() for k in range(1, k_max + 1)]
+    powers = jacobian_powers(pmap, k_max)
+    return [_from_part(pmap.n, powers.base, powers.trace(k)) for k in range(1, k_max + 1)]
 
 
 @dataclass
@@ -98,74 +106,54 @@ def _check_leg_budget(n: int, K: int, budget: int) -> None:
         )
 
 
-def _vertex_matrices(pmap: PolyMap, legs: tuple[int, ...], k: int) -> list | None:
-    """W_v[a][b] = w_{a, b, legs of vertex v}; None when some W_v is zero."""
-    tensor = pmap.tensor
-    n, d = pmap.n, pmap.d
-    per = d - 1
-    mats = []
-    for v in range(k):
-        chunk = legs[v * per : (v + 1) * per]
-        any_nonzero = False
-        W = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(n):
-                val = tensor.entries.get((a, tuple(sorted((b,) + chunk))))
-                if val is not None:
-                    W[a][b] = val
-                    any_nonzero = True
-        if not any_nonzero:
-            return None
-        mats.append(W)
-    return mats
-
-
-def _mat_mul(A, B, n: int):
-    return [
-        [sum((A[i][t] * B[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
-        for i in range(n)
-    ]
-
-
-def _chain_products(pmap: PolyMap, k: int, K: int):
+def _chain_products(pmap: PolyMap, k: int, K: int) -> ChainSums:
     """Sum over leg arrangements of the k-vertex chain product, per multiset.
 
     Walked once per map and k (memoized): the chain tensor reads these
-    products and the loop tensor their traces.
+    sums and the loop tensor their traces.
     """
     return pmap._memoized(("chain", k), lambda: _walk_chains(pmap, k, K))
 
 
-def _walk_chains(pmap: PolyMap, k: int, K: int):
-    n = pmap.n
-    out: dict[tuple[int, ...], list[list[Fraction]]] = {}
+def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
+    """L^k and, per leg multiset mu, L^k times the sum of W_1 ... W_k over arrangements of mu.
+
+    The tensor is scaled once to ints over the lcm L of its denominators,
+    so each vertex matrix W(chunk)[a][b] = L w_{a, b + chunk} is an int
+    matrix, built once per distinct chunk, and the products run on ints.
+    Multisets whose sum is zero are left out.  Reads only the tensor.
+    """
+    n, per = pmap.n, pmap.d - 1
+    entries = pmap.tensor.entries
+    L = lcm(*[v.denominator for v in entries.values()])
+    scaled = {key: v.numerator * (L // v.denominator) for key, v in entries.items()}
+    vertex = {}
+    for chunk in combinations_with_replacement(range(n), per):
+        W = [[scaled.get((a, tuple(sorted((b,) + chunk))), 0) for b in range(n)] for a in range(n)]
+        if any(any(row) for row in W):
+            vertex[chunk] = W
+    sums = {}
     for mu in combinations_with_replacement(range(n), K):
-        total = [[Fraction(0)] * n for _ in range(n)]
-        seen = False
+        total = [[0] * n for _ in range(n)]
         for legs in distinct_permutations(mu):
-            mats = _vertex_matrices(pmap, legs, k)
-            if mats is None:
-                continue
-            prod = mats[0]
-            for v in range(1, k):
-                prod = _mat_mul(prod, mats[v], n)
-            for i in range(n):
-                row = prod[i]
-                for j in range(n):
-                    if row[j]:
-                        total[i][j] += row[j]
-                        seen = True
-        if seen:
-            out[mu] = total
-    return out
+            prod = None
+            for v in range(k):
+                W = vertex.get(tuple(sorted(legs[v * per : (v + 1) * per])))
+                if W is None:
+                    break
+                prod = W if prod is None else _int_mat_mul(prod, W)
+            else:
+                for trow, prow in zip(total, prod):
+                    for j, x in enumerate(prow):
+                        trow[j] += x
+        if any(any(row) for row in total):
+            sums[mu] = total
+    return L**k, sums
 
 
-def _coeff_factor(mu: tuple[int, ...], d: int, k: int) -> Fraction:
-    """Converts a coefficient of [M^k] into the symmetrized-leg value."""
-    K = k * (d - 1)
-    return Fraction(
-        factorial(d - 1) ** k * multiplicity_factor(mu), factorial(K)
-    )
+def _int_mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*B))
+    return [[sum([a * b for a, b in zip(row, col)]) for col in cols] for row in A]
 
 
 def _monomial_of(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
@@ -173,6 +161,23 @@ def _monomial_of(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
     for j in mu:
         exps[j] += 1
     return tuple(exps)
+
+
+def _routes(pmap: PolyMap, k: int, budget: int):
+    """The walk for k, the powers of M, and the scales that compare them.
+
+    A contraction sum x over L^k and a coefficient c / den of M^k are the
+    same leg-symmetrized value, m(mu) / K! times each, iff x * den ==
+    c * unit with unit = (d-1)!^k L^k; the tensor value is x m(mu) / over
+    with over = L^k K!.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    K = k * (pmap.d - 1)
+    _check_leg_budget(pmap.n, K, budget)
+    Lk, sums = _chain_products(pmap, k, K)
+    unit = factorial(pmap.d - 1) ** k * Lk
+    return K, sums, jacobian_powers(pmap, k), unit, Lk * factorial(K)
 
 
 def symmetrized_chain_tensor(
@@ -184,34 +189,24 @@ def symmetrized_chain_tensor(
     identically vanishing chain is the empty dict.  Vanishing of this
     tensor is equivalent to M(x)^k = 0.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n, d = pmap.n, pmap.d
-    K = k * (d - 1)
-    _check_leg_budget(n, K, budget)
-
+    n = pmap.n
+    K, sums, powers, unit, over = _routes(pmap, k, budget)
+    # independent route: coefficients of the matrix power, read on its packed parts
+    Mk = powers.power(k)
+    zero = [[0] * n] * n
     result: ChainTensor = {}
-    over_arrangements = Fraction(1, factorial(K))
-    for mu, prod in _chain_products(pmap, k, K).items():
-        weight = over_arrangements * multiplicity_factor(mu)
-        for i in range(n):
-            for j in range(n):
-                if prod[i][j]:
-                    result[(i, j, mu)] = prod[i][j] * weight
-
-    # independent route: coefficients of the matrix power
-    Mk = jacobian_power(pmap, k)
-    check: ChainTensor = {}
     for mu in combinations_with_replacement(range(n), K):
-        mono = _monomial_of(mu, n)
-        factor = _coeff_factor(mu, d, k)
+        key = _pack(_monomial_of(mu, n), powers.base)
+        total = sums.get(mu, zero)
+        m = multiplicity_factor(mu)
         for i in range(n):
             for j in range(n):
-                c = Mk.entries[i][j].coefficient(mono)
-                if c:
-                    check[(i, j, mu)] = c * factor
-    if result != check:
-        raise AssertionError(f"chain tensor paths disagree for k={k} on {pmap!r}")
+                den, nums = Mk[i][j]
+                x = total[i][j]
+                if x * den != nums.get(key, 0) * unit:
+                    raise AssertionError(f"chain tensor paths disagree for k={k} on {pmap!r}")
+                if x:
+                    result[(i, j, mu)] = Fraction(x * m, over)
     return result
 
 
@@ -222,27 +217,17 @@ def symmetrized_loop_tensor(
 
     Vanishing is equivalent to tr M(x)^k = 0.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    n, d = pmap.n, pmap.d
-    K = k * (d - 1)
-    _check_leg_budget(n, K, budget)
-
+    n = pmap.n
+    K, sums, powers, unit, over = _routes(pmap, k, budget)
+    den, nums = powers.trace(k)
     result: LoopTensor = {}
-    over_arrangements = Fraction(1, factorial(K))
-    for mu, prod in _chain_products(pmap, k, K).items():
-        tr = sum((prod[i][i] for i in range(n)), Fraction(0))
-        if tr:
-            result[mu] = tr * over_arrangements * multiplicity_factor(mu)
-
-    tr_poly = jacobian_power(pmap, k).trace()
-    check: LoopTensor = {}
     for mu in combinations_with_replacement(range(n), K):
-        c = tr_poly.coefficient(_monomial_of(mu, n))
-        if c:
-            check[mu] = c * _coeff_factor(mu, d, k)
-    if result != check:
-        raise AssertionError(f"loop tensor paths disagree for k={k} on {pmap!r}")
+        total = sums.get(mu)
+        tr = sum(total[i][i] for i in range(n)) if total else 0
+        if tr * den != nums.get(_pack(_monomial_of(mu, n), powers.base), 0) * unit:
+            raise AssertionError(f"loop tensor paths disagree for k={k} on {pmap!r}")
+        if tr:
+            result[mu] = Fraction(tr * multiplicity_factor(mu), over)
     return result
 
 

@@ -22,9 +22,9 @@ from fractions import Fraction
 from treeinv.errors import PreconditionError
 from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
-from treeinv.poly import Poly, Series, series_compose, series_exp
+from treeinv.poly import _UNIT, Poly, Series, _from_part, _graded_dot, series_compose, series_exp
 from treeinv.poly import series_log  # noqa: F401 - public as treeinv.partition.series_log
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_power
+from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
 
 def log_z_series(pmap: PolyMap, D: int) -> Series:
@@ -42,12 +42,14 @@ def log_z_series(pmap: PolyMap, D: int) -> Series:
 
 
 def _log_z(pmap: PolyMap, D: int) -> Series:
-    P = Poly.zero(pmap.n)
-    for k in range(1, D // (pmap.d - 1) + 1):
-        power = jacobian_power(pmap, k)
-        if power.is_zero():
+    k_max = D // (pmap.d - 1)
+    powers = jacobian_powers(pmap, k_max)
+    terms = []
+    for k in range(1, k_max + 1):
+        if powers.is_zero(k):
             break
-        P = P + power.trace().scale(Fraction(1, k))
+        terms.append((Fraction(1, k), powers.trace(k), _UNIT))
+    P = _from_part(pmap.n, powers.base, _graded_dot(terms))
     return series_compose(P, inverse_series(pmap, D))
 
 

@@ -5,15 +5,19 @@ Houses the derivative matrix of a polynomial map and I - M.  Entries are
 parts of ``poly.py``: an entry becomes one part (one int denominator,
 packed keys mapped to int numerators) in a base above every exponent the
 result can reach, so keys add without carrying.  A matrix product forms
-each entry with one ``_graded_dot`` and unpacks it once; the determinant
-is a cofactor expansion along the first column, on parts throughout,
-behind a dimension guard.  Entries need not be homogeneous.
+each entry with one ``_graded_dot``.  ``PackedPowers`` keeps P, P^2, ...
+as parts in one base, so each power is one product of parts and nothing
+is unpacked until a caller asks for a ``PolyMatrix``; ``power`` and the
+per-map powers of M (tensormap.py) both run on it, and traces are summed
+on its parts.  The determinant is a cofactor expansion along the first
+column, on parts throughout, behind a dimension guard.  Entries need not
+be homogeneous.
 """
 
 from __future__ import annotations
 
 from treeinv.errors import DimensionMismatchError, GuardExceededError
-from treeinv.poly import Part, Poly, _from_part, _graded_dot, _to_part
+from treeinv.poly import _UNIT, Part, Poly, _from_part, _graded_dot, _to_part
 
 DET_DIM_GUARD = 8
 
@@ -74,12 +78,7 @@ class PolyMatrix:
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
         base = self._degree() + other._degree() + 1
-        cols = list(zip(*other._parts(base)))
-        out = [
-            [_graded_dot((1, a, b) for a, b in zip(row, col) if a[1] and b[1]) for col in cols]
-            for row in self._parts(base)
-        ]
-        return PolyMatrix([[_from_part(self.n, base, e) for e in row] for row in out])
+        return _from_parts(self.n, base, _mul_parts(self._parts(base), other._parts(base)))
 
     def _degree(self) -> int:
         """Largest total degree of an entry, 0 for the zero matrix."""
@@ -89,18 +88,14 @@ class PolyMatrix:
         return [[_to_part(p, base) for p in row] for row in self.entries]
 
     def power(self, k: int) -> PolyMatrix:
+        """self^k, k >= 1: packed once, multiplied on parts, unpacked once."""
         if k < 1:
             raise ValueError(f"matrix power requires k >= 1, got {k}")
-        result = self
-        for _ in range(k - 1):
-            result = result * self
-        return result
+        return PackedPowers(self, k * self._degree() + 1).matrix(k)
 
     def trace(self) -> Poly:
-        acc = Poly.zero(self.n)
-        for i in range(self.dim):
-            acc = acc + self.entries[i][i]
-        return acc
+        base = self._degree() + 1
+        return _from_part(self.n, base, _trace_part(self._parts(base)))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -133,6 +128,57 @@ def check_det_guard(dim: int, guard: int) -> None:
     """Refuse a cofactor determinant above the dimension guard."""
     if dim > guard:
         raise GuardExceededError(f"determinant guard: dim {dim} exceeds {guard}")
+
+
+class PackedPowers:
+    """P, P^2, ... of one square matrix as packed parts in one base, made on demand.
+
+    Every exponent of every power asked for must be below ``base``; the
+    caller picks the base from its degree bound.  ``power(k)`` and
+    ``trace(k)`` are parts, computed once each and shared, never mutated.
+    """
+
+    __slots__ = ("n", "base", "_powers", "_traces")
+
+    def __init__(self, m: PolyMatrix, base: int):
+        self.n = m.n
+        self.base = base
+        self._powers = [m._parts(base)]
+        self._traces: dict[int, Part] = {}
+
+    def power(self, k: int) -> list[list[Part]]:
+        powers = self._powers
+        while len(powers) < k:
+            powers.append(_mul_parts(powers[-1], powers[0]))
+        return powers[k - 1]
+
+    def is_zero(self, k: int) -> bool:
+        return not any(e[1] for row in self.power(k) for e in row)
+
+    def trace(self, k: int) -> Part:
+        if k not in self._traces:
+            self._traces[k] = _trace_part(self.power(k))
+        return self._traces[k]
+
+    def matrix(self, k: int) -> PolyMatrix:
+        """P^k as a fresh PolyMatrix."""
+        return _from_parts(self.n, self.base, self.power(k))
+
+
+def _mul_parts(A: list[list[Part]], B: list[list[Part]]) -> list[list[Part]]:
+    cols = list(zip(*B))
+    return [
+        [_graded_dot((1, a, b) for a, b in zip(row, col) if a[1] and b[1]) for col in cols]
+        for row in A
+    ]
+
+
+def _trace_part(rows: list[list[Part]]) -> Part:
+    return _graded_dot((1, row[i], _UNIT) for i, row in enumerate(rows) if row[i][1])
+
+
+def _from_parts(n: int, base: int, rows: list[list[Part]]) -> PolyMatrix:
+    return PolyMatrix([[_from_part(n, base, e) for e in row] for row in rows])
 
 
 def _det_cofactor(rows: list[list[Part]]) -> Part:

@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from treeinv._combinat import multiset_orbit_size
 from treeinv.poly import Poly
-from treeinv.polymatrix import DET_DIM_GUARD, PolyMatrix, check_det_guard
+from treeinv.polymatrix import DET_DIM_GUARD, PackedPowers, PolyMatrix, check_det_guard
 
 TensorKey = tuple[int, tuple[int, ...]]
 
@@ -90,8 +90,9 @@ class PolyMap:
     """The polynomial map F(x) = x - H(x) defined by a symmetric tensor.
 
     ``tensor`` is read-only, so the objects derived from it (H, the powers
-    of M, det(I - M), the chain contractions, G, log Z and Z) are computed
-    once per map and kept in a private memo that can never go stale.
+    of M and their traces, det(I - M), the chain contractions, G, log Z
+    and Z) are computed once per map and kept in a private memo that can
+    never go stale.
     """
 
     __slots__ = ("_tensor", "name", "_memo")
@@ -171,16 +172,25 @@ def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
 
 
 def jacobian_power(pmap: PolyMap, k: int) -> PolyMatrix:
-    """M(x)^k, k >= 1, from the per-map list of powers, extended on demand.
-
-    The result is shared with every later caller and must not be mutated.
-    """
+    """M(x)^k, k >= 1, as a fresh matrix unpacked from the per-map packed powers."""
     if k < 1:
         raise ValueError(f"matrix power requires k >= 1, got {k}")
-    powers = pmap._memoized("M^k", lambda: [jacobian_matrix(pmap)])
-    while len(powers) < k:
-        powers.append(powers[-1] * powers[0])
-    return powers[k - 1]
+    return jacobian_powers(pmap, k).matrix(k)
+
+
+def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
+    """The per-map powers of M as packed parts, in a base that holds M^k_max.
+
+    M^k is homogeneous of degree k(d-1).  The first base holds every power
+    up to M^(2 max(k_max, n)), and each power is made once per base.  A
+    later request past the base starts the powers over in a base for twice
+    that request, so the base changes a logarithmic number of times.
+    """
+    powers = pmap._memo.get("M^k")
+    if powers is None or k_max * (pmap.d - 1) >= powers.base:
+        top = 2 * max(k_max, pmap.n)
+        powers = pmap._memo["M^k"] = PackedPowers(jacobian_matrix(pmap), top * (pmap.d - 1) + 1)
+    return powers
 
 
 def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:

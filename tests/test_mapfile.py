@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from treeinv.catalog import catalog, get_fixture
+from treeinv.catalog import catalog, get_fixture, random_map
 from treeinv.errors import MapFormatError
 from treeinv.mapfile import MAX_D, MAX_N, load_map, parse_map, save_map, serialize_map
 from treeinv.tensormap import PolyMap, SymTensor, build_H
@@ -130,3 +131,56 @@ def test_parse_rejects_two_blocks():
     one = serialize_map(get_fixture("univar-2"))
     with pytest.raises(MapFormatError):
         parse_map(one + "\n" + one)
+
+
+_NON_ASCII_DIGITS = ["２", "٣", "²", "१", "⅔", "\U0001d7d9"]
+
+
+def _mutate(rng: random.Random, text: str) -> str:
+    """One random edit of map text: a token deleted, duplicated, swapped or
+    spiked with a non-ASCII digit, or a line truncated."""
+    lines = text.split("\n")
+    row = rng.randrange(len(lines))
+    tokens = lines[row].split(" ")
+    op = rng.choice(["delete", "duplicate", "swap", "swap-lines", "non-ascii", "truncate"])
+    t = rng.randrange(len(tokens))
+    if op == "delete":
+        del tokens[t]
+    elif op == "duplicate":
+        tokens.insert(t, tokens[t])
+    elif op == "swap":
+        u = rng.randrange(len(tokens))
+        tokens[t], tokens[u] = tokens[u], tokens[t]
+    elif op == "swap-lines":
+        other = rng.randrange(len(lines))
+        lines[row], lines[other] = lines[other], lines[row]
+        return "\n".join(lines)
+    elif op == "non-ascii":
+        tok = tokens[t]
+        at = rng.randint(0, len(tok))
+        cut = at + rng.randint(0, 1)
+        tokens[t] = tok[:at] + rng.choice(_NON_ASCII_DIGITS) + tok[cut:]
+    else:
+        joined = " ".join(tokens)
+        lines[row] = joined[: rng.randint(0, len(joined))]
+        return "\n".join(lines)
+    lines[row] = " ".join(tokens)
+    return "\n".join(lines)
+
+
+def test_fuzzed_map_text_raises_only_map_format_error():
+    rng = random.Random(2718)
+    texts = [serialize_map(p) for p in catalog()]
+    texts.append(serialize_map(random_map(3, 2, seed=9)))
+    texts.append("# header comment\nmap c\nn 2\nd 2\nw 1 1 2 -3/4  # trailing\n\nw 2 2 2 5\nend\n")
+    for trial in range(3000):
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            text = _mutate(rng, text)
+        try:
+            pmap = parse_map(text)
+        except MapFormatError:
+            continue
+        except Exception as exc:  # pragma: no cover - the failure report
+            pytest.fail(f"trial {trial}: {type(exc).__name__}: {exc} on {text!r}")
+        assert isinstance(pmap, PolyMap)

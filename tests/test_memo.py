@@ -17,7 +17,6 @@ from treeinv.partition import (
     z_series,
 )
 from treeinv.poly import Poly
-from treeinv.polymatrix import PolyMatrix
 from treeinv.tensormap import SymTensor, jacobian_det, jacobian_power
 
 
@@ -33,10 +32,14 @@ def test_tensor_is_read_only():
 
 def test_overwritten_powers_break_chain_and_loop_agreement():
     pmap = random_map(2, 2, seed=31)
-    M2 = jacobian_power(pmap, 2)
-    assert not M2.trace().is_zero()
-    # a wrong M^2 in the memo: the coefficient side now disagrees with the contraction
-    pmap._memo["M^k"][1] = PolyMatrix([[p.scale(2) for p in row] for row in M2.entries])
+    assert not jacobian_power(pmap, 2).trace().is_zero()
+    # a wrong packed M^2 in the memo, before its trace is taken: the
+    # coefficient side now disagrees with the contraction
+    powers = pmap._memo["M^k"]
+    powers._powers[1] = [
+        [(den, {key: 2 * v for key, v in nums.items()}) for den, nums in row]
+        for row in powers.power(2)
+    ]
     with pytest.raises(AssertionError):
         symmetrized_chain_tensor(pmap, 2)
     with pytest.raises(AssertionError):
@@ -63,10 +66,10 @@ def test_chain_and_loop_share_one_walk(monkeypatch):
 def test_overwritten_chain_walk_breaks_chain_and_loop_agreement():
     pmap = random_map(2, 2, seed=31)
     symmetrized_chain_tensor(pmap, 2)
-    walked = pmap._memo[("chain", 2)]
+    den, walked = pmap._memo[("chain", 2)]
     assert any(prod[i][i] for prod in walked.values() for i in range(2))
     # a wrong walk in the memo: the contraction now disagrees with the powers of M
-    pmap._memo[("chain", 2)] = {
+    pmap._memo[("chain", 2)] = den, {
         mu: [[2 * v for v in row] for row in prod] for mu, prod in walked.items()
     }
     with pytest.raises(AssertionError):

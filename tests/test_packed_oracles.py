@@ -1,10 +1,12 @@
-"""Matrix products, determinants and tree contractions on packed parts, against Poly loops.
+"""Matrix products, determinants and contractions on packed ints, against Fraction loops.
 
 The oracles below are the Fraction-valued loops that computed these
 objects on untruncated Poly arithmetic: matrix product, power and
-cofactor determinant, and the tree contraction with both tree sums.
-They share no arithmetic with the packed kernel: they use Poly, and the
-tree sums take their trees and weights from the same census and shapes.
+cofactor determinant, the memoized powers and traces of M, the chain
+contraction of the diagrammatic identities, and the tree contraction
+with both tree sums.  They share no arithmetic with the packed kernel:
+they use Poly or Fraction matrices, and the tree sums take their trees
+and weights from the same census and shapes.
 """
 
 from __future__ import annotations
@@ -15,11 +17,14 @@ from math import factorial
 
 import pytest
 
+from itertools import combinations_with_replacement
+
 from treeinv._combinat import distinct_permutations
 from treeinv.catalog import catalog, random_map
+from treeinv.jacobian import LEG_BUDGET, _walk_chains, trace_powers
 from treeinv.poly import Poly, Series
 from treeinv.polymatrix import PolyMatrix
-from treeinv.tensormap import PolyMap, jacobian_matrix
+from treeinv.tensormap import PolyMap, SymTensor, jacobian_matrix, jacobian_power
 from treeinv.trees import (
     ValencedTree,
     VertexSet,
@@ -118,6 +123,120 @@ def test_matrix_product_power_det_against_poly_loops(A, B):
         want = _oracle_mul(want, A)
     assert A.det() == _oracle_det(A.entries, A.n)
     assert B.det() == _oracle_det(B.entries, B.n)
+
+
+@pytest.mark.parametrize(
+    "pmap",
+    catalog() + [random_map(2, 2, seed=21, name="seeded-2-2"), random_map(3, 3, seed=22, name="seeded-3-3")],
+    ids=lambda p: p.name,
+)
+def test_memoized_powers_and_traces_against_poly_loops(pmap):
+    # past 2n the memo starts over in a larger base; ask in both orders
+    M = jacobian_matrix(pmap)
+    top = 2 * pmap.n + 3
+    want = [M]
+    for _ in range(top - 1):
+        want.append(_oracle_mul(want[-1], M))
+    traces = [sum((P.entries[i][i] for i in range(pmap.n)), Poly.zero(pmap.n)) for P in want]
+    for ks in (range(1, top + 1), range(top, 0, -1)):
+        fresh = PolyMap(pmap.tensor, pmap.name)
+        for k in ks:
+            assert jacobian_power(fresh, k) == want[k - 1], k
+            assert trace_powers(fresh, k) == traces[:k], k
+
+
+# -- chain contraction oracle ----------------------------------------------
+
+
+def _oracle_vertex_matrices(pmap: PolyMap, legs: tuple[int, ...], k: int) -> list | None:
+    """W_v[a][b] = w_{a, b, legs of vertex v}; None when some W_v is zero."""
+    n, per = pmap.n, pmap.d - 1
+    mats = []
+    for v in range(k):
+        chunk = legs[v * per : (v + 1) * per]
+        W = [[pmap.tensor.get(a, (b,) + chunk) for b in range(n)] for a in range(n)]
+        if not any(any(row) for row in W):
+            return None
+        mats.append(W)
+    return mats
+
+
+def _oracle_mat_mul(A, B, n: int):
+    return [
+        [sum((A[i][t] * B[t][j] for t in range(n)), Fraction(0)) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _oracle_walk(pmap: PolyMap, k: int, K: int) -> dict:
+    """{mu: sum over arrangements of the Fraction product W_1 ... W_k}, nonzero sums only."""
+    n = pmap.n
+    out = {}
+    for mu in combinations_with_replacement(range(n), K):
+        total = [[Fraction(0)] * n for _ in range(n)]
+        for legs in distinct_permutations(mu):
+            mats = _oracle_vertex_matrices(pmap, legs, k)
+            if mats is None:
+                continue
+            prod = mats[0]
+            for v in range(1, k):
+                prod = _oracle_mat_mul(prod, mats[v], n)
+            for i in range(n):
+                for j in range(n):
+                    total[i][j] += prod[i][j]
+        if any(any(row) for row in total):
+            out[mu] = total
+    return out
+
+
+# The Fraction oracle takes seconds per map above 4^6 leg arrangements,
+# far below LEG_BUDGET; larger walks are left to the sympy and Poly routes.
+_ORACLE_ARRANGEMENTS = 4**6
+
+
+def _chain_maps() -> list[PolyMap]:
+    maps = list(catalog())
+    for n in (2, 3, 4):
+        for d in (2, 3, 4):
+            maps.append(random_map(n, d, seed=10 * n + d, name=f"seeded-{n}-{d}"))
+    # denominators with a large lcm, and a zero vertex matrix for every chunk holding leg 2
+    maps.append(
+        PolyMap(
+            SymTensor(
+                3,
+                2,
+                {
+                    (0, (0, 1)): Fraction(5, 7),
+                    (1, (0, 0)): Fraction(-2, 9),
+                    (1, (1, 1)): Fraction(11, 4),
+                    (2, (0, 1)): Fraction(1, 3),
+                    (2, (1, 1)): Fraction(-3, 25),
+                },
+            ),
+            name="mixed-dens-zero-vertex",
+        )
+    )
+    return maps
+
+
+@pytest.mark.parametrize("pmap", _chain_maps(), ids=lambda p: p.name)
+def test_integer_chain_walk_against_fraction_walk(pmap):
+    n, d = pmap.n, pmap.d
+    for k in (1, 2, 3):
+        K = k * (d - 1)
+        if n**K > min(LEG_BUDGET, _ORACLE_ARRANGEMENTS):
+            continue
+        Lk, sums = _walk_chains(pmap, k, K)
+        want = _oracle_walk(pmap, k, K)
+        assert sums.keys() == want.keys(), k
+        for mu, total in sums.items():
+            assert [[Fraction(x, Lk) for x in row] for row in total] == want[mu], (k, mu)
+
+
+def test_zero_vertex_matrix_case_has_one():
+    pmap = _chain_maps()[-1]
+    assert _oracle_vertex_matrices(pmap, (2,), 1) is None
+    assert _oracle_vertex_matrices(pmap, (0,), 1) is not None
 
 
 # -- tree contraction oracles ---------------------------------------------
