@@ -137,7 +137,9 @@ def theorem1_check(
     Every point must satisfy ||y||_inf <= 0.9 R; anything farther out is
     rejected outright since the truncation error is uncontrolled there.
     The residual is max_i |F_i(G_num(y)) - y_i| for the degree-D
-    truncation G; the bound check allows tol of float slack.
+    truncation G; the bound check allows tol of float slack.  A given G
+    is truncated to degree D, and must reach it: a component whose cap
+    is below D, or a G without exactly n components, raises ValueError.
     """
     from treeinv.inversion import fixed_point_inverse
 
@@ -146,6 +148,12 @@ def theorem1_check(
     H = build_H(pmap)
     if G is None:
         G = fixed_point_inverse(pmap, D)
+    elif len(G) != n:
+        raise ValueError(f"expected {n} components, got {len(G)}")
+    elif any(g.cap < D for g in G):
+        raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
+    else:
+        G = [g.truncate(D) for g in G]
     # sorted once per call; each point sums in the same order as eval_poly_numeric
     G_terms = [_graded_terms(g.body) for g in G]
     H_terms = [_graded_terms(h) for h in H]

@@ -13,7 +13,7 @@ Indices are 0-based internally; file formats and printed reports use
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from types import MappingProxyType
 
 from treeinv._combinat import multiset_orbit_size
@@ -89,10 +89,10 @@ class SymTensor:
 class PolyMap:
     """The polynomial map F(x) = x - H(x) defined by a symmetric tensor.
 
-    ``tensor`` is read-only, so the objects derived from it (H, the powers
-    of M and their traces, det(I - M), the chain contractions, G, log Z
-    and Z) are computed once per map and kept in a private memo that can
-    never go stale.
+    ``tensor`` is read-only, so the objects derived from it (H, ||w||,
+    the powers of M and their traces, det(I - M), the chain
+    contractions, G, log Z and Z) are computed once per map and kept in
+    a private memo that can never go stale.
     """
 
     __slots__ = ("_tensor", "name", "_memo")
@@ -164,11 +164,28 @@ def build_F(pmap: PolyMap) -> list[Poly]:
 def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
     """M with M[i][j] = dH_i/dx_j, each entry homogeneous of degree d-1.
 
-    A fresh matrix on every call; it shares only H with the memo.
+    Read straight off the tensor: the coefficient of x^mu in M[i][j] is
+    w_{i, mu + e_j} / mu!, so each canonical entry (i, lower) with
+    exponents m gives the term m_j w / m! at m - e_j to M[i][j] for each
+    j in lower.  A fresh matrix on every call; it shares nothing with
+    the memo.
     """
-    H = build_H(pmap)
     n = pmap.n
-    return PolyMatrix([[H[i].diff(j) for j in range(n)] for i in range(n)])
+    terms: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, lower), value in pmap.tensor.entries.items():
+        exps = [0] * n
+        for k in lower:
+            exps[k] += 1
+        den = value.denominator
+        for e in exps:
+            den *= factorial(e)
+        num = value.numerator
+        for j, e in enumerate(exps):
+            if e:
+                exps[j] = e - 1
+                terms[i][j][tuple(exps)] = Fraction(num * e, den)
+                exps[j] = e
+    return PolyMatrix([[Poly._trusted(n, t) for t in row] for row in terms])
 
 
 def jacobian_power(pmap: PolyMap, k: int) -> PolyMatrix:
@@ -210,9 +227,17 @@ def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
 def norm_w(pmap: PolyMap) -> Fraction:
     """max over i of the sum of |w_{i,j1..jd}| over all ordered lower tuples.
 
-    Each canonical entry contributes |value| times its orbit size.
+    Each canonical entry contributes |value| times its orbit size.  The
+    row sums run on int numerators over the lcm of the tensor's
+    denominators; the result is memoized per map.
     """
-    totals = [Fraction(0)] * pmap.n
-    for (i, lower), value in pmap.tensor.entries.items():
-        totals[i] += abs(value) * multiset_orbit_size(lower)
-    return max(totals)
+    return pmap._memoized("norm_w", lambda: _norm_w(pmap.tensor))
+
+
+def _norm_w(tensor: SymTensor) -> Fraction:
+    entries = tensor.entries
+    L = lcm(*[v.denominator for v in entries.values()])
+    totals = [0] * tensor.n
+    for (i, lower), value in entries.items():
+        totals[i] += abs(value.numerator) * (L // value.denominator) * multiset_orbit_size(lower)
+    return Fraction(max(totals), L)

@@ -9,7 +9,11 @@ V! N!; the degree-N part of G comes entirely from the V-th stratum.
 Two evaluation paths are provided and must agree:
 
 * "labeled" walks every tree of a stratum (labeled_shape_census),
-  grouping equal-amplitude trees by rooted shape on the fly.
+  grouping equal-amplitude trees by rooted shape on the fly.  The walk
+  is an incremental Prüfer decode rooted at the largest label, depth-
+  first over sequence positions, so each pruned vertex's shape code is
+  interned from its children's codes once per prefix.  Its result is
+  cached per stratum for the life of the process.
 * "grouped" never touches labeled trees: it generates the rooted shapes
   directly and weights each amplitude by the reciprocal of the shape's
   automorphism count, which is exactly the labeled multiplicity divided
@@ -18,6 +22,11 @@ Two evaluation paths are provided and must agree:
 Both paths contract amplitudes on the packed integer parts of poly.py:
 a vertex's amplitudes for all n root indices share one denominator, so
 the products and sums of a contraction run on int numerators alone.
+Within one tree_sum_inverse call each distinct subtree is contracted
+once, through a memo that lasts across strata: the labeled path keys it
+by an interned code of the children's codes read off each census
+representative, the grouped path by the nested shape.  The memo belongs
+to the call and to one method, so labeled == grouped stays an oracle.
 amplitude and amplitude_vector unpack the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
@@ -230,61 +239,73 @@ def decode_parents(seq, T: int) -> list[int]:
     return parents
 
 
-def _shape_code(parents: list[int], T: int, intern: dict) -> int:
-    """Canonical integer code of the rooted shape, by subtree interning.
-
-    Leaves code to 0; an internal vertex codes to the interned sorted
-    tuple of its children's codes.  The tree's code is the code of the
-    root's single child.
-    """
-    children: list[list[int]] = [[] for _ in range(T)]
-    for v in range(1, T):
-        children[parents[v]].append(v)
-
-    code = [0] * T
-    # parents came from a breadth-first pass, so children always carry
-    # higher discovery depth; a reverse sweep over a depth-ordered list
-    # is obtained by re-walking from the root.  The root itself stays
-    # uncoded: only its child's code identifies the shape.
-    order = [0]
-    head = 0
-    while head < len(order):
-        order.extend(children[order[head]])
-        head += 1
-    for v in reversed(order):
-        kids = children[v]
-        if kids and v != 0:
-            key = tuple(sorted(code[c] for c in kids))
-            idx = intern.get(key)
-            if idx is None:
-                idx = len(intern) + 1
-                intern[key] = idx
-            code[v] = idx
-    return code[children[0][0]]
+def _intern(intern: dict, key: tuple[int, ...]) -> int:
+    """The code of key in intern, a fresh positive code on first sight."""
+    code = intern.get(key)
+    if code is None:
+        code = intern[key] = len(intern) + 1
+    return code
 
 
 def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     """(multiplicity, representative parent tuple) per rooted shape.
 
-    Walks all (d*V)!/(d!)^V labeled trees of the stratum in sequence-
-    lexicographic order and aggregates them by the canonical code of
-    their rooted shape; shapes are listed in order of first appearance.
-    Amplitudes depend only on the shape, so one representative per shape
-    suffices downstream.  V = 0 is the bare root-leaf edge.
+    Walks all (d*V)!/(d!)^V labeled trees of the stratum and aggregates
+    them by the canonical code of their rooted shape.  Amplitudes depend
+    only on the shape, so one representative per shape suffices
+    downstream.  V = 0 is the bare root-leaf edge.
+
+    The walk relabels v -> T-1-v, a bijection on the stratum: the root
+    becomes T-1, the leaves 0..N-1 and the internal vertices N..T-2.  A
+    linear-time Prüfer decode rooted at the largest label then never
+    prunes the root, and the vertex pruned at step i has parent seq[i]
+    with its subtree complete, so its code (leaves 0, an internal vertex
+    the interned sorted tuple of its children's codes) is final when it
+    is pruned.  The sequences are walked depth-first over positions with
+    undo, so each prefix is decoded once for all the trees that share
+    it.  degree[v] - 1 is both the decode's remaining degree and the
+    number of copies of v the suffix still holds.  The first tree of each
+    shape is mapped back to root 0 as its representative.
     """
+    N = (d - 1) * V + 1
     T = d * V + 2
-    intern: dict = {}
+    last = T - 2
+    root = T - 1
+    internal = range(N, root)
+    degree = [1] * N + [d + 1] * V + [1]
+    parent = [root] * T
+    children: list[list[int]] = [[] for _ in range(T)]
+    intern: dict[tuple[int, ...], int] = {}
     counts: dict[int, int] = {}
     reps: dict[int, tuple[int, ...]] = {}
-    for seq in distinct_permutations(_stratum_sequence(V, d)):
-        parents = decode_parents(seq, T)
-        key = _shape_code(parents, T, intern)
-        if key in counts:
-            counts[key] += 1
-        else:
-            counts[key] = 1
-            reps[key] = tuple(parents)
-    return [(count, reps[key]) for key, count in counts.items()]
+
+    def walk(i: int, ptr: int, leaf: int) -> None:
+        if leaf < 0:
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+            ptr += 1
+        code = _intern(intern, tuple(sorted(children[leaf]))) if leaf >= N else 0
+        if i == last:
+            if code in counts:
+                counts[code] += 1
+            else:
+                counts[code] = 1
+                parent[leaf] = root
+                reps[code] = (-1,) + tuple(root - parent[u] for u in range(last, -1, -1))
+            return
+        for v in internal:
+            if degree[v] > 1:
+                parent[leaf] = v
+                kids = children[v]
+                kids.append(code)
+                degree[v] -= 1
+                walk(i + 1, ptr, v if degree[v] == 1 and v < ptr else -1)
+                degree[v] += 1
+                kids.pop()
+
+    walk(0, 0, -1)
+    return [(count, reps[code]) for code, count in counts.items()]
 
 
 def enumerate_trees(
@@ -363,8 +384,14 @@ def _contract_children(child_vecs: list[Vector], rule) -> Vector:
     return _reduce(den, out)
 
 
-def _amplitude_vector_from_parents(parents, rule, basis: Vector) -> Vector:
-    """Amplitudes for every root index at once, by bottom-up contraction."""
+def _amplitude_vector_from_parents(parents, rule, intern: dict, memo: dict) -> Vector:
+    """Amplitudes for every root index at once, by bottom-up contraction.
+
+    Each internal vertex codes to its sorted children's codes interned in
+    intern (leaves code to 0), the way the census codes a shape.  memo
+    maps each code to its Vector and must hold the leaf vector at 0; a
+    subtree whose code is already there is not contracted again.
+    """
     T = len(parents)
     children: list[list[int]] = [[] for _ in range(T)]
     order = [0]
@@ -374,14 +401,15 @@ def _amplitude_vector_from_parents(parents, rule, basis: Vector) -> Vector:
     while head < len(order):
         order.extend(children[order[head]])
         head += 1
-    vecs: dict[int, Vector] = {}
+    code = [0] * T
     for v in reversed(order):
         kids = children[v]
-        if not kids:
-            vecs[v] = basis
-        elif v != 0:
-            vecs[v] = _contract_children([vecs[c] for c in kids], rule)
-    return vecs[children[0][0]]
+        if kids and v != 0:
+            key = tuple(sorted([code[c] for c in kids]))
+            c = code[v] = _intern(intern, key)
+            if c not in memo:
+                memo[c] = _contract_children([memo[k] for k in key], rule)
+    return memo[code[children[0][0]]]
 
 
 def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
@@ -392,7 +420,7 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
         )
     n, base = pmap.n, tree.vertices.N + 1
     den, comps = _amplitude_vector_from_parents(
-        tree.rooted(), _vertex_rule(pmap), _basis(n, base)
+        tree.rooted(), _vertex_rule(pmap), {}, {0: _basis(n, base)}
     )
     return [_from_part(n, base, (den, c)) for c in comps]
 
@@ -459,16 +487,13 @@ def shape_automorphisms(shape: Shape) -> int:
     return aut
 
 
-def _amplitude_vector_from_shape(shape: Shape, rule, basis: Vector, memo: dict) -> Vector:
+def _amplitude_vector_from_shape(shape: Shape, rule, memo: dict) -> Vector:
+    """The shape's Vector, contracting only subtrees memo does not hold; memo[()] is the leaf."""
     got = memo.get(shape)
     if got is None:
-        if shape == ():
-            got = basis
-        else:
-            got = _contract_children(
-                [_amplitude_vector_from_shape(s, rule, basis, memo) for s in shape], rule
-            )
-        memo[shape] = got
+        got = memo[shape] = _contract_children(
+            [_amplitude_vector_from_shape(s, rule, memo) for s in shape], rule
+        )
     return got
 
 
@@ -492,6 +517,10 @@ def tree_sum_inverse(
     n, d = pmap.n, pmap.d
     rule = _vertex_rule(pmap)
     basis = _basis(n, D + 1)
+    # one subtree memo for every stratum of this call, never shared with
+    # the other method, so that labeled == grouped stays an oracle
+    intern: dict = {}
+    memo: dict = {0: basis} if method == "labeled" else {(): basis}
     parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
     V = 0
     while (d - 1) * V + 1 <= D:
@@ -504,15 +533,14 @@ def tree_sum_inverse(
         if method == "labeled":
             weight = Fraction(1, factorial(V) * factorial(N))
             weighted = [
-                (weight * count, _amplitude_vector_from_parents(parents, rule, basis))
+                (weight * count, _amplitude_vector_from_parents(parents, rule, intern, memo))
                 for count, parents in _census(V, d)
             ]
         else:
-            memo: dict = {}
             weighted = [
                 (
                     Fraction(1, shape_automorphisms(shape)),
-                    _amplitude_vector_from_shape(shape, rule, basis, memo),
+                    _amplitude_vector_from_shape(shape, rule, memo),
                 )
                 for shape in _shapes_with_internal(V, d)
             ]

@@ -90,6 +90,27 @@ def test_theorem1_univar3_against_root_oracle():
     assert abs(sample.values[0] - root) <= 1e-6
 
 
+def test_theorem1_truncates_given_G_to_D():
+    pmap = univariate_map(2, 1)
+    G20 = fixed_point_inverse(pmap, 20)
+    got = theorem1_check(pmap, 5, [[0.4]], G=G20)
+    assert got == theorem1_check(pmap, 5, [[0.4]])
+    assert got == theorem1_check(pmap, 5, [[0.4]], G=fixed_point_inverse(pmap, 5))
+    # the degree-5 truncation, not the cap-20 series, sets the residual
+    assert got.samples[0].residual > 1e-3
+
+
+def test_theorem1_rejects_G_below_D_or_of_wrong_length():
+    pmap = univariate_map(2, 1)
+    with pytest.raises(ValueError, match="below 20"):
+        theorem1_check(pmap, 20, [[0.4]], G=fixed_point_inverse(pmap, 3))
+    pmap = get_fixture("triangular-2-2")
+    G = fixed_point_inverse(pmap, 5)
+    for wrong in (G[:1], G + G):
+        with pytest.raises(ValueError, match="components"):
+            theorem1_check(pmap, 5, [[0.01, 0.01]], G=wrong)
+
+
 def test_theorem1_rejects_point_outside_radius():
     with pytest.raises(ValueError, match="0.9"):
         theorem1_check(univariate_map(2, 1), 10, [[0.46]])

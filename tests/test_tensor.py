@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -120,6 +121,42 @@ def test_euler_identity_relates_m_and_h():
             for j in range(pmap.n):
                 acc = acc + m.entries[i][j] * Poly.variable(pmap.n, j)
             assert acc == hs[i].scale(pmap.d), pmap.name
+
+
+def _seeded_maps() -> list[PolyMap]:
+    maps = list(catalog())
+    for n in (1, 2, 3, 4):
+        for d in (2, 3, 4):
+            maps.append(random_map(n, d, seed=10 * n + d))
+    # mixed denominators and repeated lower indices
+    t = SymTensor(
+        3,
+        3,
+        {
+            (0, (0, 0, 1)): Fraction(-7, 3),
+            (0, (2, 2, 2)): Fraction(5, 4),
+            (1, (0, 1, 2)): Fraction(9, 25),
+            (2, (1, 1, 1)): Fraction(-1, 6),
+        },
+    )
+    maps.append(PolyMap(t, name="denominators"))
+    return maps
+
+
+@pytest.mark.parametrize("pmap", _seeded_maps(), ids=lambda p: p.name)
+def test_jacobian_matrix_equals_derivatives_of_H(pmap):
+    hs = build_H(pmap)
+    m = jacobian_matrix(pmap)
+    assert m.entries == [[h.diff(j) for j in range(pmap.n)] for h in hs]
+
+
+@pytest.mark.parametrize("pmap", _seeded_maps(), ids=lambda p: p.name)
+def test_norm_w_equals_fraction_row_sums(pmap):
+    rows = [Fraction(0)] * pmap.n
+    for (i, lower), value in pmap.tensor.entries.items():
+        rows[i] += abs(value) * len(set(itertools.permutations(lower)))
+    assert norm_w(pmap) == max(rows)
+    assert norm_w(pmap) is norm_w(pmap)
 
 
 def test_norm_w_pinned_values():

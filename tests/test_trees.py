@@ -11,7 +11,7 @@ from math import factorial
 import pytest
 
 from treeinv._combinat import distinct_permutations
-from treeinv.catalog import catalog, get_fixture, univariate_map
+from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
 from treeinv.poly import Poly, Series
 from treeinv.tensormap import PolyMap, SymTensor
@@ -27,6 +27,7 @@ from treeinv.trees import (
     tree_count,
     tree_sum_inverse,
 )
+from treeinv import trees
 from treeinv.trees import _shapes_cached
 
 RUN_SLOW = os.environ.get("TREEINV_SLOW") == "1"
@@ -171,6 +172,73 @@ def test_decode_matches_heap_oracle_exhaustively():
             assert got == _prufer_decode_oracle(seq, T)
 
 
+def _shape_code_oracle(parents: list[int], T: int, intern: dict) -> int:
+    """Canonical code of the rooted shape, by interning subtrees of a full parent array."""
+    children: list[list[int]] = [[] for _ in range(T)]
+    for v in range(1, T):
+        children[parents[v]].append(v)
+    code = [0] * T
+    order = [0]
+    head = 0
+    while head < len(order):
+        order.extend(children[order[head]])
+        head += 1
+    for v in reversed(order):
+        kids = children[v]
+        if kids and v != 0:
+            key = tuple(sorted(code[c] for c in kids))
+            code[v] = intern.setdefault(key, len(intern) + 1)
+    return code[children[0][0]]
+
+
+def _census_oracle(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
+    """The census walk by full decode per tree: decode_parents, then a shape code."""
+    T = d * V + 2
+    intern: dict = {}
+    counts: dict[int, int] = {}
+    reps: dict[int, tuple[int, ...]] = {}
+    base = [v for v in range(1, V + 1) for _ in range(d)]
+    for seq in distinct_permutations(base):
+        parents = decode_parents(seq, T)
+        key = _shape_code_oracle(parents, T, intern)
+        counts[key] = counts.get(key, 0) + 1
+        reps.setdefault(key, tuple(parents))
+    return [(count, reps[key]) for key, count in counts.items()]
+
+
+def _nested_shape(parents) -> tuple:
+    """The rooted shape below the root's child as sorted nested tuples; () is a leaf."""
+    children: list[list[int]] = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        children[parents[v]].append(v)
+
+    def shape(v: int) -> tuple:
+        return tuple(sorted(shape(c) for c in children[v]))
+
+    return shape(children[0][0])
+
+
+def _census_by_shape(census, V: int, d: int) -> dict[tuple, int]:
+    vs = VertexSet.for_internal(V, d)
+    out: dict[tuple, int] = {}
+    for count, rep in census:
+        ValencedTree.from_parents(vs, rep).validate()
+        shape = _nested_shape(rep)
+        assert shape not in out
+        out[shape] = count
+    return out
+
+
+@pytest.mark.parametrize(
+    "V,d",
+    [(V, 2) for V in range(6)] + [(V, 3) for V in range(5)] + [(V, 4) for V in range(4)],
+)
+def test_incremental_census_matches_full_decode_walk(V, d):
+    got = _census_by_shape(labeled_shape_census(V, d), V, d)
+    assert got == _census_by_shape(_census_oracle(V, d), V, d)
+    assert sum(got.values()) == tree_count(V, d)
+
+
 def test_census_totals_and_representatives():
     for V, d in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
         census = labeled_shape_census(V, d)
@@ -296,6 +364,34 @@ def test_tree_sum_equals_naive_per_tree_sum():
         V += 1
     got = tree_sum_inverse(pmap, D)
     assert got == [Series(p, D) for p in naive]
+
+
+def _count_contractions(monkeypatch) -> list[int]:
+    calls = [0]
+    contract = trees._contract_children
+
+    def counted(child_vecs, rule):
+        calls[0] += 1
+        return contract(child_vecs, rule)
+
+    monkeypatch.setattr(trees, "_contract_children", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n,d,D,distinct", [(2, 2, 6, 13), (3, 2, 5, 7)])
+def test_tree_sum_contracts_each_distinct_subtree_once(monkeypatch, n, d, D, distinct):
+    # distinct = rooted shapes with 1 <= V internal vertices, (d-1)V + 1 <= D,
+    # over every stratum of the call
+    assert distinct == sum(len(_shapes_cached(V, d)) for V in range(1, (D - 1) // (d - 1) + 1))
+    calls = _count_contractions(monkeypatch)
+    pmap = random_map(n, d, seed=5)
+    # on one map: a call after the other method's, or after its own, reuses nothing
+    counts = []
+    for method in ("labeled", "grouped", "labeled", "grouped", "grouped"):
+        calls[0] = 0
+        tree_sum_inverse(pmap, D, method=method)
+        counts.append(calls[0])
+    assert counts == [distinct] * 5
 
 
 def test_tree_sum_budget_enforced():
