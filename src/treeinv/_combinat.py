@@ -8,10 +8,18 @@ from typing import Iterable, Iterator, Sequence
 
 
 def multiset_orbit_size(multiset: Sequence[int]) -> int:
-    """Number of distinct orderings of a multiset: k! / prod(mult_i!)."""
-    size = factorial(len(multiset))
-    for mult in Counter(multiset).values():
-        size //= factorial(mult)
+    """Number of distinct orderings of a multiset: k! / prod(mult_i!).
+
+    Walks the runs of the sorted multiset and divides by r at the r-th
+    element of each run; every partial quotient is an integer, since a
+    product of factorials whose arguments sum to at most k divides k!.
+    """
+    items = sorted(multiset)
+    size = factorial(len(items))
+    run = 1
+    for prev, cur in zip(items, items[1:]):
+        run = run + 1 if cur == prev else 1
+        size //= run
     return size
 
 

@@ -26,6 +26,7 @@ from treeinv.poly import (
     Series,
     _graded_dot,
     _indices,
+    _lincomb,
     series_compose_many,
 )
 from treeinv.tensormap import PolyMap, build_H, jacobian_powers
@@ -45,6 +46,13 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     product of G-components taken in a fixed variable order; its prefix
     products are shared between monomials, and the degree-k part of each
     prefix is computed once, from the prefix one factor shorter.
+
+    Only live degrees are computed.  A tree with V vertices has
+    (d-1)V + 1 leaves, so G_m = 0 unless (m-1) % (d-1) == 0; the other
+    degrees get the zero part without any work.  A prefix of j factors
+    then has nonzero parts only in degrees congruent to j mod (d-1), and
+    the recursion reaches no other degree, because it skips zero parts
+    of G.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
@@ -71,10 +79,13 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
 
     # Each monomial c * x^a of H_i as (c, the variable indices it multiplies).
     monomials = [[(c, _indices(a)) for a, c in h.terms.items()] for h in build_H(pmap)]
+    step = pmap.d - 1
     for m in range(2, D + 1):
         for i in range(n):
             parts[i].append(
                 _graded_dot((c, prefix_part(prefix, m), _UNIT) for c, prefix in monomials[i])
+                if (m - 1) % step == 0
+                else _ZERO_PART
             )
     return [Series._from_parts(n, p) for p in parts]
 
@@ -120,9 +131,10 @@ def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
         raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
     Gt = [g.truncate(D) for g in G]
     HG = series_compose_many(build_H(pmap), Gt)
-    for i in range(n):
-        residual = Gt[i] - HG[i] - Series.variable(n, i, D)
-        if not residual.is_zero():
+    for i, (g, hg) in enumerate(zip(Gt, HG)):
+        y = Series.variable(n, i, D)
+        terms = [(1, g.den, g.comps), (-1, hg.den, hg.comps), (-1, y.den, y.comps)]
+        if not _lincomb(n, D, terms).is_zero():
             return False
     return True
 
@@ -144,7 +156,7 @@ def correlation_tensor(pmap: PolyMap, i: int, leaf_indices, D: int | None = None
         D = N
     elif D < N:
         raise ValueError(f"multiset size {N} exceeds series cap {D}")
-    G = fixed_point_inverse(pmap, D)
+    G = inverse_series(pmap, D)
     exps = [0] * pmap.n
     for j in leaves:
         exps[j] += 1
@@ -212,7 +224,7 @@ def invert_report(pmap: PolyMap, D: int | None = None) -> InverseReport:
     """Inverse series plus verification and degree diagnostics."""
     if D is None:
         D = default_degree_cap(pmap)
-    G = fixed_point_inverse(pmap, D)
+    G = inverse_series(pmap, D)
     if not verify_inverse(pmap, G, D):
         raise AssertionError("fixed point failed inverse verification")
     bound = pmap.gabber_bound()

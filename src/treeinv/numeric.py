@@ -9,15 +9,26 @@ reports residuals of F(G(y)) = y alongside the norm bound.
 Floats are confined to this module; everything upstream is exact.
 Summation orders are fixed (graded-lexicographic monomials, component
 order) so repeated runs give bit-identical reports.
+
+Polynomials are prepared once per call as a list of terms, each a
+coefficient as a double and the power-table indices of its factors.  A
+series is read straight off its packed parts: v / den is the correctly
+rounded double of v/den, as float(Fraction(v, den)) is, and each degree
+is ordered by monomial through a cached per-key slot.  At each point the
+table holds x_i ** e at index i * base + e, computed once for every
+power some term reads; a term is its coefficient times its table
+entries in increasing variable order, the product the per-term
+evaluation x_i ** e forms, so the sums are bit for bit the same.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from random import Random
 
-from treeinv.poly import Poly, Series, _grlex_key
+from treeinv.poly import Monomial, Poly, Series, _grlex_key, _unpack
 from treeinv.tensormap import PolyMap, build_H, norm_w
 
 
@@ -35,33 +46,84 @@ def convergence_radius(pmap: PolyMap) -> float:
     return base ** (1.0 / (d - 1))
 
 
-def _graded_terms(p: Poly) -> list[tuple[float, tuple[tuple[int, int], ...]]]:
-    """(coefficient as a double, its (variable, exponent > 0) pairs) in graded-lex order."""
-    return [
-        (float(coeff), tuple((i, e) for i, e in enumerate(mono) if e))
-        for mono, coeff in sorted(p.terms.items(), key=_grlex_key)
-    ]
+Terms = list[tuple[float, tuple[int, ...]]]
 
 
-def _eval_terms(terms: list[tuple[float, tuple[tuple[int, int], ...]]], point) -> float:
-    total = 0.0
-    for term, factors in terms:
-        for i, e in factors:
-            term *= point[i] ** e
-        total += term
-    return total
+def _table_indices(mono: Monomial, base: int) -> tuple[int, ...]:
+    return tuple([i * base + e for i, e in enumerate(mono) if e])
+
+
+@lru_cache(maxsize=1 << 12)
+def _slot(key: int, n: int, base: int) -> tuple[Monomial, tuple[int, ...]]:
+    """The monomial of a packed key and its power-table indices in that base."""
+    mono = _unpack(key, n, base)
+    return mono, _table_indices(mono, base)
+
+
+class _Evaluator:
+    """Polynomials in n variables prepared for evaluation in doubles at many points.
+
+    ``terms[k]`` lists polynomial k's terms in graded-lex order;
+    ``powers`` names, as (index, variable, exponent), every table entry
+    a term reads.
+    """
+
+    __slots__ = ("terms", "powers", "size")
+
+    def __init__(self, n: int, base: int, terms: list[Terms]):
+        used = sorted({j for ts in terms for _, idx in ts for j in idx})
+        self.terms = terms
+        self.powers = [(j, *divmod(j, base)) for j in used]
+        self.size = n * base
+
+    @classmethod
+    def of_polys(cls, n: int, ps: list[Poly]) -> _Evaluator:
+        base = 1 + max([e for p in ps for m in p.terms for e in m], default=0)
+        by_grlex = [sorted(p.terms.items(), key=_grlex_key) for p in ps]
+        terms = [[(float(c), _table_indices(m, base)) for m, c in items] for items in by_grlex]
+        return cls(n, base, terms)
+
+    @classmethod
+    def of_series(cls, n: int, cap: int, ss: list[Series]) -> _Evaluator:
+        """For series of dimension n and one cap, read off their packed parts."""
+        base = cap + 1
+        terms = []
+        for s in ss:
+            den, ts = s.den, []
+            for comp in s.comps:
+                # the monomials of one degree are distinct, so the sort compares only them
+                slots = sorted([(_slot(k, s.n, base), v) for k, v in comp.items()])
+                ts += [(v / den, idx) for (_, idx), v in slots]
+            terms.append(ts)
+        return cls(n, base, terms)
+
+    def __call__(self, point) -> list[float]:
+        table = [0.0] * self.size
+        for j, i, e in self.powers:
+            table[j] = point[i] ** e
+        out = []
+        for ts in self.terms:
+            total = 0.0
+            for term, idx in ts:
+                for j in idx:
+                    term *= table[j]
+                total += term
+            out.append(total)
+        return out
 
 
 def eval_poly_numeric(p: Poly, point) -> float:
     """Double-precision value at point, summed in graded-lex order."""
     if len(point) != p.n:
         raise ValueError(f"point has {len(point)} coordinates, poly has {p.n}")
-    return _eval_terms(_graded_terms(p), point)
+    return _Evaluator.of_polys(p.n, [p])(point)[0]
 
 
 def eval_series_numeric(s: Series, point) -> float:
     """Double-precision value of the truncated series at point."""
-    return eval_poly_numeric(s.body, point)
+    if len(point) != s.n:
+        raise ValueError(f"point has {len(point)} coordinates, series has {s.n}")
+    return _Evaluator.of_series(s.n, s.cap, [s])(point)[0]
 
 
 @dataclass
@@ -141,22 +203,22 @@ def theorem1_check(
     is truncated to degree D, and must reach it: a component whose cap
     is below D, or a G without exactly n components, raises ValueError.
     """
-    from treeinv.inversion import fixed_point_inverse
+    from treeinv.inversion import inverse_series
 
     n = pmap.n
     R = convergence_radius(pmap)
     H = build_H(pmap)
     if G is None:
-        G = fixed_point_inverse(pmap, D)
+        G = inverse_series(pmap, D)
     elif len(G) != n:
         raise ValueError(f"expected {n} components, got {len(G)}")
     elif any(g.cap < D for g in G):
         raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
     else:
         G = [g.truncate(D) for g in G]
-    # sorted once per call; each point sums in the same order as eval_poly_numeric
-    G_terms = [_graded_terms(g.body) for g in G]
-    H_terms = [_graded_terms(h) for h in H]
+    # prepared once per call; each point sums in the same order as eval_poly_numeric
+    G_at = _Evaluator.of_series(n, D, G)
+    H_at = _Evaluator.of_polys(n, H)
     samples: list[SampleCheck] = []
     for point in points:
         point = tuple(float(c) for c in point)
@@ -168,10 +230,10 @@ def theorem1_check(
                 f"point {point} has sup norm {r:.6g}, outside 0.9 R = {0.9 * R:.6g}; "
                 "refusing to check a point without a convergence guarantee"
             )
-        g_num = [_eval_terms(G_terms[i], point) for i in range(n)]
+        g_num = G_at(point)
         residual = 0.0
-        for i in range(n):
-            f_i = g_num[i] - _eval_terms(H_terms[i], g_num)
+        for i, h in enumerate(H_at(g_num)):
+            f_i = g_num[i] - h
             residual = max(residual, abs(f_i - point[i]))
         if math.isinf(R):
             bound_ok = True

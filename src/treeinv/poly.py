@@ -33,6 +33,7 @@ here is their test oracle.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
@@ -314,6 +315,7 @@ def _pack(mono: Monomial, base: int) -> int:
     return key
 
 
+@lru_cache(maxsize=1 << 12)
 def _unpack(key: int, n: int, base: int) -> Monomial:
     exps = []
     for _ in range(n):
@@ -335,20 +337,26 @@ def _graded_dot(terms) -> tuple[int, dict[int, int]]:
     """The reduced part sum of c * a * b over (c, a, b) in terms.
 
     c is an int or Fraction and a, b are parts.  The products are summed
-    over the lcm of their denominators, each scaled once before its
-    product loop.
+    over the lcm of their denominators; each term's scale factor enters
+    once per numerator of its smaller factor, in the outer loop, so no
+    scaled copy of a factor is made.  A one-term factor (the constant
+    part ``_UNIT``, a degree-1 part of ``y``) is a single pass over the
+    other factor.
     """
     terms = list(terms)
     dens = [c.denominator * a[0] * b[0] for c, a, b in terms]
     L = lcm(*dens)
     acc: dict[int, int] = {}
+    get = acc.get
     for (c, (_, a), (_, b)), den in zip(terms, dens):
         f = c.numerator * (L // den)
         if len(a) > len(b):
             a, b = b, a
-        if f != 1:
-            a = {k: v * f for k, v in a.items()}
-        _addmul(acc, a, b)
+        for ka, va in a.items():
+            va *= f
+            for kb, vb in b.items():
+                k = ka + kb
+                acc[k] = get(k, 0) + va * vb
     acc = {k: v for k, v in acc.items() if v}
     g = gcd(L, *acc.values())
     if g > 1:
@@ -466,30 +474,22 @@ class Series:
 
     def __add__(self, other: Series) -> Series:
         self._check_compat(other)
-        return _lincomb(self.n, self.cap, [(1, self), (1, other)])
+        return _lincomb(self.n, self.cap, [(1, self.den, self.comps), (1, other.den, other.comps)])
 
     def __neg__(self) -> Series:
-        return _lincomb(self.n, self.cap, [(-1, self)])
+        return _lincomb(self.n, self.cap, [(-1, self.den, self.comps)])
 
     def __sub__(self, other: Series) -> Series:
         self._check_compat(other)
-        return _lincomb(self.n, self.cap, [(1, self), (-1, other)])
+        return _lincomb(self.n, self.cap, [(1, self.den, self.comps), (-1, other.den, other.comps)])
 
     def __mul__(self, other: Series) -> Series:
         self._check_compat(other)
-        # Truncated product: degree da of self pairs only with degrees <= cap - da.
-        cap = self.cap
-        out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
-        right = other.comps
-        for da, a in enumerate(self.comps):
-            if a:
-                for db in range(cap - da + 1):
-                    if right[db]:
-                        _addmul(out[da + db], a, right[db])
-        return Series._reduced(self.n, cap, self.den * other.den, out)
+        out = _mul_comps(self.cap, self.comps, other.comps)
+        return Series._reduced(self.n, self.cap, self.den * other.den, out)
 
     def scale(self, value) -> Series:
-        return _lincomb(self.n, self.cap, [(_as_fraction(value), self)])
+        return _lincomb(self.n, self.cap, [(_as_fraction(value), self.den, self.comps)])
 
     def coefficient(self, mono: Monomial) -> Fraction:
         mono = tuple(mono)
@@ -537,16 +537,33 @@ class Series:
         return self.body.to_string(var)
 
 
+def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]]) -> list[dict]:
+    """The numerators of a truncated product over the product of the denominators, unreduced.
+
+    Degree da of left pairs only with degrees <= cap - da of right.
+    """
+    out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+    for da, a in enumerate(left):
+        if a:
+            for db in range(cap - da + 1):
+                if right[db]:
+                    _addmul(out[da + db], a, right[db])
+    return out
+
+
 def _lincomb(n: int, cap: int, terms) -> Series:
-    """sum of c * s over (c, s) in terms, for int or Fraction c, over the lcm of denominators."""
-    dens = [c.denominator * s.den for c, s in terms]
+    """The reduced series sum of c * comps / den over (c, den, comps) in terms.
+
+    c is an int or Fraction; the sum runs over the lcm of the denominators.
+    """
+    dens = [c.denominator * den for c, den, _ in terms]
     L = lcm(*dens)
     out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
-    for (c, s), den in zip(terms, dens):
+    for (c, _, comps), den in zip(terms, dens):
         f = c.numerator * (L // den)
         if not f:
             continue
-        for acc, comp in zip(out, s.comps):
+        for acc, comp in zip(out, comps):
             get = acc.get
             for k, v in comp.items():
                 acc[k] = get(k, 0) + v * f
@@ -563,9 +580,11 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
 
     Each monomial of an f is the product of its factors in increasing
     variable order; every prefix of such a product is computed once for
-    all the polynomials.  All substituents must share one ambient
-    dimension and one cap, which the results carry.  Exact: equals full
-    composition followed by truncation.
+    all the polynomials, and kept as unreduced numerators over the
+    product of its factors' denominators.  Only the final sums are
+    reduced.  All substituents must share one ambient dimension and one
+    cap, which the results carry.  Exact: equals full composition
+    followed by truncation.
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
@@ -577,17 +596,20 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
     for g in gs:
         if g.cap != cap or g.n != n_out:
             raise DimensionMismatchError("substituents have mixed dimension or cap")
-    products: dict[tuple[int, ...], Series] = {(): Series.one(n_out, cap)}
-    products.update(((j,), g) for j, g in enumerate(gs))
+    one = Series.one(n_out, cap)
+    products: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {(): (1, one.comps)}
+    products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
 
-    def product(prefix: tuple[int, ...]) -> Series:
+    def product(prefix: tuple[int, ...]) -> tuple[int, list[dict[int, int]]]:
         got = products.get(prefix)
         if got is None:
-            got = products[prefix] = product(prefix[:-1]) * gs[prefix[-1]]
+            den, comps = product(prefix[:-1])
+            g = gs[prefix[-1]]
+            got = products[prefix] = (den * g.den, _mul_comps(cap, comps, g.comps))
         return got
 
     return [
-        _lincomb(n_out, cap, [(c, product(_indices(m))) for m, c in f.terms.items()])
+        _lincomb(n_out, cap, [(c, *product(_indices(m))) for m, c in f.terms.items()])
         for f in fs
     ]
 

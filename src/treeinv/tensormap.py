@@ -51,13 +51,13 @@ class SymTensor:
                     )
                 if not 0 <= i < n or any(not 0 <= j < n for j in lower):
                     raise ValueError(f"entry ({i}, {lower}) has indices outside [0, {n})")
-                value = Fraction(value)
+                if not isinstance(value, Fraction):
+                    value = Fraction(value)
                 key = (i, lower)
-                acc = clean.get(key, Fraction(0)) + value
-                if acc == 0:
-                    clean.pop(key, None)
-                else:
-                    clean[key] = acc
+                if key in clean:
+                    value += clean[key]
+                clean[key] = value
+            clean = {key: value for key, value in clean.items() if value}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", MappingProxyType(clean))
@@ -142,6 +142,7 @@ def build_H(pmap: PolyMap) -> list[Poly]:
 
 
 def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
+    # Canonical keys are distinct, so each (i, monomial) is written once.
     n, d = tensor.n, tensor.d
     d_fact = factorial(d)
     coeffs: list[dict] = [dict() for _ in range(n)]
@@ -149,10 +150,10 @@ def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
         exps = [0] * n
         for j in lower:
             exps[j] += 1
-        mono = tuple(exps)
-        weight = value * multiset_orbit_size(lower) / d_fact
-        coeffs[i][mono] = coeffs[i].get(mono, Fraction(0)) + weight
-    return tuple([Poly(n, c) for c in coeffs])
+        coeffs[i][tuple(exps)] = Fraction(
+            value.numerator * multiset_orbit_size(lower), value.denominator * d_fact
+        )
+    return tuple([Poly._trusted(n, c) for c in coeffs])
 
 
 def build_F(pmap: PolyMap) -> list[Poly]:

@@ -95,10 +95,32 @@ def test_graded_inverse_matches_whole_composition_catalog(pmap):
         assert fixed_point_inverse(pmap, D) == _whole_composition_inverse(pmap, D), D
 
 
-@pytest.mark.parametrize("n,d,cap,seed", [(2, 2, 6, 11), (3, 2, 5, 12), (2, 3, 6, 13), (4, 3, 5, 14)])
+@pytest.mark.parametrize(
+    "n,d,cap,seed",
+    [(2, 2, 6, 11), (3, 2, 5, 12), (2, 3, 6, 13), (4, 3, 5, 14), (2, 4, 9, 15), (3, 4, 7, 16)],
+)
 def test_graded_inverse_matches_whole_composition_dense(n, d, cap, seed):
     pmap = random_map(n, d, seed=seed)
-    assert fixed_point_inverse(pmap, cap) == _whole_composition_inverse(pmap, cap)
+    G = fixed_point_inverse(pmap, cap)
+    assert G == _whole_composition_inverse(pmap, cap)
+    # G_m vanishes unless m = (d-1)V + 1 for some vertex count V
+    for g in G:
+        for m, comp in enumerate(g.comps):
+            if (m - 1) % (d - 1) != 0:
+                assert not comp, m
+            elif m >= 1:
+                assert comp, m
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+def test_verify_rejects_a_stray_term_in_a_vanishing_degree(cap):
+    # at cap 4 the stray y2^2 changes only degrees 2 and 4, both of which vanish for d=3
+    pmap = random_map(2, 3, seed=17)
+    G = fixed_point_inverse(pmap, cap)
+    assert verify_inverse(pmap, G, cap)
+    stray = Series(Poly.monomial((0, 2), Fraction(1, 3)), cap)
+    assert not verify_inverse(pmap, [G[0] + stray, G[1]], cap)
+    assert not verify_inverse(pmap, [G[0], G[1] + stray], cap)
 
 
 def test_graded_inverse_matches_whole_composition_zero_tensor():

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from treeinv import jacobian
+from treeinv import inversion, jacobian
 from treeinv.catalog import catalog, get_fixture, random_map
 from treeinv.errors import GuardExceededError
 from treeinv.inversion import check_quadratic_nilpotent_theorem, polynomial_inverse_degree
 from treeinv.jacobian import analyze, symmetrized_chain_tensor, symmetrized_loop_tensor
+from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.partition import (
     check_self_normalization,
     log_z_series,
@@ -124,3 +125,32 @@ def test_small_cap_after_large_equals_fresh_map(pmap):
         assert _answers(pmap, D) == _answers(fresh, D), D
         fresh = get_fixture(pmap.name)
 
+
+
+def test_inverse_consumers_share_the_memoized_G(monkeypatch):
+    pmap = random_map(2, 2, seed=34)
+    runs = []
+    real = inversion.fixed_point_inverse
+
+    def counted(pmap, D):
+        runs.append(D)
+        return real(pmap, D)
+
+    monkeypatch.setattr(inversion, "fixed_point_inverse", counted)
+    report = inversion.invert_report(pmap, 8)
+    theorem1_check(pmap, 6, default_sample_points(pmap))
+    for leaves in ((0,), (0, 1), (1, 1, 0)):
+        inversion.correlation_tensor(pmap, 0, leaves)
+    assert runs == [8]
+    assert report.series == real(pmap, 8)
+    assert theorem1_check(pmap, 6, default_sample_points(pmap)) == theorem1_check(
+        pmap, 6, default_sample_points(pmap), G=real(pmap, 6)
+    )
+
+
+def test_invert_report_still_verifies_the_memoized_G(monkeypatch):
+    pmap = random_map(2, 2, seed=35)
+    inversion.inverse_series(pmap, 8)
+    monkeypatch.setattr(inversion, "verify_inverse", lambda pmap, G, D: False)
+    with pytest.raises(AssertionError, match="verification"):
+        inversion.invert_report(pmap, 8)

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
-from treeinv.catalog import catalog, get_fixture, univariate_map
+from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.inversion import fixed_point_inverse
 from treeinv.numeric import (
     RadiusReport,
@@ -188,3 +189,40 @@ def test_theorem1_report_bit_identical_to_per_point_path(pmap):
     D = 12 if pmap.d == 2 else 13
     points = default_sample_points(pmap, seed=3)
     assert theorem1_check(pmap, D, points, tol=1e-2) == _per_point_report(pmap, D, points, 1e-2)
+
+
+def _scaled_random_map(n: int, d: int, seed: int, scale: int) -> PolyMap:
+    entries = {key: v * scale for key, v in random_map(n, d, seed=seed).tensor.entries.items()}
+    return PolyMap(SymTensor(n, d, entries), name=f"scaled-{n}-{d}")
+
+
+@pytest.mark.parametrize("seed", [21, 22])
+def test_theorem1_report_bit_identical_on_a_benchmark_shaped_map(seed):
+    # dense n=4, d=3 with the tensor scaled by 10^6, D=5, G handed in at a larger cap
+    pmap = _scaled_random_map(4, 3, seed, 10**6)
+    points = default_sample_points(pmap, seed=seed)
+    want = _per_point_report(pmap, 5, points, 1e-6)
+    assert theorem1_check(pmap, 5, points, tol=1e-6, G=fixed_point_inverse(pmap, 7)) == want
+    assert theorem1_check(pmap, 5, points, tol=1e-6) == want
+
+
+def test_eval_poly_numeric_matches_sorting_per_point_evaluator():
+    rng = random.Random(23)
+    for n in range(1, 5):
+        for _ in range(20):
+            terms = {}
+            for _ in range(rng.randint(0, 12)):
+                mono = tuple(rng.randint(0, 5) for _ in range(n))
+                terms[mono] = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            p = Poly(n, terms)
+            point = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+            assert eval_poly_numeric(p, point) == _eval_sorting_per_point(p, point)
+            s = Series(p, 7)
+            assert eval_series_numeric(s, point) == _eval_sorting_per_point(s.body, point)
+
+
+def test_eval_reads_only_the_powers_its_terms_use():
+    # x2^2 at 1e200 would overflow; a polynomial in which x2 has degree 1 never forms it
+    p = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
+    assert eval_poly_numeric(p, [1.0, 1e200]) == 1e200 + 1.0
+    assert eval_series_numeric(Series(p, 4), [1.0, 1e200]) == 1e200 + 1.0

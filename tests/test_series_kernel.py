@@ -149,3 +149,24 @@ def test_mismatched_operands_rejected():
         a * Series.variable(3, 0, 3)
     with pytest.raises(DimensionMismatchError):
         a - Series.variable(2, 0, 4)
+
+
+@pytest.mark.parametrize("n,cap", [(1, 6), (2, 5), (3, 4)])
+def test_series_compose_with_shared_denominator_factors_is_reduced(n, cap):
+    # substituents over 6, 12 and 18: the unreduced prefix products carry
+    # powers of those denominators that only the final sums divide out
+    rng = random.Random(4000 * n + cap)
+    for _ in range(4):
+        gs = []
+        for j in range(n):
+            terms = {}
+            for _ in range(rng.randint(1, 4)):
+                exps = [0] * n
+                for _ in range(rng.randint(1, 2)):
+                    exps[rng.randrange(n)] += 1
+                terms[tuple(exps)] = Fraction(rng.choice([-5, -1, 1, 3, 7]) * 3, 6 * (j + 1))
+            gs.append(Poly(n, terms))
+        f = _random_poly(rng, n, 3, rng.randint(1, 5)).scale(6)
+        got = series_compose(f, [Series(g, cap) for g in gs])
+        _assert_reduced(got)
+        assert got == Series(poly_compose(f, gs), cap)

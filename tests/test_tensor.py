@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -215,3 +216,48 @@ def test_triangular_map_shifts_variables():
     assert hs[0] == Poly.monomial((0, 2, 0))
     assert hs[1] == Poly.monomial((0, 0, 2))
     assert hs[2].is_zero()
+
+
+def test_duplicates_that_cancel_are_pruned():
+    t = SymTensor(2, 2, [((0, (1, 0)), Fraction(1, 2)), ((0, (0, 1)), Fraction(-1, 2)), ((1, (1, 1)), 3)])
+    assert dict(t.entries) == {(1, (1, 1)): Fraction(3)}
+    # a key that cancels and then reappears is kept with its final sum
+    t = SymTensor(1, 2, [((0, (0, 0)), 1), ((0, (0, 0)), -1), ((0, (0, 0)), Fraction(2, 3))])
+    assert dict(t.entries) == {(0, (0, 0)): Fraction(2, 3)}
+
+
+def test_int_and_str_values_become_fractions():
+    t = SymTensor(2, 2, {(0, (0, 1)): 3, (1, (0, 0)): "-5/6", (1, (1, 1)): Fraction(7)})
+    assert dict(t.entries) == {
+        (0, (0, 1)): Fraction(3),
+        (1, (0, 0)): Fraction(-5, 6),
+        (1, (1, 1)): Fraction(7),
+    }
+    assert all(type(v) is Fraction for v in t.entries.values())
+
+
+def _accumulated_H(pmap) -> list[Poly]:
+    """The construction build_H replaced: a Fraction sum per monomial, then Poly's checks."""
+    n, d = pmap.n, pmap.d
+    coeffs = [{} for _ in range(n)]
+    for (i, lower), value in pmap.tensor.entries.items():
+        exps = [0] * n
+        for j in lower:
+            exps[j] += 1
+        orbit = factorial(d)
+        for j in set(lower):
+            orbit //= factorial(lower.count(j))
+        mono = tuple(exps)
+        coeffs[i][mono] = coeffs[i].get(mono, Fraction(0)) + value * orbit / factorial(d)
+    return [Poly(n, c) for c in coeffs]
+
+
+@pytest.mark.parametrize(
+    "pmap",
+    catalog() + [random_map(n, d, seed=40 + n + d) for n, d in ((1, 5), (3, 3), (4, 2), (2, 6))],
+    ids=lambda p: f"{p.name}",
+)
+def test_build_h_equals_fraction_accumulation(pmap):
+    H = build_H(pmap)
+    assert H == _accumulated_H(pmap)
+    assert all(type(c) is Fraction and c != 0 for h in H for c in h.terms.values())
