@@ -186,7 +186,7 @@ def _top_degree(G: list[Series], D_cap: int, bound: int) -> int | None:
     top = 1
     for g in G:
         for deg in range(D_cap, 0, -1):
-            if not g.homogeneous_component(deg).is_zero():
+            if g.comps[deg]:
                 top = max(top, deg)
                 break
     return top if top <= bound else None

@@ -88,7 +88,8 @@ def analyze(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> JacobianVerdict:
     """Compute all three conditions and assert their equivalence."""
     unit = is_unit_jacobian(pmap, guard)
     order = nilpotency_order(pmap)
-    traces = all(t.is_zero() for t in trace_powers(pmap))
+    powers = jacobian_powers(pmap, pmap.n)
+    traces = not any(powers.trace(k)[1] for k in range(1, pmap.n + 1))
     if not (unit == (order is not None) == traces):
         raise AssertionError(
             f"equivalence violated on {pmap!r}: det={unit}, "

@@ -10,15 +10,15 @@ Floats are confined to this module; everything upstream is exact.
 Summation orders are fixed (graded-lexicographic monomials, component
 order) so repeated runs give bit-identical reports.
 
-Polynomials are prepared once per call as a list of terms, each a
-coefficient as a double and the power-table indices of its factors.  A
-series is read straight off its packed parts: v / den is the correctly
-rounded double of v/den, as float(Fraction(v, den)) is, and each degree
-is ordered by monomial through a cached per-key slot.  At each point the
-table holds x_i ** e at index i * base + e, computed once for every
-power some term reads; a term is its coefficient times its table
-entries in increasing variable order, the product the per-term
-evaluation x_i ** e forms, so the sums are bit for bit the same.
+Every evaluation has one prepared form, read off packed Series parts (a
+polynomial is packed at a cap of its total degree first): a list of
+terms, each a coefficient as a double and the power-table indices of
+its factors.  v / den is the correctly rounded double of v/den, as
+float(Fraction(v, den)) is, and each degree is ordered by monomial
+through a cached per-key slot, so the terms come in graded-lex order.
+At each point the table holds x_i ** e at index i * base + e, computed
+once for every power some term reads; a term is its coefficient times
+its table entries in increasing variable order.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from treeinv.poly import Monomial, Poly, Series, _grlex_key, _unpack
+from treeinv.poly import Monomial, Poly, Series, _unpack
 from treeinv.tensormap import PolyMap, build_H, norm_w
 
 
@@ -49,15 +49,11 @@ def convergence_radius(pmap: PolyMap) -> float:
 Terms = list[tuple[float, tuple[int, ...]]]
 
 
-def _table_indices(mono: Monomial, base: int) -> tuple[int, ...]:
-    return tuple([i * base + e for i, e in enumerate(mono) if e])
-
-
 @lru_cache(maxsize=1 << 12)
 def _slot(key: int, n: int, base: int) -> tuple[Monomial, tuple[int, ...]]:
     """The monomial of a packed key and its power-table indices in that base."""
     mono = _unpack(key, n, base)
-    return mono, _table_indices(mono, base)
+    return mono, tuple([i * base + e for i, e in enumerate(mono) if e])
 
 
 class _Evaluator:
@@ -75,13 +71,6 @@ class _Evaluator:
         self.terms = terms
         self.powers = [(j, *divmod(j, base)) for j in used]
         self.size = n * base
-
-    @classmethod
-    def of_polys(cls, n: int, ps: list[Poly]) -> _Evaluator:
-        base = 1 + max([e for p in ps for m in p.terms for e in m], default=0)
-        by_grlex = [sorted(p.terms.items(), key=_grlex_key) for p in ps]
-        terms = [[(float(c), _table_indices(m, base)) for m, c in items] for items in by_grlex]
-        return cls(n, base, terms)
 
     @classmethod
     def of_series(cls, n: int, cap: int, ss: list[Series]) -> _Evaluator:
@@ -116,7 +105,7 @@ def eval_poly_numeric(p: Poly, point) -> float:
     """Double-precision value at point, summed in graded-lex order."""
     if len(point) != p.n:
         raise ValueError(f"point has {len(point)} coordinates, poly has {p.n}")
-    return _Evaluator.of_polys(p.n, [p])(point)[0]
+    return eval_series_numeric(Series(p, max(0, p.total_degree())), point)
 
 
 def eval_series_numeric(s: Series, point) -> float:
@@ -207,7 +196,6 @@ def theorem1_check(
 
     n = pmap.n
     R = convergence_radius(pmap)
-    H = build_H(pmap)
     if G is None:
         G = inverse_series(pmap, D)
     elif len(G) != n:
@@ -218,7 +206,7 @@ def theorem1_check(
         G = [g.truncate(D) for g in G]
     # prepared once per call; each point sums in the same order as eval_poly_numeric
     G_at = _Evaluator.of_series(n, D, G)
-    H_at = _Evaluator.of_polys(n, H)
+    H_at = _Evaluator.of_series(n, pmap.d, [Series(h, pmap.d) for h in build_H(pmap)])
     samples: list[SampleCheck] = []
     for point in points:
         point = tuple(float(c) for c in point)

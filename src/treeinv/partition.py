@@ -22,7 +22,7 @@ from fractions import Fraction
 from treeinv.errors import PreconditionError
 from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
-from treeinv.poly import _UNIT, Poly, Series, _from_part, _graded_dot, series_compose, series_exp
+from treeinv.poly import _UNIT, Series, _from_part, _graded_dot, series_compose, series_exp
 from treeinv.poly import series_log  # noqa: F401 - public as treeinv.partition.series_log
 from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
@@ -63,7 +63,7 @@ def verify_z_identity(pmap: PolyMap, D: int) -> bool:
     G = inverse_series(pmap, D)
     jf_at_g = series_compose(jacobian_det(pmap), G)
     product = z_series(pmap, D) * jf_at_g
-    return product == Series(Poly.const(pmap.n, Fraction(1)), D)
+    return product == Series.one(pmap.n, D)
 
 
 def check_self_normalization(pmap: PolyMap, D: int) -> bool:
@@ -77,8 +77,7 @@ def check_self_normalization(pmap: PolyMap, D: int) -> bool:
             "map does not satisfy the unit-Jacobian condition; "
             "self-normalization is only asserted under it"
         )
-    one = Series(Poly.const(pmap.n, Fraction(1)), D)
-    return z_series(pmap, D) == one
+    return z_series(pmap, D) == Series.one(pmap.n, D)
 
 
 @dataclass
@@ -93,5 +92,4 @@ class PartitionReport:
 def partition_report(pmap: PolyMap, D: int) -> PartitionReport:
     lz = log_z_series(pmap, D)
     z = z_series(pmap, D)
-    one = Series(Poly.const(pmap.n, Fraction(1)), D)
-    return PartitionReport(log_z=lz, z=z, self_normalized=z == one)
+    return PartitionReport(log_z=lz, z=z, self_normalized=z == Series.one(pmap.n, D))

@@ -6,28 +6,32 @@ each internal count V there are (d*V)!/(d!)^V trees on one root (valence
 (valence 1).  Each tree contributes its contraction amplitude divided by
 V! N!; the degree-N part of G comes entirely from the V-th stratum.
 
-Two evaluation paths are provided and must agree:
+Two sums are provided and must agree.  They differ only in where their
+(weight, shape) pairs come from:
 
 * "labeled" walks every tree of a stratum (labeled_shape_census),
   grouping equal-amplitude trees by rooted shape on the fly.  The walk
   is an incremental Prüfer decode rooted at the largest label, depth-
   first over sequence positions, so each pruned vertex's shape code is
-  interned from its children's codes once per prefix.  Its result is
-  cached per stratum for the life of the process.
+  interned from its children's codes once per prefix.  Each shape's
+  representative is turned into a nested shape once, and the (count,
+  shape) pairs are cached per stratum for the life of the process;
+  they weigh count / (V! N!).
 * "grouped" never touches labeled trees: it generates the rooted shapes
   directly and weights each amplitude by the reciprocal of the shape's
   automorphism count, which is exactly the labeled multiplicity divided
   by V!N!.
 
-Both paths contract amplitudes on the packed integer parts of poly.py:
-a vertex's amplitudes for all n root indices share one denominator, so
-the products and sums of a contraction run on int numerators alone.
-Within one tree_sum_inverse call each distinct subtree is contracted
-once, through a memo that lasts across strata: the labeled path keys it
-by an interned code of the children's codes read off each census
-representative, the grouped path by the nested shape.  The memo belongs
-to the call and to one method, so labeled == grouped stays an oracle.
-amplitude and amplitude_vector unpack the result to Poly once.
+Both contract nested shapes through one walk, on the packed integer
+parts of poly.py: a vertex's amplitudes for all n root indices share
+one denominator, so the products and sums of a contraction run on int
+numerators alone.  Within one tree_sum_inverse call each distinct
+subtree is contracted once, through a memo keyed by the nested shape
+that lasts across strata.  The memo belongs to the call and to one
+method, and the labeled sum reads its shapes only from census
+representatives, so labeled == grouped stays an oracle.  amplitude and
+amplitude_vector contract the nested shape of the given tree and unpack
+the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -126,40 +130,16 @@ class ValencedTree:
         for v in range(vs.V + 1, T):
             if valence[v] != 1:
                 raise ValueError(f"leaf {v} valence {valence[v]} != 1")
-        seen = [False] * T
-        seen[0] = True
-        stack = [0]
-        count = 1
-        while stack:
-            for w in adj[stack.pop()]:
-                if not seen[w]:
-                    seen[w] = True
-                    count += 1
-                    stack.append(w)
-        if count != T:
+        if -1 in _orient(adj)[1:]:
             raise ValueError("tree is not connected")
 
     def rooted(self) -> list[int]:
         """Parent of each vertex with edges oriented toward the root; -1 at 0."""
-        T = self.vertices.total
-        adj: list[list[int]] = [[] for _ in range(T)]
-        for a, b in sorted(self.edges):
+        adj: list[list[int]] = [[] for _ in range(self.vertices.total)]
+        for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        parents = [-1] * T
-        seen = [False] * T
-        seen[0] = True
-        queue = [0]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    parents[v] = u
-                    queue.append(v)
-        return parents
+        return _orient(adj)
 
     def __eq__(self, other) -> bool:
         return (
@@ -183,9 +163,35 @@ def tree_count(V: int, d: int) -> int:
     return factorial(V + N - 1) // factorial(d) ** V
 
 
+def _check_budget(V: int, d: int, budget: int) -> None:
+    total = tree_count(V, d)
+    if total > budget:
+        raise BudgetExceededError(
+            f"stratum V={V}, d={d} holds {total} trees, over budget {budget}"
+        )
+
+
 def _stratum_sequence(V: int, d: int) -> list[int]:
     """Sorted multiset {1^d, ..., V^d} whose orderings encode the stratum."""
     return [v for v in range(1, V + 1) for _ in range(d)]
+
+
+def _orient(adj: list[list[int]]) -> list[int]:
+    """Parent of each vertex reached breadth-first from vertex 0; -1 at 0 and off the tree."""
+    parents = [-1] * len(adj)
+    seen = [False] * len(adj)
+    seen[0] = True
+    order = [0]
+    head = 0
+    while head < len(order):
+        u = order[head]
+        head += 1
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = True
+                parents[v] = u
+                order.append(v)
+    return parents
 
 
 def decode_parents(seq, T: int) -> list[int]:
@@ -223,20 +229,7 @@ def decode_parents(seq, T: int) -> list[int]:
     adj[leaf].append(T - 1)
     adj[T - 1].append(leaf)
 
-    parents = [-1] * T
-    order = [0]
-    seen = [False] * T
-    seen[0] = True
-    head = 0
-    while head < len(order):
-        u = order[head]
-        head += 1
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                parents[v] = u
-                order.append(v)
-    return parents
+    return _orient(adj)
 
 
 def _intern(intern: dict, key: tuple[int, ...]) -> int:
@@ -317,11 +310,7 @@ def enumerate_trees(
     holding each internal label d times; root and leaves never appear
     because their valence is 1.
     """
-    total = tree_count(V, d)
-    if total > budget:
-        raise BudgetExceededError(
-            f"stratum V={V}, d={d} holds {total} trees, over budget {budget}"
-        )
+    _check_budget(V, d, budget)
     vs = VertexSet.for_internal(V, d)
     T = vs.total
     for seq in distinct_permutations(_stratum_sequence(V, d)):
@@ -384,34 +373,6 @@ def _contract_children(child_vecs: list[Vector], rule) -> Vector:
     return _reduce(den, out)
 
 
-def _amplitude_vector_from_parents(parents, rule, intern: dict, memo: dict) -> Vector:
-    """Amplitudes for every root index at once, by bottom-up contraction.
-
-    Each internal vertex codes to its sorted children's codes interned in
-    intern (leaves code to 0), the way the census codes a shape.  memo
-    maps each code to its Vector and must hold the leaf vector at 0; a
-    subtree whose code is already there is not contracted again.
-    """
-    T = len(parents)
-    children: list[list[int]] = [[] for _ in range(T)]
-    order = [0]
-    for v in range(1, T):
-        children[parents[v]].append(v)
-    head = 0
-    while head < len(order):
-        order.extend(children[order[head]])
-        head += 1
-    code = [0] * T
-    for v in reversed(order):
-        kids = children[v]
-        if kids and v != 0:
-            key = tuple(sorted([code[c] for c in kids]))
-            c = code[v] = _intern(intern, key)
-            if c not in memo:
-                memo[c] = _contract_children([memo[k] for k in key], rule)
-    return memo[code[children[0][0]]]
-
-
 def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
     """Raw amplitude of the tree for each root index, no stratum weights."""
     if tree.vertices.d != pmap.d:
@@ -419,8 +380,8 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
             f"tree has arity {tree.vertices.d}, map has d={pmap.d}"
         )
     n, base = pmap.n, tree.vertices.N + 1
-    den, comps = _amplitude_vector_from_parents(
-        tree.rooted(), _vertex_rule(pmap), {}, {0: _basis(n, base)}
+    den, comps = _amplitude_vector_from_shape(
+        _nested_shape(tree.rooted()), _vertex_rule(pmap), {(): _basis(n, base)}
     )
     return [_from_part(n, base, (den, c)) for c in comps]
 
@@ -432,18 +393,27 @@ def amplitude(tree: ValencedTree, pmap: PolyMap, i: int) -> Poly:
     return amplitude_vector(tree, pmap)[i]
 
 
+def _nested_shape(parents) -> Shape:
+    """The rooted shape below the root of a parent array, children sorted."""
+    children: list[list[int]] = [[] for _ in parents]
+    for v in range(1, len(parents)):
+        children[parents[v]].append(v)
+
+    def shape(v: int) -> Shape:
+        return tuple(sorted([shape(c) for c in children[v]]))
+
+    return shape(children[0][0])
+
+
 @lru_cache(maxsize=None)
-def _census(V: int, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    return tuple(labeled_shape_census(V, d))
-
-
-def _shapes_with_internal(V: int, d: int) -> list[Shape]:
-    """Rooted shapes with V internal nodes; () is a leaf."""
-    return list(_shapes_cached(V, d))
+def _census(V: int, d: int) -> tuple[tuple[int, Shape], ...]:
+    """(multiplicity, nested shape) per rooted shape, from labeled_shape_census."""
+    return tuple((count, _nested_shape(parents)) for count, parents in labeled_shape_census(V, d))
 
 
 @lru_cache(maxsize=None)
 def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
+    """Rooted shapes with V internal nodes, generated directly; () is a leaf."""
     if V == 0:
         return ((),)
     out: list[Shape] = []
@@ -516,34 +486,20 @@ def tree_sum_inverse(
         raise ValueError(f"unknown method {method!r}")
     n, d = pmap.n, pmap.d
     rule = _vertex_rule(pmap)
-    basis = _basis(n, D + 1)
     # one subtree memo for every stratum of this call, never shared with
     # the other method, so that labeled == grouped stays an oracle
-    intern: dict = {}
-    memo: dict = {0: basis} if method == "labeled" else {(): basis}
+    memo = {(): _basis(n, D + 1)}
     parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
     V = 0
     while (d - 1) * V + 1 <= D:
         N = (d - 1) * V + 1
-        total = tree_count(V, d)
-        if total > budget:
-            raise BudgetExceededError(
-                f"stratum V={V}, d={d} holds {total} trees, over budget {budget}"
-            )
+        _check_budget(V, d, budget)
         if method == "labeled":
             weight = Fraction(1, factorial(V) * factorial(N))
-            weighted = [
-                (weight * count, _amplitude_vector_from_parents(parents, rule, intern, memo))
-                for count, parents in _census(V, d)
-            ]
+            shapes = [(weight * count, shape) for count, shape in _census(V, d)]
         else:
-            weighted = [
-                (
-                    Fraction(1, shape_automorphisms(shape)),
-                    _amplitude_vector_from_shape(shape, rule, memo),
-                )
-                for shape in _shapes_with_internal(V, d)
-            ]
+            shapes = [(Fraction(1, shape_automorphisms(s)), s) for s in _shapes_cached(V, d)]
+        weighted = [(w, _amplitude_vector_from_shape(s, rule, memo)) for w, s in shapes]
         for i in range(n):
             parts[i][N] = _graded_dot(
                 (w, (den, comps[i]), _UNIT) for w, (den, comps) in weighted if comps[i]

@@ -28,9 +28,9 @@ from treeinv.tensormap import PolyMap, SymTensor, jacobian_matrix, jacobian_powe
 from treeinv.trees import (
     ValencedTree,
     VertexSet,
-    _census,
-    _shapes_with_internal,
+    _shapes_cached,
     amplitude_vector,
+    labeled_shape_census,
     shape_automorphisms,
     tree_sum_inverse,
 )
@@ -289,12 +289,12 @@ def _oracle_tree_sum(pmap: PolyMap, D: int, method: str) -> list[Series]:
         if method == "labeled":
             weighted = [
                 (Fraction(count, factorial(V) * factorial(N)), _oracle_from_parents(parents, pmap))
-                for count, parents in _census(V, d)
+                for count, parents in labeled_shape_census(V, d)
             ]
         else:
             weighted = [
                 (Fraction(1, shape_automorphisms(s)), _oracle_from_shape(s, pmap))
-                for s in _shapes_with_internal(V, d)
+                for s in _shapes_cached(V, d)
             ]
         for w, vec in weighted:
             for i in range(n):
@@ -315,7 +315,7 @@ def test_amplitudes_and_tree_sums_against_poly_contraction(pmap):
     d = pmap.d
     for V in range(5):
         vs = VertexSet.for_internal(V, d)
-        for _, parents in _census(V, d):
+        for _, parents in labeled_shape_census(V, d):
             tree = ValencedTree.from_parents(vs, parents)
             assert amplitude_vector(tree, pmap) == _oracle_from_parents(tree.rooted(), pmap), V
     D = (d - 1) * 4 + 1

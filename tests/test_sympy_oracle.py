@@ -13,8 +13,8 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
 from treeinv.catalog import catalog, random_map  # noqa: E402
-from treeinv.inversion import fixed_point_inverse  # noqa: E402
-from treeinv.jacobian import nilpotency_order, trace_powers  # noqa: E402
+from treeinv.inversion import fixed_point_inverse, polynomial_inverse_degree  # noqa: E402
+from treeinv.jacobian import analyze, nilpotency_order, trace_powers  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
 from treeinv.tensormap import PolyMap, SymTensor, jacobian_det, jacobian_power  # noqa: E402
 
@@ -174,3 +174,35 @@ def test_inverse_satisfies_F_of_G_expanded_by_sympy(pmap, D):
             H_of_G += term
         low = {m: c for m, c in (G[i] - H_of_G).terms() if sum(m) <= D}
         assert low == {tuple(int(j == i) for j in range(n)): 1}, (pmap.name, i)
+
+
+def _zero_test_maps() -> list[PolyMap]:
+    """The whole catalog, then the seeded and conjugated maps of _maps()."""
+    return list(catalog()) + [p for p in _maps() if p.name.startswith(("seeded", "conjugated"))]
+
+
+@pytest.mark.parametrize("pmap", _zero_test_maps(), ids=lambda p: p.name)
+def test_traces_vanish_against_unpacked_traces(pmap):
+    assert analyze(pmap).traces_vanish == all(t.is_zero() for t in trace_powers(pmap))
+
+
+# the dense n = 4, d = 3 maps need G to degree 29, about a minute each
+@pytest.mark.parametrize(
+    "pmap",
+    [p for p in _zero_test_maps() if p.gabber_bound() < 27 or p.name == "triangular-4-3"],
+    ids=lambda p: p.name,
+)
+def test_inverse_degree_against_homogeneous_components(pmap):
+    bound = pmap.gabber_bound()
+    cap = bound + pmap.d - 1
+    G = fixed_point_inverse(pmap, cap)
+    top = max(
+        [1]
+        + [
+            deg
+            for g in G
+            for deg in range(1, cap + 1)
+            if not g.homogeneous_component(deg).is_zero()
+        ]
+    )
+    assert polynomial_inverse_degree(pmap, cap) == (top if top <= bound else None)
