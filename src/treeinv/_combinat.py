@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import Counter
 from math import factorial
 from typing import Iterable, Iterator, Sequence
 
@@ -25,10 +24,15 @@ def multiset_orbit_size(multiset: Sequence[int]) -> int:
 
 def multiplicity_factor(multiset: Sequence[int]) -> int:
     """prod(mult_i!) over the distinct values of the multiset."""
-    out = 1
-    for mult in Counter(multiset).values():
-        out *= factorial(mult)
-    return out
+    return factorial(len(multiset)) // multiset_orbit_size(multiset)
+
+
+def exponents(multiset: Iterable[int], n: int) -> tuple[int, ...]:
+    """The exponent vector of the monomial prod x_j over j in the multiset, j < n."""
+    exps = [0] * n
+    for j in multiset:
+        exps[j] += 1
+    return tuple(exps)
 
 
 def distinct_permutations(items: Iterable[int]) -> Iterator[tuple[int, ...]]:

@@ -31,7 +31,7 @@ from treeinv.jacobian import analyze
 from treeinv.mapfile import load_map, serialize_map
 from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.partition import check_self_normalization, partition_report, verify_z_identity
-from treeinv.poly import Series
+from treeinv.poly import Series, _grlex_key
 from treeinv.trees import (
     DEFAULT_BUDGET,
     enumerate_trees,
@@ -46,7 +46,7 @@ def _frac_str(value) -> str:
 
 
 def _series_json(s: Series) -> list[dict]:
-    items = sorted(s.body.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+    items = sorted(s.body.terms.items(), key=_grlex_key)
     return [{"monomial": list(m), "coeff": _frac_str(c)} for m, c in items]
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
+from treeinv._combinat import exponents
 from treeinv.errors import PreconditionError
 from treeinv.poly import (
     _UNIT,
@@ -26,7 +27,7 @@ from treeinv.poly import (
     Series,
     _graded_dot,
     _indices,
-    _lincomb,
+    _variables,
     series_compose_many,
 )
 from treeinv.tensormap import PolyMap, build_H, jacobian_powers
@@ -58,7 +59,7 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n = pmap.n
     # parts[j][k] is the degree-k part of G_j: (den, numerators) on poly.py's kernel.
-    parts = [[_ZERO_PART, Series.variable(n, j, D)._part(1)] for j in range(n)]
+    parts = [[_ZERO_PART, (1, x)] for x in _variables(n, D + 1)]
     prefix_parts: dict[tuple[tuple[int, ...], int], tuple[int, dict[int, int]]] = {}
 
     def prefix_part(prefix: tuple[int, ...], k: int) -> tuple[int, dict[int, int]]:
@@ -96,9 +97,9 @@ def inverse_series(pmap: PolyMap, D: int) -> list[Series]:
     fixed_point_inverse runs once, at the largest cap asked for so far;
     smaller caps are truncations of it (G_m does not depend on the cap).
     """
-    G = pmap._memo.get("G")
-    if D < 1 or G is None or G[0].cap < D:
-        G = pmap._memo["G"] = fixed_point_inverse(pmap, D)
+    G = pmap._memoized(
+        "G", lambda: fixed_point_inverse(pmap, D), lambda got: 1 <= D <= got[0].cap
+    )
     return [g.truncate(D) for g in G]
 
 
@@ -122,21 +123,23 @@ def lagrange_oracle_1d(d: int, a, D: int) -> Series:
     return Series(Poly(1, terms), D)
 
 
-def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
-    """True iff F(G(y)) = y holds exactly through degree D."""
+def _truncated(pmap: PolyMap, G: list[Series], D: int) -> list[Series]:
+    """A caller's G truncated to degree D: n components, each reaching D, else ValueError."""
     n = pmap.n
     if len(G) != n:
         raise ValueError(f"expected {n} components, got {len(G)}")
     if any(g.cap < D for g in G):
         raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
-    Gt = [g.truncate(D) for g in G]
-    HG = series_compose_many(build_H(pmap), Gt)
-    for i, (g, hg) in enumerate(zip(Gt, HG)):
-        y = Series.variable(n, i, D)
-        terms = [(1, g.den, g.comps), (-1, hg.den, hg.comps), (-1, y.den, y.comps)]
-        if not _lincomb(n, D, terms).is_zero():
-            return False
-    return True
+    return [g.truncate(D) for g in G]
+
+
+def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
+    """True iff F(G(y)) = y holds exactly through degree D."""
+    G = _truncated(pmap, G, D)
+    HG = series_compose_many(build_H(pmap), G)
+    return all(
+        g - hg == Series.variable(pmap.n, i, D) for i, (g, hg) in enumerate(zip(G, HG))
+    )
 
 
 def correlation_tensor(pmap: PolyMap, i: int, leaf_indices, D: int | None = None):
@@ -157,10 +160,8 @@ def correlation_tensor(pmap: PolyMap, i: int, leaf_indices, D: int | None = None
     elif D < N:
         raise ValueError(f"multiset size {N} exceeds series cap {D}")
     G = inverse_series(pmap, D)
-    exps = [0] * pmap.n
-    for j in leaves:
-        exps[j] += 1
-    value = G[i].coefficient(tuple(exps))
+    exps = exponents(leaves, pmap.n)
+    value = G[i].coefficient(exps)
     for e in exps:
         if e > 1:
             for t in range(2, e + 1):

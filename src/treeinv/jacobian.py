@@ -19,11 +19,11 @@ monomial.  Both the contraction and the coefficient-extraction routes
 are computed and their agreement is asserted on every call, so a zero
 tensor is never an artifact of one code path.  The contraction reads
 only the tensor, never the memoized powers or the packed kernel: it
-scales the tensor to ints over the lcm L of its denominators and
-multiplies int vertex matrices, so its sums are exact over L^k; the
-coefficient route reads packed keys of M^k.  The two are compared by
-cross-multiplying ints.  The chain and the loop of one length share one
-contraction walk, kept in the map's memo.
+takes the tensor's int form over the lcm L of its denominators
+(SymTensor._scaled) and multiplies int vertex matrices, so its sums
+are exact over L^k; the coefficient route reads packed keys of M^k.
+The two are compared by cross-multiplying ints.  The chain and the
+loop of one length share one contraction walk, kept in the map's memo.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import factorial, lcm
+from math import factorial
 
-from treeinv._combinat import distinct_permutations, multiplicity_factor
+from treeinv._combinat import distinct_permutations, exponents, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
 from treeinv.poly import Poly, _from_part, _pack
 from treeinv.polymatrix import DET_DIM_GUARD
@@ -119,15 +119,14 @@ def _chain_products(pmap: PolyMap, k: int, K: int) -> ChainSums:
 def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
     """L^k and, per leg multiset mu, L^k times the sum of W_1 ... W_k over arrangements of mu.
 
-    The tensor is scaled once to ints over the lcm L of its denominators,
-    so each vertex matrix W(chunk)[a][b] = L w_{a, b + chunk} is an int
-    matrix, built once per distinct chunk, and the products run on ints.
+    The tensor is read in its int form over the lcm L of its denominators
+    (SymTensor._scaled), so each vertex matrix W(chunk)[a][b] =
+    L w_{a, b + chunk} is an int matrix, built once per distinct chunk,
+    and the products run on ints.
     Multisets whose sum is zero are left out.  Reads only the tensor.
     """
     n, per = pmap.n, pmap.d - 1
-    entries = pmap.tensor.entries
-    L = lcm(*[v.denominator for v in entries.values()])
-    scaled = {key: v.numerator * (L // v.denominator) for key, v in entries.items()}
+    L, scaled = pmap.tensor._scaled()
     vertex = {}
     for chunk in combinations_with_replacement(range(n), per):
         W = [[scaled.get((a, tuple(sorted((b,) + chunk))), 0) for b in range(n)] for a in range(n)]
@@ -142,7 +141,7 @@ def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
                 W = vertex.get(tuple(sorted(legs[v * per : (v + 1) * per])))
                 if W is None:
                     break
-                prod = W if prod is None else _int_mat_mul(prod, W)
+                prod = W if prod is None else _mat_mul(prod, W)
             else:
                 for trow, prow in zip(total, prod):
                     for j, x in enumerate(prow):
@@ -152,16 +151,10 @@ def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
     return L**k, sums
 
 
-def _int_mat_mul(A: list[list[int]], B: list[list[int]]) -> list[list[int]]:
+def _mat_mul(A: list[list], B: list[list]) -> list[list]:
+    """The product of two plain matrices of ints or Fractions, summed exactly."""
     cols = list(zip(*B))
     return [[sum([a * b for a, b in zip(row, col)]) for col in cols] for row in A]
-
-
-def _monomial_of(mu: tuple[int, ...], n: int) -> tuple[int, ...]:
-    exps = [0] * n
-    for j in mu:
-        exps[j] += 1
-    return tuple(exps)
 
 
 def _routes(pmap: PolyMap, k: int, budget: int):
@@ -197,7 +190,7 @@ def symmetrized_chain_tensor(
     zero = [[0] * n] * n
     result: ChainTensor = {}
     for mu in combinations_with_replacement(range(n), K):
-        key = _pack(_monomial_of(mu, n), powers.base)
+        key = _pack(exponents(mu, n), powers.base)
         total = sums.get(mu, zero)
         m = multiplicity_factor(mu)
         for i in range(n):
@@ -225,7 +218,7 @@ def symmetrized_loop_tensor(
     for mu in combinations_with_replacement(range(n), K):
         total = sums.get(mu)
         tr = sum(total[i][i] for i in range(n)) if total else 0
-        if tr * den != nums.get(_pack(_monomial_of(mu, n), powers.base), 0) * unit:
+        if tr * den != nums.get(_pack(exponents(mu, n), powers.base), 0) * unit:
             raise AssertionError(f"loop tensor paths disagree for k={k} on {pmap!r}")
         if tr:
             result[mu] = Fraction(tr * multiplicity_factor(mu), over)
@@ -249,18 +242,9 @@ def newton_cayley_hamilton_check(m: list[list], guard: int = NEWTON_DIM_GUARD) -
     if any(len(row) != dim for row in rows):
         raise ValueError("matrix is not square")
 
-    def mul(A, B):
-        return [
-            [
-                sum((A[i][t] * B[t][j] for t in range(dim)), Fraction(0))
-                for j in range(dim)
-            ]
-            for i in range(dim)
-        ]
-
     powers = [[[Fraction(1 if i == j else 0) for j in range(dim)] for i in range(dim)]]
     for _ in range(dim):
-        powers.append(mul(powers[-1], rows))
+        powers.append(_mat_mul(powers[-1], rows))
     p = [Fraction(0)] + [
         sum((powers[k][i][i] for i in range(dim)), Fraction(0))
         for k in range(1, dim + 1)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
+from treeinv.inversion import _truncated, inverse_series
 from treeinv.poly import Monomial, Poly, Series, _unpack
 from treeinv.tensormap import PolyMap, build_H, norm_w
 
@@ -192,18 +193,9 @@ def theorem1_check(
     is truncated to degree D, and must reach it: a component whose cap
     is below D, or a G without exactly n components, raises ValueError.
     """
-    from treeinv.inversion import inverse_series
-
     n = pmap.n
     R = convergence_radius(pmap)
-    if G is None:
-        G = inverse_series(pmap, D)
-    elif len(G) != n:
-        raise ValueError(f"expected {n} components, got {len(G)}")
-    elif any(g.cap < D for g in G):
-        raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
-    else:
-        G = [g.truncate(D) for g in G]
+    G = inverse_series(pmap, D) if G is None else _truncated(pmap, G, D)
     # prepared once per call; each point sums in the same order as eval_poly_numeric
     G_at = _Evaluator.of_series(n, D, G)
     H_at = _Evaluator.of_series(n, pmap.d, [Series(h, pmap.d) for h in build_H(pmap)])

@@ -389,6 +389,11 @@ def _from_part(n: int, base: int, part: Part) -> Poly:
     return Poly._trusted(n, {_unpack(k, n, base): Fraction(v, den) for k, v in nums.items()})
 
 
+def _variables(n: int, base: int) -> list[dict[int, int]]:
+    """The numerators of x_0, ..., x_{n-1} over denominator 1, keys packed in base."""
+    return [{base**j: 1} for j in range(n)]
+
+
 # The constant part 1, so that a sum of c * a is _graded_dot over (c, a, _UNIT).
 _UNIT = (1, {0: 1})
 _ZERO_PART = (1, {})
@@ -454,14 +459,10 @@ class Series:
     @property
     def body(self) -> Poly:
         if self._body is None:
-            self._body = self._poly(self.comps)
+            # keys of different degrees are different monomials, so the merge loses none
+            nums = {k: v for c in self.comps for k, v in c.items()}
+            self._body = _from_part(self.n, self.cap + 1, (self.den, nums))
         return self._body
-
-    def _poly(self, comps: list[dict[int, int]]) -> Poly:
-        n, den, base = self.n, self.den, self.cap + 1
-        return Poly._trusted(
-            n, {_unpack(k, n, base): Fraction(v, den) for c in comps for k, v in c.items()}
-        )
 
     def _part(self, degree: int) -> tuple[int, dict[int, int]]:
         return self.den, self.comps[degree]
@@ -514,7 +515,8 @@ class Series:
         return Series._reduced(n, cap, self.den, comps)
 
     def homogeneous_component(self, degree: int) -> Poly:
-        return self._poly([self.comps[degree]] if 0 <= degree <= self.cap else [])
+        nums = self.comps[degree] if 0 <= degree <= self.cap else {}
+        return _from_part(self.n, self.cap + 1, (self.den, nums))
 
     def __eq__(self, other) -> bool:
         return (

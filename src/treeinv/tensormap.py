@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from types import MappingProxyType
 
-from treeinv._combinat import multiset_orbit_size
+from treeinv._combinat import exponents, multiset_orbit_size
 from treeinv.poly import Poly
 from treeinv.polymatrix import DET_DIM_GUARD, PackedPowers, PolyMatrix, check_det_guard
 
@@ -65,6 +65,16 @@ class SymTensor:
     def __setattr__(self, name, value):
         raise AttributeError(f"SymTensor is read-only; cannot set {name!r}")
 
+    def _scaled(self) -> tuple[int, dict[TensorKey, int]]:
+        """(L, {key: L * entry}) with L the lcm of the entries' denominators.
+
+        The one int form of the tensor, for every kernel that runs on int
+        numerators over L.  Not memoized: each caller gets its own dict.
+        """
+        entries = self.entries
+        L = lcm(*[v.denominator for v in entries.values()])
+        return L, {key: v.numerator * (L // v.denominator) for key, v in entries.items()}
+
     def get(self, i: int, lower) -> Fraction:
         """Entry for any ordering of the lower indices."""
         return self.entries.get((i, tuple(sorted(lower))), Fraction(0))
@@ -92,7 +102,10 @@ class PolyMap:
     ``tensor`` is read-only, so the objects derived from it (H, ||w||,
     the powers of M and their traces, det(I - M), the chain
     contractions, G, log Z and Z) are computed once per map and kept in
-    a private memo that can never go stale.
+    a private memo that can never go stale.  Every entry is written by
+    ``_memoized``: an entry that cannot serve a request (G at a smaller
+    cap, powers of M in a base too small) is named by its ``serves``
+    predicate and rebuilt in place.
     """
 
     __slots__ = ("_tensor", "name", "_memo")
@@ -106,14 +119,17 @@ class PolyMap:
     def tensor(self) -> SymTensor:
         return self._tensor
 
-    def _memoized(self, key, build):
+    def _memoized(self, key, build, serves=None):
         """The value memoized under key, from build() on first use.
 
-        For the package's own modules; memoized values are never mutated.
+        With serves, a memoized value for which serves(value) is false is
+        replaced by a fresh build().  For the package's own modules;
+        memoized values are never mutated.
         """
-        if key not in self._memo:
-            self._memo[key] = build()
-        return self._memo[key]
+        memo = self._memo
+        if key not in memo or (serves is not None and not serves(memo[key])):
+            memo[key] = build()
+        return memo[key]
 
     @property
     def n(self) -> int:
@@ -147,10 +163,7 @@ def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
     d_fact = factorial(d)
     coeffs: list[dict] = [dict() for _ in range(n)]
     for (i, lower), value in tensor.entries.items():
-        exps = [0] * n
-        for j in lower:
-            exps[j] += 1
-        coeffs[i][tuple(exps)] = Fraction(
+        coeffs[i][exponents(lower, n)] = Fraction(
             value.numerator * multiset_orbit_size(lower), value.denominator * d_fact
         )
     return tuple([Poly._trusted(n, c) for c in coeffs])
@@ -174,9 +187,7 @@ def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
     n = pmap.n
     terms: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
     for (i, lower), value in pmap.tensor.entries.items():
-        exps = [0] * n
-        for k in lower:
-            exps[k] += 1
+        exps = list(exponents(lower, n))
         den = value.denominator
         for e in exps:
             den *= factorial(e)
@@ -204,11 +215,13 @@ def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
     later request past the base starts the powers over in a base for twice
     that request, so the base changes a logarithmic number of times.
     """
-    powers = pmap._memo.get("M^k")
-    if powers is None or k_max * (pmap.d - 1) >= powers.base:
-        top = 2 * max(k_max, pmap.n)
-        powers = pmap._memo["M^k"] = PackedPowers(jacobian_matrix(pmap), top * (pmap.d - 1) + 1)
-    return powers
+    step = pmap.d - 1
+    top = 2 * max(k_max, pmap.n)
+    return pmap._memoized(
+        "M^k",
+        lambda: PackedPowers(jacobian_matrix(pmap), top * step + 1),
+        lambda powers: k_max * step < powers.base,
+    )
 
 
 def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
@@ -229,16 +242,15 @@ def norm_w(pmap: PolyMap) -> Fraction:
     """max over i of the sum of |w_{i,j1..jd}| over all ordered lower tuples.
 
     Each canonical entry contributes |value| times its orbit size.  The
-    row sums run on int numerators over the lcm of the tensor's
-    denominators; the result is memoized per map.
+    row sums run on the tensor's int form (SymTensor._scaled), over the
+    lcm of its denominators; the result is memoized per map.
     """
     return pmap._memoized("norm_w", lambda: _norm_w(pmap.tensor))
 
 
 def _norm_w(tensor: SymTensor) -> Fraction:
-    entries = tensor.entries
-    L = lcm(*[v.denominator for v in entries.values()])
+    L, scaled = tensor._scaled()
     totals = [0] * tensor.n
-    for (i, lower), value in entries.items():
-        totals[i] += abs(value.numerator) * (L // value.denominator) * multiset_orbit_size(lower)
+    for (i, lower), value in scaled.items():
+        totals[i] += abs(value) * multiset_orbit_size(lower)
     return Fraction(max(totals), L)

@@ -38,14 +38,16 @@ Vertex and tensor indices are 0-based throughout this module.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
-from treeinv.poly import _UNIT, _ZERO_PART, Poly, Series, _addmul, _from_part, _graded_dot, _reduce
+from treeinv.poly import _UNIT, _ZERO_PART, Poly, Series, _addmul, _from_part, _graded_dot
+from treeinv.poly import _reduce, _variables
 from treeinv.tensormap import PolyMap
 
 DEFAULT_BUDGET = 10**6
@@ -58,19 +60,20 @@ Shape = tuple  # nested tuples; () is a leaf, an internal node has d entries
 Vector = tuple[int, list[dict[int, int]]]
 
 
+@dataclass(frozen=True, slots=True)
 class VertexSet:
     """Label layout of one stratum: root 0, internal 1..V, leaves V+1..V+N."""
 
-    __slots__ = ("V", "N", "d")
+    V: int
+    N: int
+    d: int
 
-    def __init__(self, V: int, N: int, d: int):
+    def __post_init__(self):
+        V, N, d = self.V, self.N, self.d
         if V < 0 or d < 2:
             raise ValueError(f"need V >= 0 and d >= 2, got V={V}, d={d}")
         if (d - 1) * V != N - 1:
             raise ValueError(f"leaf count {N} incompatible with V={V}, d={d}")
-        self.V = V
-        self.N = N
-        self.d = d
 
     @classmethod
     def for_internal(cls, V: int, d: int) -> "VertexSet":
@@ -79,18 +82,6 @@ class VertexSet:
     @property
     def total(self) -> int:
         return self.V + self.N + 1
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, VertexSet)
-            and (self.V, self.N, self.d) == (other.V, other.N, other.d)
-        )
-
-    def __hash__(self):
-        return hash((self.V, self.N, self.d))
-
-    def __repr__(self) -> str:
-        return f"VertexSet(V={self.V}, N={self.N}, d={self.d})"
 
 
 class ValencedTree:
@@ -159,6 +150,8 @@ def tree_count(V: int, d: int) -> int:
     """(V + N - 1)! / (d!)^V labeled trees in the stratum; 1 for V = 0."""
     if V < 0:
         raise ValueError(f"V must be non-negative, got {V}")
+    if d < 2:
+        raise ValueError(f"vertex arity d must be at least 2, got d={d}")
     N = (d - 1) * V + 1
     return factorial(V + N - 1) // factorial(d) ** V
 
@@ -321,20 +314,14 @@ def _vertex_rule(pmap: PolyMap):
     """The tensor grouped for _contract_children: (L, [(orderings, rows)]).
 
     One group per lower multiset: its distinct orderings, and rows of
-    (j, w_{j,lower} * L) with L the lcm of the tensor's denominators, so
-    every weight is an int.
+    (j, w_{j,lower} * L) from the tensor's int form over the lcm L of its
+    denominators (SymTensor._scaled), so every weight is an int.
     """
-    entries = pmap.tensor.entries
-    L = lcm(*[v.denominator for v in entries.values()])
+    L, scaled = pmap.tensor._scaled()
     by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for (j, lower), value in entries.items():
-        by_lower.setdefault(lower, []).append((j, value.numerator * (L // value.denominator)))
+    for (j, lower), value in scaled.items():
+        by_lower.setdefault(lower, []).append((j, value))
     return L, [(list(distinct_permutations(lower)), rows) for lower, rows in by_lower.items()]
-
-
-def _basis(n: int, base: int) -> Vector:
-    """The leaf vector: component j is x_j, keys packed in base."""
-    return 1, [{base**j: 1} for j in range(n)]
 
 
 def _contract_children(child_vecs: list[Vector], rule) -> Vector:
@@ -381,7 +368,7 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
         )
     n, base = pmap.n, tree.vertices.N + 1
     den, comps = _amplitude_vector_from_shape(
-        _nested_shape(tree.rooted()), _vertex_rule(pmap), {(): _basis(n, base)}
+        _nested_shape(tree.rooted()), _vertex_rule(pmap), {(): (1, _variables(n, base))}
     )
     return [_from_part(n, base, (den, c)) for c in comps]
 
@@ -477,23 +464,24 @@ def tree_sum_inverse(
 
     method "labeled" enumerates every labeled tree per stratum (the
     defining sum, with 1/(V! N!) weights); method "grouped" sums rooted
-    shapes with 1/|Aut| weights.  Both are exact and identical.  Strata
-    larger than budget raise; the check applies to both methods so the
-    two are interchangeable.  Amplitudes are packed in base D + 1, so
+    shapes with 1/|Aut| weights.  Both are exact and identical.  A
+    stratum larger than budget raises before any stratum is walked; the
+    check applies to both methods so the two are interchangeable.  Amplitudes are packed in base D + 1, so
     stratum V's weighted sum is already the degree-N part of the Series.
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
     n, d = pmap.n, pmap.d
+    strata = range((D - 1) // (d - 1) + 1)
+    for V in strata:
+        _check_budget(V, d, budget)
     rule = _vertex_rule(pmap)
     # one subtree memo for every stratum of this call, never shared with
     # the other method, so that labeled == grouped stays an oracle
-    memo = {(): _basis(n, D + 1)}
+    memo = {(): (1, _variables(n, D + 1))}
     parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
-    V = 0
-    while (d - 1) * V + 1 <= D:
+    for V in strata:
         N = (d - 1) * V + 1
-        _check_budget(V, d, budget)
         if method == "labeled":
             weight = Fraction(1, factorial(V) * factorial(N))
             shapes = [(weight * count, shape) for count, shape in _census(V, d)]
@@ -504,5 +492,4 @@ def tree_sum_inverse(
             parts[i][N] = _graded_dot(
                 (w, (den, comps[i]), _UNIT) for w, (den, comps) in weighted if comps[i]
             )
-        V += 1
     return [Series._from_parts(n, p) for p in parts]

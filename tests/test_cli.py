@@ -37,6 +37,14 @@ def test_trees_enumerate_agrees(capsys):
     assert "90" in out
 
 
+@pytest.mark.parametrize("d", ["0", "1"])
+def test_trees_arity_below_two_exits_2(capsys, d):
+    assert cli.run(["trees", "--d", d, "--internal", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "arity d" in captured.err
+
+
 def test_check_golden_fields(capsys, t32_path):
     assert cli.run(["check", "--map", t32_path]) == 0
     out = capsys.readouterr().out

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -242,6 +243,12 @@ def test_zero_vertex_matrix_case_has_one():
 # -- tree contraction oracles ---------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _labeled_census(V: int, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """labeled_shape_census(V, d), walked once for every map and oracle of this module."""
+    return tuple(labeled_shape_census(V, d))
+
+
 def _oracle_contract(child_vecs: list[list[Poly]], pmap: PolyMap) -> list[Poly]:
     n = pmap.n
     by_lower: dict[tuple[int, ...], list[tuple[int, Fraction]]] = {}
@@ -289,7 +296,7 @@ def _oracle_tree_sum(pmap: PolyMap, D: int, method: str) -> list[Series]:
         if method == "labeled":
             weighted = [
                 (Fraction(count, factorial(V) * factorial(N)), _oracle_from_parents(parents, pmap))
-                for count, parents in labeled_shape_census(V, d)
+                for count, parents in _labeled_census(V, d)
             ]
         else:
             weighted = [
@@ -315,7 +322,7 @@ def test_amplitudes_and_tree_sums_against_poly_contraction(pmap):
     d = pmap.d
     for V in range(5):
         vs = VertexSet.for_internal(V, d)
-        for _, parents in labeled_shape_census(V, d):
+        for _, parents in _labeled_census(V, d):
             tree = ValencedTree.from_parents(vs, parents)
             assert amplitude_vector(tree, pmap) == _oracle_from_parents(tree.rooted(), pmap), V
     D = (d - 1) * 4 + 1

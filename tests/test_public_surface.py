@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
+
+import pytest
 
 import treeinv
 from treeinv.cli import build_parser
+from treeinv.numeric import SampleCheck
 
 PUBLIC_NAMES = [
     "BACKEND", "BudgetExceededError", "DimensionMismatchError", "GuardExceededError",
@@ -35,3 +39,48 @@ def test_public_names_are_pinned():
 def test_cli_verbs_are_pinned():
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     assert list(sub.choices) == ["invert", "check", "trees", "zfun", "verify-theorem1", "catalog"]
+
+
+PUBLIC_METHODS = {
+    "Poly": [
+        "coefficient", "const", "constant_term", "diff", "eval_fraction",
+        "homogeneous_component", "is_homogeneous", "is_zero", "monomial", "n", "scale",
+        "terms", "to_string", "total_degree", "truncate", "variable", "zero",
+    ],
+    "Series": [
+        "body", "cap", "coefficient", "comps", "den", "homogeneous_component", "is_zero", "n",
+        "one", "scale", "to_string", "truncate", "variable", "zero",
+    ],
+    "PolyMatrix": ["det", "dim", "entries", "identity", "is_zero", "n", "power", "trace", "zero"],
+    "PolyMap": ["d", "gabber_bound", "n", "name", "tensor"],
+    "SymTensor": ["d", "entries", "get", "is_zero", "n"],
+    "ValencedTree": ["edges", "from_parents", "rooted", "validate", "vertices"],
+    "VertexSet": ["N", "V", "d", "for_internal", "total"],
+    "InverseReport": [],
+    "JacobianVerdict": [],
+    "PartitionReport": [],
+    "RadiusReport": ["bounds_ok", "passed", "residuals_ok"],
+    "SampleCheck": [],
+}
+
+REPORT_FIELDS = {
+    "InverseReport": ["series", "verified_to", "polynomial_degree", "gabber_bound"],
+    "JacobianVerdict": ["unit_jacobian", "nilpotency_order", "traces_vanish"],
+    "PartitionReport": ["log_z", "z", "self_normalized"],
+    "RadiusReport": ["norm_w", "radius", "tol", "samples"],
+    "SampleCheck": ["point", "values", "residual", "bound_ok"],
+}
+
+
+def _class(name: str) -> type:
+    return SampleCheck if name == "SampleCheck" else getattr(treeinv, name)
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_METHODS))
+def test_public_class_members_are_pinned(name):
+    assert sorted(n for n in dir(_class(name)) if not n.startswith("_")) == PUBLIC_METHODS[name]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_FIELDS))
+def test_report_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(_class(name))] == REPORT_FIELDS[name]

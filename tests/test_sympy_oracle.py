@@ -1,4 +1,7 @@
-"""det(I - M), nilpotency, tr M^k and F(G) = y against sympy, an implementation that shares no code."""
+"""det(I - M), nilpotency, tr M^k, F(G) = y, log Z and Z against sympy.
+
+sympy is an implementation that shares no code with treeinv.
+"""
 
 from __future__ import annotations
 
@@ -11,10 +14,12 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
+from sympy.polys.rings import ring  # noqa: E402
 
 from treeinv.catalog import catalog, random_map  # noqa: E402
 from treeinv.inversion import fixed_point_inverse, polynomial_inverse_degree  # noqa: E402
 from treeinv.jacobian import analyze, nilpotency_order, trace_powers  # noqa: E402
+from treeinv.partition import log_z_series, z_series  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
 from treeinv.tensormap import PolyMap, SymTensor, jacobian_det, jacobian_power  # noqa: E402
 
@@ -206,3 +211,76 @@ def test_inverse_degree_against_homogeneous_components(pmap):
         ]
     )
     assert polynomial_inverse_degree(pmap, cap) == (top if top <= bound else None)
+
+
+# -- log Z and Z from sympy's determinant at G(t y) ---------------------------
+
+
+def _sympy_log_z_and_z(pmap: PolyMap, D: int) -> tuple[list[dict], list[dict]]:
+    """log Z and Z per degree, expanded by hand from J(t) = det(I - M)(G(t y)).
+
+    det(I - M) = det(lambda I - M) at lambda = 1, the sum of the
+    coefficients of the characteristic polynomial that sympy's Berkowitz
+    algorithm computes from its own Jacobian.  G comes from treeinv,
+    whose F(G) = y is checked above.  A degree-m part of G(t y) carries
+    t^m, so a term of x-degree above D contributes nothing, and every
+    product is trimmed at t-degree D.  With q = 1 - J, log Z = -log J =
+    sum q^k / k and Z = 1 / J = sum q^k over k >= 0; q has no constant
+    term, so both sums are finite.
+    """
+    n = pmap.n
+    _, M = _sympy_jacobian(pmap)
+    det = sum(M.charpoly_berk(), M.domain.zero)
+    R, *_ = ring(["t"] + [f"y{j}" for j in range(1, n + 1)], sympy.QQ)
+
+    def trim(p):
+        return R({m: c for m, c in p.items() if m[0] <= D})
+
+    G = [
+        R({(sum(m), *m): sympy.QQ(c.numerator, c.denominator) for m, c in g.body.terms.items()})
+        for g in fixed_point_inverse(pmap, D)
+    ]
+    powers = [[R.one] for _ in range(n)]
+    J = R.zero
+    for exps, c in det.items():
+        if sum(exps) > D:
+            continue
+        term = R(c)
+        for j, e in enumerate(exps):
+            while len(powers[j]) <= e:
+                powers[j].append(trim(powers[j][-1] * G[j]))
+            term = trim(term * powers[j][e])
+        J += term
+    q = R.one - J
+    log_z, z, qk, k = R.zero, R.one, R.one, 0
+    while True:
+        qk, k = trim(qk * q), k + 1
+        if not qk:
+            break
+        log_z += qk * sympy.QQ(1, k)
+        z += qk
+    return _by_degree(log_z, D), _by_degree(z, D)
+
+
+def _by_degree(p, D: int) -> list[dict]:
+    """{y-monomial: Fraction} for each t-degree 0..D; the t-degree is the y-degree."""
+    out: list[dict] = [{} for _ in range(D + 1)]
+    for (deg, *mono), c in p.items():
+        assert sum(mono) == deg
+        out[deg][tuple(mono)] = Fraction(int(c.numerator), int(c.denominator))
+    return out
+
+
+def _z_cases() -> list[tuple[PolyMap, int]]:
+    return [(p, {2: 5, 3: 6}[p.d]) for p in _maps()]
+
+
+@pytest.mark.parametrize(
+    "pmap,D", _z_cases(), ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}"
+)
+def test_log_z_and_z_against_sympy_determinant_at_G(pmap, D):
+    want_log_z, want_z = _sympy_log_z_and_z(pmap, D)
+    log_z, z = log_z_series(pmap, D), z_series(pmap, D)
+    for m in range(D + 1):
+        assert log_z.homogeneous_component(m).terms == want_log_z[m], (pmap.name, m)
+        assert z.homogeneous_component(m).terms == want_z[m], (pmap.name, m)

@@ -99,6 +99,12 @@ def test_tree_count_pinned():
     assert tree_count(4, 3) == 369600
 
 
+@pytest.mark.parametrize("d", [0, 1])
+def test_tree_count_refuses_arity_below_two(d):
+    with pytest.raises(ValueError, match="arity d"):
+        tree_count(3, d)
+
+
 def test_vertex_set_relation_enforced():
     vs = VertexSet.for_internal(3, 2)
     assert (vs.V, vs.N, vs.total) == (3, 4, 8)
@@ -399,6 +405,17 @@ def test_tree_sum_budget_enforced():
         tree_sum_inverse(univariate_map(2, 1), 7, budget=10**6)
     with pytest.raises(BudgetExceededError):
         tree_sum_inverse(univariate_map(2, 1), 7, budget=10**6, method="grouped")
+
+
+@pytest.mark.parametrize("method", ["labeled", "grouped"])
+def test_tree_sum_budget_refused_before_any_contraction(monkeypatch, method):
+    # triangular-4-3 at D = 30 is over budget only at V = 5; nothing below it may run first
+    def refuse(child_vecs, rule):
+        raise AssertionError("contracted a stratum of an over-budget call")
+
+    monkeypatch.setattr(trees, "_contract_children", refuse)
+    with pytest.raises(BudgetExceededError, match="V=5"):
+        tree_sum_inverse(get_fixture("triangular-4-3"), 30, method=method)
 
 
 def test_tree_sum_method_validated():
