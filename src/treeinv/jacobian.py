@@ -4,11 +4,18 @@ For F = x - H with H homogeneous of degree d, write M(x) for the matrix
 of partials of H.  det(I - M(x)) = 1 identically, nilpotency of M(x),
 and vanishing of all tr M(x)^k are equivalent over characteristic zero;
 analyze() computes all three and refuses to return a verdict in which
-they disagree.  The determinant is a cofactor expansion that shares
-nothing with the powers of M; nilpotency and traces read the same
-per-map powers, since they are the same matrices.  The powers, their
-traces and the determinant are packed integer parts (see polymatrix.py),
-read here as parts and unpacked to Poly only for trace_powers.
+they disagree.  The determinant is a cofactor expansion of its own copy
+of I - M, packed from the tensor's ints, and shares nothing with the
+powers of M; nilpotency and traces read the same per-map powers, since
+they are the same matrices.  The powers, their traces and the
+determinant are packed integer parts (see polymatrix.py), read here as
+parts and unpacked to Poly only for trace_powers.  Only what a reading
+needs is formed: a zero test of M^k is answered by M's values at a
+fixed integer point when they prove M^k != 0, and otherwise on the
+symbolic M^k, so a zero is always proven exactly, and analyze forms a
+matrix product only for a power that is zero at that point (on a
+non-unit map, none).  tr M^k comes from the two halves M^ceil(k/2),
+M^floor(k/2) unless M^k is already held.
 
 The diagrammatic forms contract chains (open) or loops (closed) of k
 tensor vertices and symmetrize over the k(d-1) free legs.  No
@@ -36,7 +43,7 @@ from math import factorial
 from treeinv._combinat import distinct_permutations, exponents, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
 from treeinv.poly import Poly, _from_part, _pack
-from treeinv.polymatrix import DET_DIM_GUARD
+from treeinv.polymatrix import DET_DIM_GUARD, _mat_mul
 from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
 ChainTensor = dict[tuple[int, int, tuple[int, ...]], Fraction]
@@ -149,12 +156,6 @@ def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
         if any(any(row) for row in total):
             sums[mu] = total
     return L**k, sums
-
-
-def _mat_mul(A: list[list], B: list[list]) -> list[list]:
-    """The product of two plain matrices of ints or Fractions, summed exactly."""
-    cols = list(zip(*B))
-    return [[sum([a * b for a, b in zip(row, col)]) for col in cols] for row in A]
 
 
 def _routes(pmap: PolyMap, k: int, budget: int):

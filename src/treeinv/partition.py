@@ -7,7 +7,13 @@ condition forces Z = 1 (self-normalization).
 
 Since M(G(y))^k = (M^k)(G(y)) and composition is linear in the outer
 polynomial, log Z is one composition P(G) of the exact polynomial
-P = sum over k of (1/k) tr M(x)^k with G.  Each object a map derives
+P = sum over k of (1/k) tr M(x)^k with G.  The sum stops at the first
+M^k = 0; each zero test reads M's values at a fixed integer point first
+and confirms a zero on the symbolic M^k, and each trace is taken from
+the two halves of k (see polymatrix.py), so a non-unit map forms no
+power of M above the halves it needs.  G has no constant term, so
+composing det(I - M) with G in verify_z_identity skips the monomials
+above the cap.  Each object a map derives
 (H, the powers of M, det(I - M), G, log Z and Z) is computed once per
 map and cap and then read from the map's memo; G at a smaller cap is a
 truncation of the largest one computed.  Z = exp(log Z) uses

@@ -610,8 +610,15 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
             got = products[prefix] = (den * g.den, _mul_comps(cap, comps, g.comps))
         return got
 
+    # with no constant term in any g, a monomial above the cap composes to
+    # degrees above the cap only, so every product it would form is cut
+    const = any(g.comps[0] for g in gs)
     return [
-        _lincomb(n_out, cap, [(c, *product(_indices(m))) for m, c in f.terms.items()])
+        _lincomb(
+            n_out,
+            cap,
+            [(c, *product(_indices(m))) for m, c in f.terms.items() if const or sum(m) <= cap],
+        )
         for f in fs
     ]
 

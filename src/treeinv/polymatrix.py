@@ -5,19 +5,28 @@ Houses the derivative matrix of a polynomial map and I - M.  Entries are
 parts of ``poly.py``: an entry becomes one part (one int denominator,
 packed keys mapped to int numerators) in a base above every exponent the
 result can reach, so keys add without carrying.  A matrix product forms
-each entry with one ``_graded_dot``.  ``PackedPowers`` keeps P, P^2, ...
-as parts in one base, so each power is one product of parts and nothing
+each entry with one ``_graded_dot``.  ``PackedPowers`` keeps powers of P
+as parts in one base, made only when a reading needs them, and nothing
 is unpacked until a caller asks for a ``PolyMatrix``; ``power`` and the
-per-map powers of M (tensormap.py) both run on it, and traces are summed
-on its parts.  The determinant is a cofactor expansion along the first
-column, on parts throughout, behind a dimension guard.  Entries need not
-be homogeneous.
+per-map powers of M (tensormap.py) both run on it.  P^k is the product
+P^ceil(k/2) P^floor(k/2), so a power is one product of two held ones.
+tr P^k is the diagonal of P^k when that power is held, and otherwise
+the sum of (P^ceil(k/2))_ij (P^floor(k/2))_ji, which does not form P^k.
+A zero test of P^k first raises the int matrix of P's values at a fixed
+integer point (the first n primes) to the k-th power: a nonzero value
+proves P^k != 0 (the one-sided half of Schwartz's identity test), and a
+zero value is always settled on the symbolic P^k, so a zero is proven
+exactly.  The determinant is a cofactor expansion along the first
+column, on parts throughout, each minor computed once, behind a
+dimension guard.  Entries need not be homogeneous.
 """
 
 from __future__ import annotations
 
+from math import lcm, prod
+
 from treeinv.errors import DimensionMismatchError, GuardExceededError
-from treeinv.poly import _UNIT, Part, Poly, _from_part, _graded_dot, _to_part
+from treeinv.poly import _UNIT, Part, Poly, _from_part, _graded_dot, _to_part, _unpack
 
 DET_DIM_GUARD = 8
 
@@ -91,7 +100,8 @@ class PolyMatrix:
         """self^k, k >= 1: packed once, multiplied on parts, unpacked once."""
         if k < 1:
             raise ValueError(f"matrix power requires k >= 1, got {k}")
-        return PackedPowers(self, k * self._degree() + 1).matrix(k)
+        base = k * self._degree() + 1
+        return PackedPowers(self.n, base, self._parts(base)).matrix(k)
 
     def trace(self) -> Poly:
         base = self._degree() + 1
@@ -131,38 +141,92 @@ def check_det_guard(dim: int, guard: int) -> None:
 
 
 class PackedPowers:
-    """P, P^2, ... of one square matrix as packed parts in one base, made on demand.
+    """Powers of one square matrix P as packed parts in one base, made on demand.
 
-    Every exponent of every power asked for must be below ``base``; the
-    caller picks the base from its degree bound.  ``power(k)`` and
-    ``trace(k)`` are parts, computed once each and shared, never mutated.
+    ``rows`` is P as parts in ``base``; every exponent of every power asked
+    for must be below ``base``, which the caller picks from its degree
+    bound.  ``power(k)`` and ``trace(k)`` are parts, computed once each and
+    shared, never mutated.
     """
 
-    __slots__ = ("n", "base", "_powers", "_traces")
+    __slots__ = ("n", "base", "_powers", "_traces", "_at_point")
 
-    def __init__(self, m: PolyMatrix, base: int):
-        self.n = m.n
+    def __init__(self, n: int, base: int, rows: list[list[Part]]):
+        self.n = n
         self.base = base
-        self._powers = [m._parts(base)]
+        self._powers = {1: rows}
         self._traces: dict[int, Part] = {}
+        self._at_point: list[list[list[int]]] = []
 
     def power(self, k: int) -> list[list[Part]]:
+        """P^k = P^ceil(k/2) P^floor(k/2), k >= 1."""
         powers = self._powers
-        while len(powers) < k:
-            powers.append(_mul_parts(powers[-1], powers[0]))
-        return powers[k - 1]
+        if k not in powers:
+            powers[k] = _mul_parts(self.power((k + 1) // 2), self.power(k // 2))
+        return powers[k]
 
     def is_zero(self, k: int) -> bool:
+        """Whether P^k = 0: False if P^k is nonzero at the witness point, else read off P^k."""
+        values = self._at_point
+        if not values:
+            values.append(_at_witness(self.n, self.base, self._powers[1]))
+        while len(values) < k:
+            values.append(_mat_mul(values[-1], values[0]))
+        if any(any(row) for row in values[k - 1]):
+            return False
         return not any(e[1] for row in self.power(k) for e in row)
 
     def trace(self, k: int) -> Part:
-        if k not in self._traces:
-            self._traces[k] = _trace_part(self.power(k))
-        return self._traces[k]
+        """tr P^k: the diagonal of P^k if held, else sum (P^ceil(k/2))_ij (P^floor(k/2))_ji."""
+        traces = self._traces
+        if k not in traces:
+            if k in self._powers:
+                traces[k] = _trace_part(self._powers[k])
+            else:
+                A, B = self.power((k + 1) // 2), self.power(k // 2)
+                traces[k] = _graded_dot(
+                    (1, a, B[j][i])
+                    for i, row in enumerate(A)
+                    for j, a in enumerate(row)
+                    if a[1] and B[j][i][1]
+                )
+        return traces[k]
 
     def matrix(self, k: int) -> PolyMatrix:
         """P^k as a fresh PolyMatrix."""
         return _from_parts(self.n, self.base, self.power(k))
+
+
+def _witness(n: int) -> list[int]:
+    """The first n primes: the point where is_zero first evaluates a power.
+
+    Distinct monomials take distinct values there, so a polynomial
+    vanishes at it only through a cancellation among its coefficients.
+    """
+    primes: list[int] = []
+    c = 2
+    while len(primes) < n:
+        if all(c % p for p in primes):
+            primes.append(c)
+        c += 1
+    return primes
+
+
+def _at_witness(n: int, base: int, rows: list[list[Part]]) -> list[list[int]]:
+    """The values of a matrix of parts at the witness point, times the lcm of the denominators."""
+    point = _witness(n)
+    L = lcm(*[den for row in rows for den, _ in row])
+
+    def value(den: int, nums: dict[int, int]) -> int:
+        return L // den * sum([v * prod(map(pow, point, _unpack(k, n, base))) for k, v in nums.items()])
+
+    return [[value(den, nums) for den, nums in row] for row in rows]
+
+
+def _mat_mul(A: list[list], B: list[list]) -> list[list]:
+    """The product of two plain matrices of ints or Fractions, summed exactly."""
+    cols = list(zip(*B))
+    return [[sum([a * b for a, b in zip(row, col)]) for col in cols] for row in A]
 
 
 def _mul_parts(A: list[list[Part]], B: list[list[Part]]) -> list[list[Part]]:
@@ -182,10 +246,23 @@ def _from_parts(n: int, base: int, rows: list[list[Part]]) -> PolyMatrix:
 
 
 def _det_cofactor(rows: list[list[Part]]) -> Part:
-    if len(rows) == 1:
-        return rows[0][0]
-    return _graded_dot(
-        (-1 if i % 2 else 1, row[0], _det_cofactor([r[1:] for k, r in enumerate(rows) if k != i]))
-        for i, row in enumerate(rows)
-        if row[0][1]
-    )
+    """Cofactor expansion along the first column; each minor made once.
+
+    A minor is keyed by the rows it keeps, and uses the last as many
+    columns, so the expansions of different cofactors share their minors.
+    """
+    dim = len(rows)
+    minors: dict[tuple[int, ...], Part] = {(i,): row[-1] for i, row in enumerate(rows)}
+
+    def minor(kept: tuple[int, ...]) -> Part:
+        got = minors.get(kept)
+        if got is None:
+            c = dim - len(kept)
+            got = minors[kept] = _graded_dot(
+                (-1 if pos % 2 else 1, rows[i][c], minor(kept[:pos] + kept[pos + 1 :]))
+                for pos, i in enumerate(kept)
+                if rows[i][c][1]
+            )
+        return got
+
+    return minor(tuple(range(dim)))

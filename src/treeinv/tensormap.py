@@ -17,8 +17,14 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from treeinv._combinat import exponents, multiset_orbit_size
-from treeinv.poly import Poly
-from treeinv.polymatrix import DET_DIM_GUARD, PackedPowers, PolyMatrix, check_det_guard
+from treeinv.poly import Part, Poly, _from_part, _pack
+from treeinv.polymatrix import (
+    DET_DIM_GUARD,
+    PackedPowers,
+    PolyMatrix,
+    _det_cofactor,
+    check_det_guard,
+)
 
 TensorKey = tuple[int, tuple[int, ...]]
 
@@ -182,7 +188,8 @@ def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
     w_{i, mu + e_j} / mu!, so each canonical entry (i, lower) with
     exponents m gives the term m_j w / m! at m - e_j to M[i][j] for each
     j in lower.  A fresh matrix on every call; it shares nothing with
-    the memo.
+    the memo.  The kernels pack M and I - M from the tensor's ints
+    instead (_jacobian_parts); this Fraction form is their test oracle.
     """
     n = pmap.n
     terms: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
@@ -216,10 +223,10 @@ def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
     that request, so the base changes a logarithmic number of times.
     """
     step = pmap.d - 1
-    top = 2 * max(k_max, pmap.n)
+    base = 2 * max(k_max, pmap.n) * step + 1
     return pmap._memoized(
         "M^k",
-        lambda: PackedPowers(jacobian_matrix(pmap), top * step + 1),
+        lambda: PackedPowers(pmap.n, base, _jacobian_parts(pmap.tensor, base)),
         lambda powers: k_max * step < powers.base,
     )
 
@@ -233,9 +240,44 @@ def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
     """
     n = pmap.n
     check_det_guard(n, guard)
+    base = n * (pmap.d - 1) + 1
     return pmap._memoized(
-        "det", lambda: (PolyMatrix.identity(n, n) - jacobian_matrix(pmap)).det(guard)
+        "det", lambda: _from_part(n, base, _det_cofactor(_one_minus_m_parts(pmap.tensor, base)))
     )
+
+
+def _one_minus_m_parts(tensor: SymTensor, base: int) -> list[list[Part]]:
+    """I - M as packed parts in base, from a fresh copy of M."""
+    rows = [
+        [(den, {key: -v for key, v in nums.items()}) for den, nums in row]
+        for row in _jacobian_parts(tensor, base)
+    ]
+    for i, row in enumerate(rows):
+        # M has no constant term, so key 0 (the monomial 1) is free on the diagonal
+        den, nums = row[i]
+        row[i] = den, {0: den, **nums}
+    return rows
+
+
+def _jacobian_parts(tensor: SymTensor, base: int) -> list[list[Part]]:
+    """M as packed parts in base, read off the tensor's int form.
+
+    The coefficient of x^mu in M[i][j] is w_{i, mu + e_j} / mu!, and
+    (d-1)! / mu! is the orbit size of mu, so over the one denominator
+    L (d-1)! (L from SymTensor._scaled) each numerator is an int.  A
+    fresh copy on every call; the parts are not reduced.
+    """
+    n = tensor.n
+    L, scaled = tensor._scaled()
+    den = L * factorial(tensor.d - 1)
+    nums: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, lower), w in scaled.items():
+        for pos, j in enumerate(lower):
+            if pos and lower[pos - 1] == j:
+                continue
+            mu = lower[:pos] + lower[pos + 1 :]
+            nums[i][j][_pack(exponents(mu, n), base)] = w * multiset_orbit_size(mu)
+    return [[(den, entry) for entry in row] for row in nums]
 
 
 def norm_w(pmap: PolyMap) -> Fraction:

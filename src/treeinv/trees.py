@@ -471,6 +471,8 @@ def tree_sum_inverse(
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
+    if D < 1:
+        raise ValueError(f"degree cap must be >= 1, got {D}")
     n, d = pmap.n, pmap.d
     strata = range((D - 1) // (d - 1) + 1)
     for V in strata:

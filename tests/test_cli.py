@@ -139,6 +139,14 @@ def test_invert_budget_exceeded_exits_2(t32_path, capsys):
     assert "budget" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+def test_invert_trees_cap_below_one_exits_2(t32_path, capsys, degree):
+    assert cli.run(["invert", "--map", t32_path, "--degree", degree, "--method", "trees"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"degree cap must be >= 1, got {degree}" in captured.err
+
+
 def test_invert_json_rationals(capsys, tmp_path):
     path = tmp_path / "u2.map"
     save_map(get_fixture("univar-2"), path)

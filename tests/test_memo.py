@@ -37,7 +37,7 @@ def test_overwritten_powers_break_chain_and_loop_agreement():
     # a wrong packed M^2 in the memo, before its trace is taken: the
     # coefficient side now disagrees with the contraction
     powers = pmap._memo["M^k"]
-    powers._powers[1] = [
+    powers._powers[2] = [
         [(den, {key: 2 * v for key, v in nums.items()}) for den, nums in row]
         for row in powers.power(2)
     ]

@@ -24,8 +24,15 @@ from treeinv._combinat import distinct_permutations
 from treeinv.catalog import catalog, random_map
 from treeinv.jacobian import LEG_BUDGET, _walk_chains, trace_powers
 from treeinv.poly import Poly, Series
-from treeinv.polymatrix import PolyMatrix
-from treeinv.tensormap import PolyMap, SymTensor, jacobian_matrix, jacobian_power
+from treeinv.polymatrix import PolyMatrix, _from_parts
+from treeinv.tensormap import (
+    PolyMap,
+    SymTensor,
+    _jacobian_parts,
+    _one_minus_m_parts,
+    jacobian_matrix,
+    jacobian_power,
+)
 from treeinv.trees import (
     ValencedTree,
     VertexSet,
@@ -144,6 +151,26 @@ def test_memoized_powers_and_traces_against_poly_loops(pmap):
         for k in ks:
             assert jacobian_power(fresh, k) == want[k - 1], k
             assert trace_powers(fresh, k) == traces[:k], k
+
+
+def _packed_m_maps() -> list[PolyMap]:
+    seeded = [
+        random_map(n, d, seed=100 + 10 * n + d, name=f"seeded-{n}-{d}")
+        for n in (2, 3, 4)
+        for d in (2, 3)
+    ]
+    return catalog() + seeded + [PolyMap(SymTensor(2, 2), name="zero-2-2")]
+
+
+@pytest.mark.parametrize("pmap", _packed_m_maps(), ids=lambda p: p.name)
+def test_packed_m_and_one_minus_m_unpack_to_jacobian_matrix(pmap):
+    n = pmap.n
+    M = jacobian_matrix(pmap)
+    for base in (pmap.d, 2 * n * (pmap.d - 1) + 1):
+        assert _from_parts(n, base, _jacobian_parts(pmap.tensor, base)) == M
+        assert _from_parts(n, base, _one_minus_m_parts(pmap.tensor, base)) == (
+            PolyMatrix.identity(n, n) - M
+        )
 
 
 # -- chain contraction oracle ----------------------------------------------

@@ -89,6 +89,31 @@ def test_series_compose_matches_poly_compose(n, cap):
         assert got == Series(poly_compose(f, gs), cap)
 
 
+@pytest.mark.parametrize("constant", [False, True], ids=["no-constant", "constant"])
+def test_series_compose_with_monomials_above_the_cap(constant):
+    # without a constant term in any substituent the monomials above the cap
+    # contribute nothing; with one they must all be substituted
+    rng = random.Random(4000 + constant)
+    n, cap = 3, 3
+    for _ in range(4):
+        high = Poly.zero(n)
+        for deg in (cap + 1, cap + 2, cap + 3):
+            exps = [0] * n
+            for _ in range(deg):
+                exps[rng.randrange(n)] += 1
+            high = high + Poly.monomial(exps, _coeff(rng))
+        f = _random_poly(rng, n, cap, 4) + high
+        gs = [_random_poly(rng, n, 3, 3) for _ in range(n)]
+        gs = [g - Poly.const(n, g.constant_term()) for g in gs]
+        if constant:
+            gs = [g + Poly.const(n, _coeff(rng)) for g in gs]
+        series = [Series(g, cap) for g in gs]
+        got = series_compose(f, series)
+        _assert_reduced(got)
+        assert got == Series(poly_compose(f, gs), cap)
+        assert series_compose(high, series).is_zero() != constant
+
+
 def test_constructed_and_computed_series_are_equal_and_hash_equal():
     rng = random.Random(7)
     for n in range(1, 5):

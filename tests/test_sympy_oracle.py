@@ -16,9 +16,10 @@ sympy = pytest.importorskip("sympy")
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 from sympy.polys.rings import ring  # noqa: E402
 
+from treeinv import polymatrix  # noqa: E402
 from treeinv.catalog import catalog, random_map  # noqa: E402
 from treeinv.inversion import fixed_point_inverse, polynomial_inverse_degree  # noqa: E402
-from treeinv.jacobian import analyze, nilpotency_order, trace_powers  # noqa: E402
+from treeinv.jacobian import JacobianVerdict, analyze, nilpotency_order, trace_powers  # noqa: E402
 from treeinv.partition import log_z_series, z_series  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
 from treeinv.tensormap import PolyMap, SymTensor, jacobian_det, jacobian_power  # noqa: E402
@@ -66,6 +67,16 @@ def _maps() -> list[PolyMap]:
     return maps
 
 
+# built once per module: the conjugated maps take sympy matrix inverses
+MAPS = _maps()
+
+
+@pytest.fixture
+def pmap(request) -> PolyMap:
+    """A fresh PolyMap on the parametrized map's tensor, so no test reads another's memo."""
+    return PolyMap(request.param.tensor, request.param.name)
+
+
 def _sympy_H(pmap: PolyMap):
     """H built by sympy from the tensor: H_i = (1/d!) sum over ordered index tuples."""
     n, d = pmap.n, pmap.d
@@ -97,14 +108,14 @@ def _to_poly(expr, xs) -> Poly:
     return Poly(len(xs), {m: Fraction(int(c.p), int(c.q)) for m, c in terms})
 
 
-@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
 def test_det_against_berkowitz(pmap):
     xs, M = _sympy_jacobian(pmap)
     want = (sympy.eye(pmap.n) - M.to_Matrix()).det(method="berkowitz")
     assert jacobian_det(pmap) == _to_poly(want, xs)
 
 
-@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
 def test_nilpotency_order_against_sympy_powers(pmap):
     _, M = _sympy_jacobian(pmap)
     want = None
@@ -118,14 +129,17 @@ def test_nilpotency_order_against_sympy_powers(pmap):
 
 
 @pytest.mark.parametrize(
-    "pmap", [p for p in _maps() if p.name.startswith("conjugated")], ids=lambda p: p.name
+    "pmap",
+    [p for p in MAPS if p.name.startswith("conjugated")],
+    ids=lambda p: p.name,
+    indirect=True,
 )
 def test_conjugated_maps_are_unit_of_order_n(pmap):
     assert jacobian_det(pmap) == Poly.const(pmap.n, 1)
     assert nilpotency_order(pmap) == pmap.n
 
 
-@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
 def test_jacobian_power_entries_against_sympy_powers(pmap):
     xs, M = _sympy_jacobian(pmap)
     power = M
@@ -138,7 +152,7 @@ def test_jacobian_power_entries_against_sympy_powers(pmap):
         power = power * M
 
 
-@pytest.mark.parametrize("pmap", _maps(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
 def test_trace_powers_against_sympy_traces(pmap):
     xs, M = _sympy_jacobian(pmap)
     k_max = pmap.n + 1
@@ -155,7 +169,10 @@ def _inverse_cases() -> list[tuple[PolyMap, int]]:
 
 
 @pytest.mark.parametrize(
-    "pmap,D", _inverse_cases(), ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}"
+    "pmap,D",
+    _inverse_cases(),
+    ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}",
+    indirect=["pmap"],
 )
 def test_inverse_satisfies_F_of_G_expanded_by_sympy(pmap, D):
     """sympy expands G - H(G) with H from the tensor; truncated at D it is y."""
@@ -182,11 +199,11 @@ def test_inverse_satisfies_F_of_G_expanded_by_sympy(pmap, D):
 
 
 def _zero_test_maps() -> list[PolyMap]:
-    """The whole catalog, then the seeded and conjugated maps of _maps()."""
-    return list(catalog()) + [p for p in _maps() if p.name.startswith(("seeded", "conjugated"))]
+    """The whole catalog, then the seeded and conjugated maps of MAPS."""
+    return list(catalog()) + [p for p in MAPS if p.name.startswith(("seeded", "conjugated"))]
 
 
-@pytest.mark.parametrize("pmap", _zero_test_maps(), ids=lambda p: p.name)
+@pytest.mark.parametrize("pmap", _zero_test_maps(), ids=lambda p: p.name, indirect=True)
 def test_traces_vanish_against_unpacked_traces(pmap):
     assert analyze(pmap).traces_vanish == all(t.is_zero() for t in trace_powers(pmap))
 
@@ -196,6 +213,7 @@ def test_traces_vanish_against_unpacked_traces(pmap):
     "pmap",
     [p for p in _zero_test_maps() if p.gabber_bound() < 27 or p.name == "triangular-4-3"],
     ids=lambda p: p.name,
+    indirect=True,
 )
 def test_inverse_degree_against_homogeneous_components(pmap):
     bound = pmap.gabber_bound()
@@ -272,11 +290,14 @@ def _by_degree(p, D: int) -> list[dict]:
 
 
 def _z_cases() -> list[tuple[PolyMap, int]]:
-    return [(p, {2: 5, 3: 6}[p.d]) for p in _maps()]
+    return [(p, {2: 5, 3: 6}[p.d]) for p in MAPS]
 
 
 @pytest.mark.parametrize(
-    "pmap,D", _z_cases(), ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}"
+    "pmap,D",
+    _z_cases(),
+    ids=lambda c: c.name if isinstance(c, PolyMap) else f"D{c}",
+    indirect=["pmap"],
 )
 def test_log_z_and_z_against_sympy_determinant_at_G(pmap, D):
     want_log_z, want_z = _sympy_log_z_and_z(pmap, D)
@@ -284,3 +305,58 @@ def test_log_z_and_z_against_sympy_determinant_at_G(pmap, D):
     for m in range(D + 1):
         assert log_z.homogeneous_component(m).terms == want_log_z[m], (pmap.name, m)
         assert z.homogeneous_component(m).terms == want_z[m], (pmap.name, m)
+
+
+# -- zero tests: the witness point, and the symbolic powers behind it ---------
+
+
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
+def test_zero_at_the_witness_point_falls_back_to_symbolic_powers(pmap, monkeypatch):
+    """With M zero at the witness point, every zero test is settled on M^k itself."""
+    evaluated = []
+
+    def zero_at_point(n, base, rows):
+        evaluated.append(n)
+        return [[0] * n for _ in range(n)]
+
+    monkeypatch.setattr(polymatrix, "_at_witness", zero_at_point)
+    n = pmap.n
+    xs, M = _sympy_jacobian(pmap)
+    powers = [M]
+    for _ in range(n):
+        powers.append(powers[-1] * M)
+    order = next((k for k, P in enumerate(powers[:n], start=1) if P.is_zero_matrix), None)
+    traces = [_to_poly(P.to_Matrix().trace(), xs) for P in powers]
+    # det(I - M) = det(lambda I - M) at lambda = 1, as in _sympy_log_z_and_z
+    unit = sum(M.charpoly_berk(), M.domain.zero) == M.domain.one
+    assert nilpotency_order(pmap) == order
+    assert analyze(pmap) == JacobianVerdict(unit, order, all(t.is_zero() for t in traces[:n]))
+    assert trace_powers(pmap, n + 1) == traces
+    D = 4
+    want_log_z, _ = _sympy_log_z_and_z(pmap, D)
+    log_z = log_z_series(pmap, D)
+    for m in range(D + 1):
+        assert log_z.homogeneous_component(m).terms == want_log_z[m], (pmap.name, m)
+    assert evaluated
+
+
+def test_analyze_multiplies_matrices_only_where_the_point_gives_zero(monkeypatch):
+    products = []
+    real = polymatrix._mul_parts
+
+    def counted(A, B):
+        products.append(len(A))
+        return real(A, B)
+
+    monkeypatch.setattr(polymatrix, "_mul_parts", counted)
+    # a dense non-unit map: M^k is nonzero at the point for every k <= n
+    dense = random_map(4, 2, seed=6)
+    assert analyze(dense) == JacobianVerdict(False, None, False)
+    assert products == []
+    # a unit map of order 4: M^4 = M^2 M^2 is formed and found zero, M^3 never
+    for pmap in [p for p in MAPS if p.name.startswith("conjugated-4")]:
+        fresh = PolyMap(pmap.tensor, pmap.name)
+        products.clear()
+        assert analyze(fresh) == JacobianVerdict(True, 4, True)
+        assert sorted(fresh._memo["M^k"]._powers) == [1, 2, 4]
+        assert products == [4, 4]

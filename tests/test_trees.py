@@ -13,6 +13,7 @@ import pytest
 from treeinv._combinat import distinct_permutations
 from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
+from treeinv.inversion import fixed_point_inverse
 from treeinv.poly import Poly, Series
 from treeinv.tensormap import PolyMap, SymTensor
 from treeinv.trees import (
@@ -350,6 +351,17 @@ def test_tree_sum_degrees_one_mod_d_minus_1():
             for deg in range(comp.cap + 1):
                 if deg % (pmap.d - 1) != 1 % (pmap.d - 1):
                     assert comp.homogeneous_component(deg).is_zero()
+
+
+@pytest.mark.parametrize("method", ["labeled", "grouped"])
+@pytest.mark.parametrize("D", [-1, 0])
+def test_tree_sum_refuses_cap_below_one_as_fixed_point_does(D, method):
+    pmap = get_fixture("random-2-2")
+    with pytest.raises(ValueError) as want:
+        fixed_point_inverse(pmap, D)
+    with pytest.raises(ValueError) as got:
+        tree_sum_inverse(pmap, D, method=method)
+    assert str(got.value) == str(want.value) == f"degree cap must be >= 1, got {D}"
 
 
 def test_tree_sum_equals_naive_per_tree_sum():
