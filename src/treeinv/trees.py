@@ -10,11 +10,11 @@ Two sums are provided and must agree.  They differ only in where their
 (weight, shape) pairs come from:
 
 * "labeled" walks every tree of a stratum (labeled_shape_census),
-  grouping equal-amplitude trees by rooted shape on the fly.  The walk
+  counting equal-amplitude trees by rooted shape on the fly.  The walk
   is an incremental Prüfer decode rooted at the largest label, depth-
   first over sequence positions, so each pruned vertex's shape code is
-  interned from its children's codes once per prefix.  Each shape's
-  representative is turned into a nested shape once, and the (count,
+  interned from its children's codes once per prefix, and each code's
+  nested shape is built once, when it is first interned.  The (count,
   shape) pairs are cached per stratum for the life of the process;
   they weigh count / (V! N!).
 * "grouped" never touches labeled trees: it generates the rooted shapes
@@ -28,8 +28,8 @@ one denominator, so the products and sums of a contraction run on int
 numerators alone.  Within one tree_sum_inverse call each distinct
 subtree is contracted once, through a memo keyed by the nested shape
 that lasts across strata.  The memo belongs to the call and to one
-method, and the labeled sum reads its shapes only from census
-representatives, so labeled == grouped stays an oracle.  amplitude and
+method, and the labeled sum reads its shapes only from the labeled
+walk, so labeled == grouped stays an oracle.  amplitude and
 amplitude_vector contract the nested shape of the given tree and unpack
 the result to Poly once.
 
@@ -225,21 +225,15 @@ def decode_parents(seq, T: int) -> list[int]:
     return _orient(adj)
 
 
-def _intern(intern: dict, key: tuple[int, ...]) -> int:
-    """The code of key in intern, a fresh positive code on first sight."""
-    code = intern.get(key)
-    if code is None:
-        code = intern[key] = len(intern) + 1
-    return code
+@lru_cache(maxsize=None)
+def labeled_shape_census(V: int, d: int) -> tuple[tuple[int, Shape], ...]:
+    """(multiplicity, nested shape) per rooted shape of the stratum.
 
-
-def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
-    """(multiplicity, representative parent tuple) per rooted shape.
-
-    Walks all (d*V)!/(d!)^V labeled trees of the stratum and aggregates
-    them by the canonical code of their rooted shape.  Amplitudes depend
-    only on the shape, so one representative per shape suffices
-    downstream.  V = 0 is the bare root-leaf edge.
+    Walks all (d*V)!/(d!)^V labeled trees of the stratum and counts them
+    by the canonical code of their rooted shape.  Amplitudes depend only
+    on the shape, so one count per shape suffices downstream.  V = 0 is
+    the bare root-leaf edge, whose shape is the leaf ().  The pairs are
+    cached per stratum for the life of the process.
 
     The walk relabels v -> T-1-v, a bijection on the stratum: the root
     becomes T-1, the leaves 0..N-1 and the internal vertices N..T-2.  A
@@ -247,23 +241,23 @@ def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
     prunes the root, and the vertex pruned at step i has parent seq[i]
     with its subtree complete, so its code (leaves 0, an internal vertex
     the interned sorted tuple of its children's codes) is final when it
-    is pruned.  The sequences are walked depth-first over positions with
-    undo, so each prefix is decoded once for all the trees that share
-    it.  degree[v] - 1 is both the decode's remaining degree and the
-    number of copies of v the suffix still holds.  The first tree of each
-    shape is mapped back to root 0 as its representative.
+    is pruned.  A code's nested shape is built once, when the code is
+    first interned, from its children's shapes sorted.  The sequences
+    are walked depth-first over positions with undo, so each prefix is
+    decoded once for all the trees that share it.  degree[v] - 1 is both
+    the decode's remaining degree and the number of copies of v the
+    suffix still holds.
     """
+    tree_count(V, d)  # refuses V < 0 and d < 2 before the walk
     N = (d - 1) * V + 1
     T = d * V + 2
     last = T - 2
-    root = T - 1
-    internal = range(N, root)
+    internal = range(N, T - 1)
     degree = [1] * N + [d + 1] * V + [1]
-    parent = [root] * T
     children: list[list[int]] = [[] for _ in range(T)]
-    intern: dict[tuple[int, ...], int] = {}
+    codes: dict[tuple[int, ...], int] = {}
+    shapes: list[Shape] = [()]  # shapes[code]; code 0 is the leaf
     counts: dict[int, int] = {}
-    reps: dict[int, tuple[int, ...]] = {}
 
     def walk(i: int, ptr: int, leaf: int) -> None:
         if leaf < 0:
@@ -271,18 +265,22 @@ def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
                 ptr += 1
             leaf = ptr
             ptr += 1
-        code = _intern(intern, tuple(sorted(children[leaf]))) if leaf >= N else 0
+        if leaf >= N:
+            key = tuple(sorted(children[leaf]))
+            code = codes.get(key)
+            if code is None:
+                code = codes[key] = len(shapes)
+                shapes.append(tuple(sorted([shapes[c] for c in key])))
+        else:
+            code = 0
         if i == last:
             if code in counts:
                 counts[code] += 1
             else:
                 counts[code] = 1
-                parent[leaf] = root
-                reps[code] = (-1,) + tuple(root - parent[u] for u in range(last, -1, -1))
             return
         for v in internal:
             if degree[v] > 1:
-                parent[leaf] = v
                 kids = children[v]
                 kids.append(code)
                 degree[v] -= 1
@@ -291,7 +289,7 @@ def labeled_shape_census(V: int, d: int) -> list[tuple[int, tuple[int, ...]]]:
                 kids.pop()
 
     walk(0, 0, -1)
-    return [(count, reps[code]) for code, count in counts.items()]
+    return tuple((count, shapes[code]) for code, count in counts.items())
 
 
 def enumerate_trees(
@@ -393,12 +391,6 @@ def _nested_shape(parents) -> Shape:
 
 
 @lru_cache(maxsize=None)
-def _census(V: int, d: int) -> tuple[tuple[int, Shape], ...]:
-    """(multiplicity, nested shape) per rooted shape, from labeled_shape_census."""
-    return tuple((count, _nested_shape(parents)) for count, parents in labeled_shape_census(V, d))
-
-
-@lru_cache(maxsize=None)
 def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
     """Rooted shapes with V internal nodes, generated directly; () is a leaf."""
     if V == 0:
@@ -416,8 +408,6 @@ def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
             pool = _shapes_cached(v, d)
             start = minimum[1] if v == minimum[0] else 0
             for idx in range(start, len(pool)):
-                if remaining - v < 0:
-                    break
                 chosen.append(pool[idx])
                 fill(slots - 1, remaining - v, (v, idx), chosen)
                 chosen.pop()
@@ -486,7 +476,7 @@ def tree_sum_inverse(
         N = (d - 1) * V + 1
         if method == "labeled":
             weight = Fraction(1, factorial(V) * factorial(N))
-            shapes = [(weight * count, shape) for count, shape in _census(V, d)]
+            shapes = [(weight * count, shape) for count, shape in labeled_shape_census(V, d)]
         else:
             shapes = [(Fraction(1, shape_automorphisms(s)), s) for s in _shapes_cached(V, d)]
         weighted = [(w, _amplitude_vector_from_shape(s, rule, memo)) for w, s in shapes]

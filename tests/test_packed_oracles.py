@@ -5,15 +5,14 @@ objects on untruncated Poly arithmetic: matrix product, power and
 cofactor determinant, the memoized powers and traces of M, the chain
 contraction of the diagrammatic identities, and the tree contraction
 with both tree sums.  They share no arithmetic with the packed kernel:
-they use Poly or Fraction matrices, and the tree sums take their trees
-and weights from the same census and shapes.
+they use Poly or Fraction matrices, and the tree sums take their shapes
+and weights from the same census and generated shapes.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -270,10 +269,21 @@ def test_zero_vertex_matrix_case_has_one():
 # -- tree contraction oracles ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _labeled_census(V: int, d: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """labeled_shape_census(V, d), walked once for every map and oracle of this module."""
-    return tuple(labeled_shape_census(V, d))
+def _tree_from_shape(shape, V: int, d: int) -> ValencedTree:
+    """One labeled tree of the stratum with this rooted shape below the root's child."""
+    vs = VertexSet.for_internal(V, d)
+    internal = iter(range(1, V + 1))
+    leaves = iter(range(V + 1, vs.total))
+    edges = []
+
+    def place(s, parent: int) -> None:
+        v = next(internal) if s else next(leaves)
+        edges.append((parent, v))
+        for child in s:
+            place(child, v)
+
+    place(shape, 0)
+    return ValencedTree(vs, edges)
 
 
 def _oracle_contract(child_vecs: list[list[Poly]], pmap: PolyMap) -> list[Poly]:
@@ -322,8 +332,8 @@ def _oracle_tree_sum(pmap: PolyMap, D: int, method: str) -> list[Series]:
         N = (d - 1) * V + 1
         if method == "labeled":
             weighted = [
-                (Fraction(count, factorial(V) * factorial(N)), _oracle_from_parents(parents, pmap))
-                for count, parents in _labeled_census(V, d)
+                (Fraction(count, factorial(V) * factorial(N)), _oracle_from_shape(shape, pmap))
+                for count, shape in labeled_shape_census(V, d)
             ]
         else:
             weighted = [
@@ -348,9 +358,8 @@ def _tree_maps() -> list[PolyMap]:
 def test_amplitudes_and_tree_sums_against_poly_contraction(pmap):
     d = pmap.d
     for V in range(5):
-        vs = VertexSet.for_internal(V, d)
-        for _, parents in _labeled_census(V, d):
-            tree = ValencedTree.from_parents(vs, parents)
+        for _, shape in labeled_shape_census(V, d):
+            tree = _tree_from_shape(shape, V, d)
             assert amplitude_vector(tree, pmap) == _oracle_from_parents(tree.rooted(), pmap), V
     D = (d - 1) * 4 + 1
     for method in ("labeled", "grouped"):

@@ -236,34 +236,73 @@ def _census_by_shape(census, V: int, d: int) -> dict[tuple, int]:
     return out
 
 
+def _census_counts(V: int, d: int) -> dict[tuple, int]:
+    """labeled_shape_census(V, d) as {shape: count}; each shape appears once."""
+    census = labeled_shape_census(V, d)
+    out = {shape: count for count, shape in census}
+    assert len(out) == len(census)
+    return out
+
+
+def _canonical(shape) -> tuple:
+    """The shape with children sorted at every level."""
+    return tuple(sorted(_canonical(s) for s in shape))
+
+
+def _tree_from_shape(shape, V: int, d: int) -> ValencedTree:
+    """One labeled tree of the stratum with this rooted shape below the root's child."""
+    vs = VertexSet.for_internal(V, d)
+    internal = iter(range(1, V + 1))
+    leaves = iter(range(V + 1, vs.total))
+    edges = []
+
+    def place(s, parent: int) -> None:
+        v = next(internal) if s else next(leaves)
+        edges.append((parent, v))
+        for child in s:
+            place(child, v)
+
+    place(shape, 0)
+    return ValencedTree(vs, edges)
+
+
 @pytest.mark.parametrize(
     "V,d",
     [(V, 2) for V in range(6)] + [(V, 3) for V in range(5)] + [(V, 4) for V in range(4)],
 )
 def test_incremental_census_matches_full_decode_walk(V, d):
-    got = _census_by_shape(labeled_shape_census(V, d), V, d)
+    got = _census_counts(V, d)
     assert got == _census_by_shape(_census_oracle(V, d), V, d)
     assert sum(got.values()) == tree_count(V, d)
 
 
 def test_census_totals_and_representatives():
+    # the census holds shapes, not trees: each must be the canonical shape
+    # of a valid tree of its stratum
     for V, d in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
         census = labeled_shape_census(V, d)
         assert sum(c for c, _ in census) == tree_count(V, d)
-        vs = VertexSet.for_internal(V, d)
-        for _, rep in census:
-            ValencedTree.from_parents(vs, rep).validate()
+        for _, shape in census:
+            assert _nested_shape(_tree_from_shape(shape, V, d).rooted()) == shape
+
+
+@pytest.mark.parametrize("V,d", [(-1, 2), (2, 1)])
+def test_census_refuses_invalid_strata(V, d):
+    with pytest.raises(ValueError) as want:
+        tree_count(V, d)
+    with pytest.raises(ValueError) as got:
+        labeled_shape_census(V, d)
+    assert str(got.value) == str(want.value)
 
 
 def test_census_counts_match_automorphism_formula():
     # labeled trees per shape = V! N! / |Aut(shape)|
     for V, d in [(1, 2), (2, 2), (3, 2), (4, 2), (2, 3), (3, 3)]:
         N = (d - 1) * V + 1
-        census_counts = sorted(c for c, _ in labeled_shape_census(V, d))
-        shape_counts = sorted(
-            factorial(V) * factorial(N) // shape_automorphisms(s) for s in _shapes_cached(V, d)
-        )
-        assert census_counts == shape_counts
+        assert _census_counts(V, d) == {
+            _canonical(s): factorial(V) * factorial(N) // shape_automorphisms(s)
+            for s in _shapes_cached(V, d)
+        }
 
 
 def test_amplitude_bare_edge_is_variable():
