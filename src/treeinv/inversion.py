@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from treeinv._combinat import exponents
+from treeinv._combinat import exponents, multiplicity_factor
 from treeinv.errors import PreconditionError
 from treeinv.poly import (
     _UNIT,
@@ -45,49 +45,40 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     degree-m part of H(G) needs only G_1..G_{m-1} (each of the d factors
     of a monomial of H has degree at least 1).  Every monomial of H is a
     product of G-components taken in a fixed variable order; its prefix
-    products are shared between monomials, and the degree-k part of each
-    prefix is computed once, from the prefix one factor shorter.
+    products are shared between monomials, and each prefix keeps one
+    list of its parts by degree.
 
     Only live degrees are computed.  A tree with V vertices has
     (d-1)V + 1 leaves, so G_m = 0 unless (m-1) % (d-1) == 0; the other
-    degrees get the zero part without any work.  A prefix of j factors
-    then has nonzero parts only in degrees congruent to j mod (d-1), and
-    the recursion reaches no other degree, because it skips zero parts
-    of G.
+    degrees keep the zero part without any work.  At each live m the
+    prefixes are visited in order of length, and a prefix of l factors
+    gets its degree m - d + l part from its head's parts (the top one
+    made just before it at the same m) and G's parts below m.  Its
+    nonzero parts lie in degrees congruent to l mod (d-1), the only ones
+    the loop reads, because it skips zero parts of G.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
-    n = pmap.n
+    n, d = pmap.n, pmap.d
     # parts[j][k] is the degree-k part of G_j: (den, numerators) on poly.py's kernel.
-    parts = [[_ZERO_PART, (1, x)] for x in _variables(n, D + 1)]
-    prefix_parts: dict[tuple[tuple[int, ...], int], tuple[int, dict[int, int]]] = {}
-
-    def prefix_part(prefix: tuple[int, ...], k: int) -> tuple[int, dict[int, int]]:
-        """Degree-k part of the product of G_j over j in prefix (needs G_{<=k-len+1})."""
-        key = (prefix, k)
-        if key not in prefix_parts:
-            head, last = prefix[:-1], parts[prefix[-1]]
-            if not head:
-                part = last[k]
-            else:
-                part = _graded_dot(
-                    (1, prefix_part(head, k - j), last[j])
-                    for j in range(1, k - len(head) + 1)
-                    if last[j][1]
-                )
-            prefix_parts[key] = part
-        return prefix_parts[key]
-
+    parts = [[_ZERO_PART, (1, x)] + [_ZERO_PART] * (D - 1) for x in _variables(n, D + 1)]
     # Each monomial c * x^a of H_i as (c, the variable indices it multiplies).
     monomials = [[(c, _indices(a)) for a, c in h.terms.items()] for h in build_H(pmap)]
-    step = pmap.d - 1
-    for m in range(2, D + 1):
-        for i in range(n):
-            parts[i].append(
-                _graded_dot((c, prefix_part(prefix, m), _UNIT) for c, prefix in monomials[i])
-                if (m - 1) % step == 0
-                else _ZERO_PART
+    # prefix_parts[p][k] is the degree-k part of the product of G_j over j in p.
+    prefix_parts = {(j,): parts[j] for j in range(n)}
+    prefixes = sorted({p[:l] for row in monomials for _, p in row for l in range(2, d + 1)}, key=len)
+    steps = []
+    for p in prefixes:
+        prefix_parts[p] = [_ZERO_PART] * (D + 1)
+        steps.append((len(p), prefix_parts[p[:-1]], parts[p[-1]], prefix_parts[p]))
+    for m in range(d, D + 1, d - 1):
+        for l, head, last, own in steps:
+            k = m - d + l
+            own[k] = _graded_dot(
+                (1, head[k - j], last[j]) for j in range(1, k - l + 2) if last[j][1]
             )
+        for i in range(n):
+            parts[i][m] = _graded_dot((c, prefix_parts[p][m], _UNIT) for c, p in monomials[i])
     return [Series._from_parts(n, p) for p in parts]
 
 
@@ -160,13 +151,7 @@ def correlation_tensor(pmap: PolyMap, i: int, leaf_indices, D: int | None = None
     elif D < N:
         raise ValueError(f"multiset size {N} exceeds series cap {D}")
     G = inverse_series(pmap, D)
-    exps = exponents(leaves, pmap.n)
-    value = G[i].coefficient(exps)
-    for e in exps:
-        if e > 1:
-            for t in range(2, e + 1):
-                value *= t
-    return value
+    return G[i].coefficient(exponents(leaves, pmap.n)) * multiplicity_factor(leaves)
 
 
 def polynomial_inverse_degree(pmap: PolyMap, D_cap: int) -> int | None:

@@ -581,12 +581,13 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
     """[f(g_1, ..., g_n) mod degree cap for f in fs], sharing products.
 
     Each monomial of an f is the product of its factors in increasing
-    variable order; every prefix of such a product is computed once for
-    all the polynomials, and kept as unreduced numerators over the
-    product of its factors' denominators.  Only the final sums are
-    reduced.  All substituents must share one ambient dimension and one
-    cap, which the results carry.  Exact: equals full composition
-    followed by truncation.
+    variable order.  The prefixes of the kept monomials are built in
+    order of length, each once for all the polynomials from its head and
+    one substituent, and kept as unreduced numerators over the product
+    of its factors' denominators.  Only the final sums are reduced.  All
+    substituents must share one ambient dimension and one cap, which the
+    results carry.  Exact: equals full composition followed by
+    truncation.
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
@@ -598,29 +599,18 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
     for g in gs:
         if g.cap != cap or g.n != n_out:
             raise DimensionMismatchError("substituents have mixed dimension or cap")
-    one = Series.one(n_out, cap)
-    products: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {(): (1, one.comps)}
-    products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
-
-    def product(prefix: tuple[int, ...]) -> tuple[int, list[dict[int, int]]]:
-        got = products.get(prefix)
-        if got is None:
-            den, comps = product(prefix[:-1])
-            g = gs[prefix[-1]]
-            got = products[prefix] = (den * g.den, _mul_comps(cap, comps, g.comps))
-        return got
-
     # with no constant term in any g, a monomial above the cap composes to
     # degrees above the cap only, so every product it would form is cut
     const = any(g.comps[0] for g in gs)
-    return [
-        _lincomb(
-            n_out,
-            cap,
-            [(c, *product(_indices(m))) for m, c in f.terms.items() if const or sum(m) <= cap],
-        )
-        for f in fs
-    ]
+    kept = [[(c, _indices(m)) for m, c in f.terms.items() if const or sum(m) <= cap] for f in fs]
+    one = Series.one(n_out, cap)
+    products: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {(): (1, one.comps)}
+    products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
+    for p in sorted({p[:l] for row in kept for _, p in row for l in range(2, len(p) + 1)}, key=len):
+        den, comps = products[p[:-1]]
+        g = gs[p[-1]]
+        products[p] = (den * g.den, _mul_comps(cap, comps, g.comps))
+    return [_lincomb(n_out, cap, [(c, *products[p]) for c, p in row]) for row in kept]
 
 
 def series_compose(f: Poly, gs: list[Series]) -> Series:

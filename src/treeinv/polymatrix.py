@@ -17,12 +17,13 @@ integer point (the first n primes) to the k-th power: a nonzero value
 proves P^k != 0 (the one-sided half of Schwartz's identity test), and a
 zero value is always settled on the symbolic P^k, so a zero is proven
 exactly.  The determinant is a cofactor expansion along the first
-column, on parts throughout, each minor computed once, behind a
-dimension guard.  Entries need not be homogeneous.
+column on parts, its minors built by size from the ones a row smaller,
+behind a dimension guard.  Entries need not be homogeneous.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import lcm, prod
 
 from treeinv.errors import DimensionMismatchError, GuardExceededError
@@ -246,23 +247,20 @@ def _from_parts(n: int, base: int, rows: list[list[Part]]) -> PolyMatrix:
 
 
 def _det_cofactor(rows: list[list[Part]]) -> Part:
-    """Cofactor expansion along the first column; each minor made once.
+    """Cofactor expansion along the first column, with the minors built by size.
 
-    A minor is keyed by the rows it keeps, and uses the last as many
-    columns, so the expansions of different cofactors share their minors.
+    A minor is keyed by the rows it keeps and uses the last as many
+    columns; it is expanded along its first column from the minors a
+    row smaller, made in the pass before, so each minor is made once.
     """
     dim = len(rows)
     minors: dict[tuple[int, ...], Part] = {(i,): row[-1] for i, row in enumerate(rows)}
-
-    def minor(kept: tuple[int, ...]) -> Part:
-        got = minors.get(kept)
-        if got is None:
-            c = dim - len(kept)
-            got = minors[kept] = _graded_dot(
-                (-1 if pos % 2 else 1, rows[i][c], minor(kept[:pos] + kept[pos + 1 :]))
+    for size in range(2, dim + 1):
+        c = dim - size
+        for kept in combinations(range(dim), size):
+            minors[kept] = _graded_dot(
+                (-1 if pos % 2 else 1, rows[i][c], minors[kept[:pos] + kept[pos + 1 :]])
                 for pos, i in enumerate(kept)
                 if rows[i][c][1]
             )
-        return got
-
-    return minor(tuple(range(dim)))
+    return minors[tuple(range(dim))]

@@ -15,12 +15,12 @@ Two sums are provided and must agree.  They differ only in where their
   first over sequence positions, so each pruned vertex's shape code is
   interned from its children's codes once per prefix, and each code's
   nested shape is built once, when it is first interned.  The (count,
-  shape) pairs are cached per stratum for the life of the process;
-  they weigh count / (V! N!).
+  shape) pairs, and the same pairs weighted count / (V! N!), are
+  cached per stratum for the life of the process.
 * "grouped" never touches labeled trees: it generates the rooted shapes
   directly and weights each amplitude by the reciprocal of the shape's
   automorphism count, which is exactly the labeled multiplicity divided
-  by V!N!.
+  by V!N!.  Its weighted shapes are cached per stratum, separately.
 
 Both contract nested shapes through one walk, on the packed integer
 parts of poly.py: a vertex's amplitudes for all n root indices share
@@ -311,15 +311,16 @@ def enumerate_trees(
 def _vertex_rule(pmap: PolyMap):
     """The tensor grouped for _contract_children: (L, [(orderings, rows)]).
 
-    One group per lower multiset: its distinct orderings, and rows of
-    (j, w_{j,lower} * L) from the tensor's int form over the lcm L of its
-    denominators (SymTensor._scaled), so every weight is an int.
+    One group per lower multiset: its distinct orderings (cached per
+    process), and rows of (j, w_{j,lower} * L) from the tensor's int form
+    over the lcm L of its denominators (SymTensor._scaled), so every
+    weight is an int.
     """
     L, scaled = pmap.tensor._scaled()
     by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (j, lower), value in scaled.items():
         by_lower.setdefault(lower, []).append((j, value))
-    return L, [(list(distinct_permutations(lower)), rows) for lower, rows in by_lower.items()]
+    return L, [(_orderings(lower), rows) for lower, rows in by_lower.items()]
 
 
 def _contract_children(child_vecs: list[Vector], rule) -> Vector:
@@ -379,15 +380,20 @@ def amplitude(tree: ValencedTree, pmap: PolyMap, i: int) -> Poly:
 
 
 def _nested_shape(parents) -> Shape:
-    """The rooted shape below the root of a parent array, children sorted."""
+    """The rooted shape below the root of a parent array, children sorted.
+
+    Filled in reverse breadth-first order: children before their parent.
+    """
     children: list[list[int]] = [[] for _ in parents]
     for v in range(1, len(parents)):
         children[parents[v]].append(v)
-
-    def shape(v: int) -> Shape:
-        return tuple(sorted([shape(c) for c in children[v]]))
-
-    return shape(children[0][0])
+    order = [0]
+    for v in order:
+        order.extend(children[v])
+    shapes: list[Shape] = [()] * len(parents)
+    for v in reversed(order):
+        shapes[v] = tuple(sorted([shapes[c] for c in children[v]]))
+    return shapes[children[0][0]]
 
 
 @lru_cache(maxsize=None)
@@ -414,6 +420,24 @@ def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
 
     fill(d, V - 1, (0, 0), [])
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _stratum_weights(V: int, d: int, method: str) -> tuple[tuple[Fraction, Shape], ...]:
+    """One method's (weight, shape) pairs for a stratum; the methods share none.
+
+    "labeled" weighs census shapes by count / (V! N!), "grouped" by 1 / |Aut|.
+    """
+    if method == "labeled":
+        weight = Fraction(1, factorial(V) * factorial((d - 1) * V + 1))
+        return tuple((weight * count, s) for count, s in labeled_shape_census(V, d))
+    return tuple((Fraction(1, shape_automorphisms(s)), s) for s in _shapes_cached(V, d))
+
+
+@lru_cache(maxsize=1 << 12)
+def _orderings(lower: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of a lower multiset of the tensor."""
+    return tuple(distinct_permutations(lower))
 
 
 @lru_cache(maxsize=None)
@@ -473,15 +497,12 @@ def tree_sum_inverse(
     memo = {(): (1, _variables(n, D + 1))}
     parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
     for V in strata:
-        N = (d - 1) * V + 1
-        if method == "labeled":
-            weight = Fraction(1, factorial(V) * factorial(N))
-            shapes = [(weight * count, shape) for count, shape in labeled_shape_census(V, d)]
-        else:
-            shapes = [(Fraction(1, shape_automorphisms(s)), s) for s in _shapes_cached(V, d)]
-        weighted = [(w, _amplitude_vector_from_shape(s, rule, memo)) for w, s in shapes]
+        weighted = [
+            (w, _amplitude_vector_from_shape(s, rule, memo))
+            for w, s in _stratum_weights(V, d, method)
+        ]
         for i in range(n):
-            parts[i][N] = _graded_dot(
+            parts[i][(d - 1) * V + 1] = _graded_dot(
                 (w, (den, comps[i]), _UNIT) for w, (den, comps) in weighted if comps[i]
             )
     return [Series._from_parts(n, p) for p in parts]

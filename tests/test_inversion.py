@@ -97,7 +97,9 @@ def test_graded_inverse_matches_whole_composition_catalog(pmap):
 
 @pytest.mark.parametrize(
     "n,d,cap,seed",
-    [(2, 2, 6, 11), (3, 2, 5, 12), (2, 3, 6, 13), (4, 3, 5, 14), (2, 4, 9, 15), (3, 4, 7, 16)],
+    [(2, 2, 6, 11), (3, 2, 5, 12), (2, 3, 6, 13), (4, 3, 5, 14), (2, 4, 9, 15), (3, 4, 7, 16)]
+    # caps below d and between live degrees
+    + [(3, d, cap, 20 + d) for d in (2, 3, 4) for cap in (1, 2, d, d + 1)],
 )
 def test_graded_inverse_matches_whole_composition_dense(n, d, cap, seed):
     pmap = random_map(n, d, seed=seed)
@@ -157,12 +159,15 @@ def test_lagrange_cubic_pinned():
     assert got == _series_1d({1: Fraction(1), 3: Fraction(1, 6), 5: Fraction(1, 12)}, 5)
 
 
-@pytest.mark.parametrize("d,w", [(2, Fraction(1)), (3, Fraction(1)), (2, Fraction(-3, 2)), (3, Fraction(6))])
+@pytest.mark.parametrize(
+    "d,w",
+    [(2, Fraction(1)), (3, Fraction(1)), (2, Fraction(-3, 2)), (3, Fraction(6)), (4, Fraction(24))],
+)
 def test_fixed_point_matches_lagrange(d, w):
     import math
 
     a = w / math.factorial(d)
-    for D in (5, 12):
+    for D in (1, 2, d, d + 1, 5, 12):
         (fp,) = fixed_point_inverse(univariate_map(d, w), D)
         assert fp == lagrange_oracle_1d(d, Fraction(a), D)
 
