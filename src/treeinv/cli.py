@@ -98,7 +98,7 @@ def _cmd_check(args) -> int:
     pmap = load_map(args.map)
     verdict = analyze(pmap)
     bound = pmap.gabber_bound()
-    cap = max(default_degree_cap(pmap), bound + 1)
+    cap = default_degree_cap(pmap)  # max(10, bound + d) > bound, as the probe needs
     # no probe without a unit Jacobian: JF(G) JG = I would force det JF = 1
     if verdict.unit_jacobian:
         poly_deg = polynomial_inverse_degree(pmap, cap)

@@ -27,6 +27,7 @@ from treeinv.poly import (
     Series,
     _graded_dot,
     _indices,
+    _prefixes,
     _variables,
     series_compose_many,
 )
@@ -66,9 +67,8 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     monomials = [[(c, _indices(a)) for a, c in h.terms.items()] for h in build_H(pmap)]
     # prefix_parts[p][k] is the degree-k part of the product of G_j over j in p.
     prefix_parts = {(j,): parts[j] for j in range(n)}
-    prefixes = sorted({p[:l] for row in monomials for _, p in row for l in range(2, d + 1)}, key=len)
     steps = []
-    for p in prefixes:
+    for p in _prefixes(monomials):
         prefix_parts[p] = [_ZERO_PART] * (D + 1)
         steps.append((len(p), prefix_parts[p[:-1]], parts[p[-1]], prefix_parts[p]))
     for m in range(d, D + 1, d - 1):

@@ -19,9 +19,9 @@ degrees that sum to at most the cap, and sums run over the lcm of the
 denominators: no ``Fraction`` is made inside the loops.
 
 The boundary to the rest of the package is ``Poly``: ``Series(body,
-cap)`` packs a polynomial, and ``.body`` unpacks one (built on first read
-and kept).  Values are never mutated after construction, so they are
-safe to share and to reduce in any order.
+cap)`` packs a polynomial, and ``.body`` unpacks one afresh on every
+read.  Values are never mutated after construction, so they are safe to
+share and to reduce in any order.
 
 The same parts carry the untruncated products elsewhere: the matrix
 products and the determinant of polymatrix.py and the tree contractions
@@ -50,10 +50,6 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -62,7 +58,8 @@ class Poly:
     """Polynomial in ``n`` variables with exact rational coefficients.
 
     ``terms`` maps exponent tuples to coefficients; zero coefficients are
-    pruned on construction, so the zero polynomial has no terms.
+    pruned on construction, so the zero polynomial has no terms.  Every
+    exponent must be a non-negative int.
     """
 
     __slots__ = ("n", "terms")
@@ -77,6 +74,8 @@ class Poly:
                     raise DimensionMismatchError(
                         f"monomial {mono} has {len(mono)} exponents, expected {n}"
                     )
+                if not all(type(e) is int and e >= 0 for e in mono):
+                    raise ValueError(f"monomial {mono} needs non-negative integer exponents")
                 coeff = _as_fraction(coeff)
                 if coeff != 0:
                     clean[tuple(mono)] = coeff
@@ -334,7 +333,7 @@ def _addmul(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
 
 
 def _graded_dot(terms) -> tuple[int, dict[int, int]]:
-    """The reduced part sum of c * a * b over (c, a, b) in terms.
+    """The part sum of c * a * b over (c, a, b) in terms, reduced by _reduce.
 
     c is an int or Fraction and a, b are parts.  The products are summed
     over the lcm of their denominators; each term's scale factor enters
@@ -357,11 +356,8 @@ def _graded_dot(terms) -> tuple[int, dict[int, int]]:
             for kb, vb in b.items():
                 k = ka + kb
                 acc[k] = get(k, 0) + va * vb
-    acc = {k: v for k, v in acc.items() if v}
-    g = gcd(L, *acc.values())
-    if g > 1:
-        return L // g, {k: v // g for k, v in acc.items()}
-    return L, acc
+    den, (acc,) = _reduce(L, [acc])
+    return den, acc
 
 
 def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -408,7 +404,7 @@ class Series:
     ``body`` is the same series as a ``Poly``.
     """
 
-    __slots__ = ("n", "cap", "den", "comps", "_body")
+    __slots__ = ("n", "cap", "den", "comps")
 
     def __init__(self, body: Poly, cap: int):
         if cap < 0:
@@ -424,7 +420,6 @@ class Series:
         self.cap = cap
         self.den = den
         self.comps = comps
-        self._body = None
 
     @classmethod
     def _reduced(cls, n: int, cap: int, den: int, comps: list[dict[int, int]]) -> Series:
@@ -434,7 +429,7 @@ class Series:
         """
         den, comps = _reduce(den, comps)
         s = object.__new__(cls)
-        s.n, s.cap, s.den, s.comps, s._body = n, cap, den, comps, None
+        s.n, s.cap, s.den, s.comps = n, cap, den, comps
         return s
 
     @classmethod
@@ -458,11 +453,9 @@ class Series:
 
     @property
     def body(self) -> Poly:
-        if self._body is None:
-            # keys of different degrees are different monomials, so the merge loses none
-            nums = {k: v for c in self.comps for k, v in c.items()}
-            self._body = _from_part(self.n, self.cap + 1, (self.den, nums))
-        return self._body
+        # keys of different degrees are different monomials, so the merge loses none
+        nums = {k: v for c in self.comps for k, v in c.items()}
+        return _from_part(self.n, self.cap + 1, (self.den, nums))
 
     def _part(self, degree: int) -> tuple[int, dict[int, int]]:
         return self.den, self.comps[degree]
@@ -563,8 +556,6 @@ def _lincomb(n: int, cap: int, terms) -> Series:
     out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
     for (c, _, comps), den in zip(terms, dens):
         f = c.numerator * (L // den)
-        if not f:
-            continue
         for acc, comp in zip(out, comps):
             get = acc.get
             for k, v in comp.items():
@@ -575,6 +566,15 @@ def _lincomb(n: int, cap: int, terms) -> Series:
 def _indices(mono: Monomial) -> tuple[int, ...]:
     """The variable index of each factor of x^mono, in increasing order."""
     return tuple([j for j, e in enumerate(mono) for _ in range(e)])
+
+
+def _prefixes(rows) -> list[tuple[int, ...]]:
+    """The prefixes of two or more factors of the p in rows of (c, p), by length.
+
+    p is a tuple of variable indices (see _indices).  A prefix comes
+    after its head, so a walk in this order finds each head built.
+    """
+    return sorted({p[:l] for row in rows for _, p in row for l in range(2, len(p) + 1)}, key=len)
 
 
 def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
@@ -606,7 +606,7 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
     one = Series.one(n_out, cap)
     products: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {(): (1, one.comps)}
     products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
-    for p in sorted({p[:l] for row in kept for _, p in row for l in range(2, len(p) + 1)}, key=len):
+    for p in _prefixes(kept):
         den, comps = products[p[:-1]]
         g = gs[p[-1]]
         products[p] = (den * g.den, _mul_comps(cap, comps, g.comps))

@@ -34,9 +34,9 @@ class SymTensor:
 
     ``entries`` maps (i, sorted lower tuple) to a nonzero Fraction.
     Construction sorts lower indices, sums duplicate keys, prunes zeros,
-    and validates index ranges.  A tensor is read-only afterwards (no
-    attribute can be set, ``entries`` is a read-only view), so nothing
-    derived from it can go stale.
+    and refuses an index that is not an int in [0, n).  A tensor is
+    read-only afterwards (no attribute can be set, ``entries`` is a
+    read-only view), so nothing derived from it can go stale.
     """
 
     __slots__ = ("n", "d", "entries")
@@ -55,8 +55,8 @@ class SymTensor:
                     raise ValueError(
                         f"entry ({i}, {lower}) has {len(lower)} lower indices, expected {d}"
                     )
-                if not 0 <= i < n or any(not 0 <= j < n for j in lower):
-                    raise ValueError(f"entry ({i}, {lower}) has indices outside [0, {n})")
+                if not all(type(j) is int and 0 <= j < n for j in (i, *lower)):
+                    raise ValueError(f"entry ({i}, {lower}) has indices that are not integers in [0, {n})")
                 if not isinstance(value, Fraction):
                     value = Fraction(value)
                 key = (i, lower)
@@ -184,34 +184,11 @@ def build_F(pmap: PolyMap) -> list[Poly]:
 def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
     """M with M[i][j] = dH_i/dx_j, each entry homogeneous of degree d-1.
 
-    Read straight off the tensor: the coefficient of x^mu in M[i][j] is
-    w_{i, mu + e_j} / mu!, so each canonical entry (i, lower) with
-    exponents m gives the term m_j w / m! at m - e_j to M[i][j] for each
-    j in lower.  A fresh matrix on every call; it shares nothing with
-    the memo.  The kernels pack M and I - M from the tensor's ints
-    instead (_jacobian_parts); this Fraction form is their test oracle.
+    The derivatives of the memoized H, as a fresh matrix on every call.
+    The kernels pack M and I - M from the tensor's ints instead
+    (_jacobian_parts); this Fraction form is their test oracle.
     """
-    n = pmap.n
-    terms: list[list[dict]] = [[{} for _ in range(n)] for _ in range(n)]
-    for (i, lower), value in pmap.tensor.entries.items():
-        exps = list(exponents(lower, n))
-        den = value.denominator
-        for e in exps:
-            den *= factorial(e)
-        num = value.numerator
-        for j, e in enumerate(exps):
-            if e:
-                exps[j] = e - 1
-                terms[i][j][tuple(exps)] = Fraction(num * e, den)
-                exps[j] = e
-    return PolyMatrix([[Poly._trusted(n, t) for t in row] for row in terms])
-
-
-def jacobian_power(pmap: PolyMap, k: int) -> PolyMatrix:
-    """M(x)^k, k >= 1, as a fresh matrix unpacked from the per-map packed powers."""
-    if k < 1:
-        raise ValueError(f"matrix power requires k >= 1, got {k}")
-    return jacobian_powers(pmap, k).matrix(k)
+    return PolyMatrix([[h.diff(j) for j in range(pmap.n)] for h in build_H(pmap)])
 
 
 def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:

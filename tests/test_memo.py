@@ -18,7 +18,7 @@ from treeinv.partition import (
     z_series,
 )
 from treeinv.poly import Poly
-from treeinv.tensormap import SymTensor, jacobian_det, jacobian_power
+from treeinv.tensormap import SymTensor, jacobian_det, jacobian_powers
 
 
 def test_tensor_is_read_only():
@@ -33,7 +33,7 @@ def test_tensor_is_read_only():
 
 def test_overwritten_powers_break_chain_and_loop_agreement():
     pmap = random_map(2, 2, seed=31)
-    assert not jacobian_power(pmap, 2).trace().is_zero()
+    assert not jacobian_powers(pmap, 2).matrix(2).trace().is_zero()
     # a wrong packed M^2 in the memo, before its trace is taken: the
     # coefficient side now disagrees with the contraction
     powers = pmap._memo["M^k"]
@@ -111,7 +111,7 @@ def _answers(pmap, D: int) -> dict:
         out["degree"] = polynomial_inverse_degree(pmap, D)
     if analyze(pmap).unit_jacobian:
         out["self_norm"] = check_self_normalization(pmap, D)
-    if jacobian_power(pmap, 2).is_zero():
+    if jacobian_powers(pmap, 2).matrix(2).is_zero():
         out["quadratic"] = check_quadratic_nilpotent_theorem(pmap, D)
     return out
 

@@ -30,7 +30,7 @@ from treeinv.tensormap import (
     _jacobian_parts,
     _one_minus_m_parts,
     jacobian_matrix,
-    jacobian_power,
+    jacobian_powers,
 )
 from treeinv.trees import (
     ValencedTree,
@@ -148,7 +148,7 @@ def test_memoized_powers_and_traces_against_poly_loops(pmap):
     for ks in (range(1, top + 1), range(top, 0, -1)):
         fresh = PolyMap(pmap.tensor, pmap.name)
         for k in ks:
-            assert jacobian_power(fresh, k) == want[k - 1], k
+            assert jacobian_powers(fresh, k).matrix(k) == want[k - 1], k
             assert trace_powers(fresh, k) == traces[:k], k
 
 

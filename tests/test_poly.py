@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from treeinv.errors import DimensionMismatchError, GuardExceededError
-from treeinv.poly import Poly, Series, monomial_degree, poly_compose, series_compose
+from treeinv.poly import Poly, Series, poly_compose, series_compose
 from treeinv.polymatrix import PolyMatrix
 
 
@@ -45,11 +45,20 @@ def test_difference_of_squares():
 
 def test_monomial_degree_and_constant_term():
     p = Poly.monomial((2, 1), Fraction(3, 2)) + Poly.const(2, Fraction(7))
-    assert monomial_degree((2, 1)) == 3
+    assert Poly.monomial((2, 1)).total_degree() == 3
     assert p.total_degree() == 3
     assert p.constant_term() == Fraction(7)
     assert p.coefficient((2, 1)) == Fraction(3, 2)
     assert p.coefficient((5, 5)) == 0
+
+
+@pytest.mark.parametrize("mono", [(-1,), (1.5,), (2, -1), (Fraction(1),), ("1",), (True, 0)])
+def test_negative_or_non_integer_exponents_refused(mono):
+    # packed into a Series, exponent -1 would read back as cap in base cap + 1
+    with pytest.raises(ValueError):
+        Poly(len(mono), {mono: 1})
+    with pytest.raises(ValueError):
+        Poly.monomial(mono)
 
 
 def test_zero_coefficients_are_pruned():

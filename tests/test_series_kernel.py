@@ -124,8 +124,7 @@ def test_constructed_and_computed_series_are_equal_and_hash_equal():
             built = Series(a * b + a.scale(Fraction(1, 3)), cap)
             assert computed == built
             assert hash(computed) == hash(built)
-            computed.body  # noqa: B018 - the Poly is built and kept on one side only
-            assert computed == built and hash(computed) == hash(built)
+            assert computed.body == built.body
 
 
 def test_body_is_the_truncated_poly():

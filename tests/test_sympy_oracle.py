@@ -22,7 +22,13 @@ from treeinv.inversion import fixed_point_inverse, polynomial_inverse_degree  # 
 from treeinv.jacobian import JacobianVerdict, analyze, nilpotency_order, trace_powers  # noqa: E402
 from treeinv.partition import log_z_series, z_series  # noqa: E402
 from treeinv.poly import Poly  # noqa: E402
-from treeinv.tensormap import PolyMap, SymTensor, jacobian_det, jacobian_power  # noqa: E402
+from treeinv.tensormap import (  # noqa: E402
+    PolyMap,
+    SymTensor,
+    jacobian_det,
+    jacobian_matrix,
+    jacobian_powers,
+)
 
 
 def _conjugated_map(n: int, d: int, seed: int) -> PolyMap:
@@ -140,12 +146,22 @@ def test_conjugated_maps_are_unit_of_order_n(pmap):
 
 
 @pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
+def test_jacobian_matrix_against_sympy_derivatives(pmap):
+    xs, M = _sympy_jacobian(pmap)
+    want = M.to_Matrix()
+    got = jacobian_matrix(pmap)
+    for i in range(pmap.n):
+        for j in range(pmap.n):
+            assert got.entries[i][j] == _to_poly(want[i, j], xs), (i, j)
+
+
+@pytest.mark.parametrize("pmap", MAPS, ids=lambda p: p.name, indirect=True)
 def test_jacobian_power_entries_against_sympy_powers(pmap):
     xs, M = _sympy_jacobian(pmap)
     power = M
     for k in range(1, pmap.n + 1):
         want = power.to_Matrix()
-        got = jacobian_power(pmap, k)
+        got = jacobian_powers(pmap, k).matrix(k)
         for i in range(pmap.n):
             for j in range(pmap.n):
                 assert got.entries[i][j] == _to_poly(want[i, j], xs), (k, i, j)

@@ -50,6 +50,10 @@ def test_tensor_validation_errors():
         SymTensor(2, 2, {(0, (0, 2)): Fraction(1)})  # lower index out of range
     with pytest.raises(ValueError):
         SymTensor(2, 2, {(0, (0, 0, 0)): Fraction(1)})  # wrong arity
+    # indices must be ints: a float in range would reach build_H, which indexes lists with it
+    for key in [(0, (0.5, 1)), (1.0, (0, 1)), (0, (Fraction(1), 1)), (True, (0, 1))]:
+        with pytest.raises(ValueError):
+            SymTensor(2, 2, {key: Fraction(1)})
     with pytest.raises(ValueError):
         SymTensor(0, 2)
     with pytest.raises(ValueError):
