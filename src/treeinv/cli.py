@@ -60,18 +60,19 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
 
 def _cmd_invert(args) -> int:
     pmap = load_map(args.map)
-    D = args.degree if args.degree is not None else default_degree_cap(pmap)
     method = args.method
-    series: list[Series]
+    D = args.degree if args.degree is not None else default_degree_cap(pmap)
+    if args.degree is None and method != "fixedpoint":
+        # the tree sums: the largest cap up to that one whose every stratum fits the budget
+        while D > 1 and tree_count((D - 1) // (pmap.d - 1), pmap.d) > args.budget:
+            D -= 1
     agreement = None
-    if method == "fixedpoint":
-        series = fixed_point_inverse(pmap, D)
-    elif method == "trees":
+    if method == "trees":
         series = tree_sum_inverse(pmap, D, budget=args.budget)
     else:
         series = fixed_point_inverse(pmap, D)
-        tree_series = tree_sum_inverse(pmap, D, budget=args.budget)
-        agreement = series == tree_series
+    if method == "both":
+        agreement = series == tree_sum_inverse(pmap, D, budget=args.budget)
     verified = verify_inverse(pmap, series, D)
 
     payload = {

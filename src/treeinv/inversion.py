@@ -16,21 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
-from treeinv._combinat import exponents, multiplicity_factor
+from treeinv._combinat import exponents, multiplicity_factor, multiset_orbit_size
 from treeinv.errors import PreconditionError
-from treeinv.poly import (
-    _UNIT,
-    _ZERO_PART,
-    Poly,
-    Series,
-    _graded_dot,
-    _indices,
-    _prefixes,
-    _variables,
-    series_compose_many,
-)
+from treeinv.poly import Poly, Series, _addmul, _prefixes, _variables, series_compose_many
 from treeinv.tensormap import PolyMap, build_H, jacobian_powers
 
 
@@ -56,30 +46,41 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     gets its degree m - d + l part from its head's parts (the top one
     made just before it at the same m) and G's parts below m.  Its
     nonzero parts lie in degrees congruent to l mod (d-1), the only ones
-    the loop reads, because it skips zero parts of G.
+    the loop reads, because j steps over the live degrees of G only.
+
+    Each part is a bare dict of int numerators: H's coefficients are ints
+    over K = L d! (L from SymTensor._scaled), so G_m is over K^V with
+    V = (m-1)/(d-1), and a prefix part of l factors at degree k over
+    K^((k-l)/(d-1)).  Each K^V is applied once, when the Series is made.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n, d = pmap.n, pmap.d
-    # parts[j][k] is the degree-k part of G_j: (den, numerators) on poly.py's kernel.
-    parts = [[_ZERO_PART, (1, x)] + [_ZERO_PART] * (D - 1) for x in _variables(n, D + 1)]
-    # Each monomial c * x^a of H_i as (c, the variable indices it multiplies).
-    monomials = [[(c, _indices(a)) for a, c in h.terms.items()] for h in build_H(pmap)]
+    L, scaled = pmap.tensor._scaled()
+    # parts[j][k] is the numerators of the degree-k part of G_j, packed in base D + 1.
+    parts = [[{}, x] + [{}] * (D - 1) for x in _variables(n, D + 1)]
+    # Each monomial of H_i as (its numerator over K, the variable indices it multiplies).
+    monomials = [[] for _ in range(n)]
+    for (i, lower), w in scaled.items():
+        monomials[i].append((w * multiset_orbit_size(lower), lower))
     # prefix_parts[p][k] is the degree-k part of the product of G_j over j in p.
     prefix_parts = {(j,): parts[j] for j in range(n)}
     steps = []
     for p in _prefixes(monomials):
-        prefix_parts[p] = [_ZERO_PART] * (D + 1)
+        prefix_parts[p] = [{}] * (D + 1)
         steps.append((len(p), prefix_parts[p[:-1]], parts[p[-1]], prefix_parts[p]))
     for m in range(d, D + 1, d - 1):
         for l, head, last, own in steps:
             k = m - d + l
-            own[k] = _graded_dot(
-                (1, head[k - j], last[j]) for j in range(1, k - l + 2) if last[j][1]
-            )
+            own[k] = acc = {}
+            for j in range(1, k - l + 2, d - 1):
+                _addmul(acc, head[k - j], last[j])
         for i in range(n):
-            parts[i][m] = _graded_dot((c, prefix_parts[p][m], _UNIT) for c, p in monomials[i])
-    return [Series._from_parts(n, p) for p in parts]
+            parts[i][m] = acc = {}
+            for c, p in monomials[i]:
+                _addmul(acc, {0: c}, prefix_parts[p][m])
+    dens = [(L * factorial(d)) ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
+    return [Series._from_parts(n, list(zip(dens, p))) for p in parts]
 
 
 def inverse_series(pmap: PolyMap, D: int) -> list[Series]:

@@ -301,8 +301,8 @@ def poly_compose(f: Poly, gs: list[Poly]) -> Poly:
 #
 # A homogeneous part is a pair (den, dict) of a positive int denominator
 # and packed keys mapped to int numerators; a Series holds one
-# denominator for all its degrees.  The graded recursions (the fixed
-# point in inversion.py, series_exp and series_log below) work on parts.
+# denominator for all its degrees.  series_exp and series_log below work
+# on parts, and the fixed point in inversion.py on bare numerators.
 
 Part = tuple[int, dict[int, int]]
 

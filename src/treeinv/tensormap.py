@@ -74,8 +74,9 @@ class SymTensor:
     def _scaled(self) -> tuple[int, dict[TensorKey, int]]:
         """(L, {key: L * entry}) with L the lcm of the entries' denominators.
 
-        The one int form of the tensor, for every kernel that runs on int
-        numerators over L.  Not memoized: each caller gets its own dict.
+        The one int form of the tensor, read by the fixed point, the tree
+        vertex, the packed M and I - M, the chain contraction and ||w||.
+        Not memoized: each caller gets its own dict.
         """
         entries = self.entries
         L = lcm(*[v.denominator for v in entries.values()])

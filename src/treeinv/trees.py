@@ -22,16 +22,16 @@ Two sums are provided and must agree.  They differ only in where their
   automorphism count, which is exactly the labeled multiplicity divided
   by V!N!.  Its weighted shapes are cached per stratum, separately.
 
-Both contract nested shapes through one walk, on the packed integer
-parts of poly.py: a vertex's amplitudes for all n root indices share
-one denominator, so the products and sums of a contraction run on int
-numerators alone.  Within one tree_sum_inverse call each distinct
+Both contract nested shapes through one walk, on packed int numerators
+(poly.py): with L the lcm of the tensor's denominators, a subtree with
+V internal vertices has amplitudes over L^V, applied once per stratum
+or tree.  Within one tree_sum_inverse call each distinct
 subtree is contracted once, through a memo keyed by the nested shape
 that lasts across strata.  The memo belongs to the call and to one
 method, and the labeled sum reads its shapes only from the labeled
 walk, so labeled == grouped stays an oracle.  amplitude and
-amplitude_vector contract the nested shape of the given tree and unpack
-the result to Poly once.
+amplitude_vector contract the nested shape of the given tree and reduce
+and unpack the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -54,10 +54,9 @@ DEFAULT_BUDGET = 10**6
 
 Shape = tuple  # nested tuples; () is a leaf, an internal node has d entries
 
-# Amplitudes for every root index: (den, [nums_0, .., nums_{n-1}]), one int
-# denominator shared by the n components, each a dict of packed keys to
-# int numerators (see poly.py) in a base above the tree's leaf count.
-Vector = tuple[int, list[dict[int, int]]]
+# Amplitudes for every root index: one dict per index of packed keys to int
+# numerators over L^V (see poly.py), in a base above the tree's leaf count.
+Vector = list[dict[int, int]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -323,21 +322,17 @@ def _vertex_rule(pmap: PolyMap):
     return L, [(_orderings(lower), rows) for lower, rows in by_lower.items()]
 
 
-def _contract_children(child_vecs: list[Vector], rule) -> Vector:
+def _contract_children(child_vecs: list[Vector], groups) -> Vector:
     """One internal vertex: fold d child vectors through the tensor.
 
     out[j] = sum over ordered lower tuples (k_1..k_d) of
     w_{j,k_1..k_d} * prod_t child_vecs[t][k_t].  Entries are grouped by
-    lower multiset so each symmetrized product is formed once.  Every
-    product of one ordering has the denominator L * prod_t den_t, so the
-    sums run on int numerators alone.
+    lower multiset so each symmetrized product is formed once.  With
+    children over L^(V_t) and each weight an int over L, every product
+    is an int over L^V, V = 1 + sum_t V_t, the subtree's internal
+    count; so the sums run on int numerators alone and are not reduced.
     """
-    L, groups = rule
-    den = L
-    for child_den, _ in child_vecs:
-        den *= child_den
-    comps = [nums for _, nums in child_vecs]
-    first, middle, last = comps[0], comps[1:-1], comps[-1]
+    first, middle, last = child_vecs[0], child_vecs[1:-1], child_vecs[-1]
     out: list[dict[int, int]] = [{} for _ in first]
     for perms, rows in groups:
         sym: dict[int, int] = {}
@@ -356,7 +351,7 @@ def _contract_children(child_vecs: list[Vector], rule) -> Vector:
                 get = acc.get
                 for k, v in sym.items():
                     acc[k] = get(k, 0) + w * v
-    return _reduce(den, out)
+    return out
 
 
 def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
@@ -366,9 +361,11 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
             f"tree has arity {tree.vertices.d}, map has d={pmap.d}"
         )
     n, base = pmap.n, tree.vertices.N + 1
-    den, comps = _amplitude_vector_from_shape(
-        _nested_shape(tree.rooted()), _vertex_rule(pmap), {(): (1, _variables(n, base))}
+    L, groups = _vertex_rule(pmap)
+    nums = _amplitude_vector_from_shape(
+        _nested_shape(tree.rooted()), groups, {(): _variables(n, base)}
     )
+    den, comps = _reduce(L**tree.vertices.V, nums)
     return [_from_part(n, base, (den, c)) for c in comps]
 
 
@@ -458,12 +455,12 @@ def shape_automorphisms(shape: Shape) -> int:
     return aut
 
 
-def _amplitude_vector_from_shape(shape: Shape, rule, memo: dict) -> Vector:
+def _amplitude_vector_from_shape(shape: Shape, groups, memo: dict) -> Vector:
     """The shape's Vector, contracting only subtrees memo does not hold; memo[()] is the leaf."""
     got = memo.get(shape)
     if got is None:
         got = memo[shape] = _contract_children(
-            [_amplitude_vector_from_shape(s, rule, memo) for s in shape], rule
+            [_amplitude_vector_from_shape(s, groups, memo) for s in shape], groups
         )
     return got
 
@@ -481,7 +478,7 @@ def tree_sum_inverse(
     shapes with 1/|Aut| weights.  Both are exact and identical.  A
     stratum larger than budget raises before any stratum is walked; the
     check applies to both methods so the two are interchangeable.  Amplitudes are packed in base D + 1, so
-    stratum V's weighted sum is already the degree-N part of the Series.
+    stratum V's weighted sum over L^V is already the degree-N part of the Series.
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
@@ -491,18 +488,18 @@ def tree_sum_inverse(
     strata = range((D - 1) // (d - 1) + 1)
     for V in strata:
         _check_budget(V, d, budget)
-    rule = _vertex_rule(pmap)
+    L, groups = _vertex_rule(pmap)
     # one subtree memo for every stratum of this call, never shared with
     # the other method, so that labeled == grouped stays an oracle
-    memo = {(): (1, _variables(n, D + 1))}
+    memo = {(): _variables(n, D + 1)}
     parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
     for V in strata:
         weighted = [
-            (w, _amplitude_vector_from_shape(s, rule, memo))
+            (w, _amplitude_vector_from_shape(s, groups, memo))
             for w, s in _stratum_weights(V, d, method)
         ]
         for i in range(n):
             parts[i][(d - 1) * V + 1] = _graded_dot(
-                (w, (den, comps[i]), _UNIT) for w, (den, comps) in weighted if comps[i]
+                (w, (L**V, comps[i]), _UNIT) for w, comps in weighted if comps[i]
             )
     return [Series._from_parts(n, p) for p in parts]

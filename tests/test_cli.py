@@ -131,6 +131,37 @@ def test_invert_both_methods_catalog(tmp_path, capsys):
         assert "agree" in out
 
 
+# the tree methods' default cap: the largest cap at most max(10, d^(n-1) + d)
+# whose top stratum fits the default budget (V = 5 for d = 2, V = 4 for d = 3)
+TREE_DEFAULT_DEGREE = {
+    "univar-2": 6,
+    "univar-3": 10,
+    "triangular-2-2": 6,
+    "triangular-2-3": 10,
+    "triangular-3-2": 6,
+    "triangular-4-3": 10,
+    "m2zero-2-2": 6,
+    "random-2-2": 6,
+}
+
+
+def test_invert_both_methods_default_degree_fits_budget(tmp_path, capsys):
+    assert sorted(TREE_DEFAULT_DEGREE) == sorted(catalog_names())
+    for pmap in catalog():
+        path = tmp_path / f"{pmap.name}.map"
+        save_map(pmap, path)
+        rc = cli.run(["invert", "--map", str(path), "--method", "both", "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert rc == 0, pmap.name
+        assert payload["agreement"] is True and payload["verified"] is True
+        assert payload["degree"] == TREE_DEFAULT_DEGREE[pmap.name]
+    # the fixed point keeps its own default cap, and an explicit degree is still refused
+    assert cli.run(["invert", "--map", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == 10
+    assert cli.run(["invert", "--map", str(path), "--method", "trees", "--degree", "7"]) == 2
+    assert "7484400 trees" in capsys.readouterr().err
+
+
 def test_invert_budget_exceeded_exits_2(t32_path, capsys):
     rc = cli.run(
         ["invert", "--map", t32_path, "--degree", "7", "--method", "trees", "--budget", "10"]

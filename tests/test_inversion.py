@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 
@@ -21,6 +22,7 @@ from treeinv.inversion import (
 )
 from treeinv.poly import Poly, Series, series_compose
 from treeinv.tensormap import PolyMap, SymTensor, build_H
+from treeinv.trees import ValencedTree, VertexSet, _shapes_cached, amplitude_vector
 
 
 def _series_1d(coeffs: dict[int, Fraction], cap: int) -> Series:
@@ -263,3 +265,42 @@ def test_invert_report_nonpolynomial():
     report = invert_report(univariate_map(2, 1), D=8)
     assert report.polynomial_degree is None
     assert report.verified_to == 8
+
+
+def _tree_of_shape(shape, V: int, d: int) -> ValencedTree:
+    """A labeled tree of the nested shape: internal vertices 1..V, then the leaves."""
+    vs = VertexSet.for_internal(V, d)
+    internal, leaves = iter(range(1, V + 1)), iter(range(V + 1, vs.total))
+    edges = []
+    stack = [(shape, 0)]
+    while stack:
+        s, parent = stack.pop()
+        v = next(internal) if s else next(leaves)
+        edges.append((parent, v))
+        stack.extend((child, v) for child in s)
+    return ValencedTree(vs, edges)
+
+
+_RANDOM_N_D = [(2, 2), (3, 2), (2, 3), (3, 3), (2, 4)]
+
+
+@pytest.mark.parametrize(
+    "pmap",
+    list(catalog()) + [random_map(n, d, seed=s) for n, d in _RANDOM_N_D for s in (1, 2)],
+    ids=lambda p: p.name,
+)
+def test_denominators_are_fixed_by_tree_size(pmap):
+    # read in Fractions: with L the lcm of the tensor's denominators,
+    # (L d!)^V G_m is integral for V = (m-1)/(d-1), the tree size of G_m,
+    # and so is L^V times the amplitude of a tree with V internal vertices
+    d = pmap.d
+    L = lcm(*[value.denominator for value in pmap.tensor.entries.values()])
+    D = 9 if d == 2 else 11
+    for g in fixed_point_inverse(pmap, D):
+        for mono, c in g.body.terms.items():
+            V = (sum(mono) - 1) // (d - 1)
+            assert (c * (L * factorial(d)) ** V).denominator == 1, (mono, c)
+    for V in range(4):
+        for shape in _shapes_cached(V, d):
+            for amp in amplitude_vector(_tree_of_shape(shape, V, d), pmap):
+                assert all((c * L**V).denominator == 1 for c in amp.terms.values())

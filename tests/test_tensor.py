@@ -150,9 +150,21 @@ def _seeded_maps() -> list[PolyMap]:
 
 @pytest.mark.parametrize("pmap", _seeded_maps(), ids=lambda p: p.name)
 def test_jacobian_matrix_equals_derivatives_of_H(pmap):
-    hs = build_H(pmap)
-    m = jacobian_matrix(pmap)
-    assert m.entries == [[h.diff(j) for j in range(pmap.n)] for h in hs]
+    # dH_i/dx_j read straight off the tensor, in Fractions: the coefficient
+    # of x^mu in M[i][j] is w_{i, mu + e_j} / mu!, mu! the product of the
+    # factorials of mu's multiplicities
+    n = pmap.n
+    want = [[{} for _ in range(n)] for _ in range(n)]
+    for (i, lower), value in pmap.tensor.entries.items():
+        for j in set(lower):
+            mu = list(lower)
+            mu.remove(j)
+            mu_fact = 1
+            for k in set(mu):
+                mu_fact *= factorial(mu.count(k))
+            want[i][j][tuple(mu.count(k) for k in range(n))] = value / mu_fact
+    got = jacobian_matrix(pmap).entries
+    assert [[entry.terms for entry in row] for row in got] == want
 
 
 @pytest.mark.parametrize("pmap", _seeded_maps(), ids=lambda p: p.name)
