@@ -8,14 +8,15 @@ they disagree.  The determinant is a cofactor expansion of its own copy
 of I - M, packed from the tensor's ints, and shares nothing with the
 powers of M; nilpotency and traces read the same per-map powers, since
 they are the same matrices.  The powers, their traces and the
-determinant are packed integer parts (see polymatrix.py), read here as
-parts and unpacked to Poly only for trace_powers.  Only what a reading
-needs is formed: a zero test of M^k is answered by M's values at a
-fixed integer point when they prove M^k != 0, and otherwise on the
-symbolic M^k, so a zero is always proven exactly, and analyze forms a
-matrix product only for a power that is zero at that point (on a
-non-unit map, none).  tr M^k comes from the two halves M^ceil(k/2),
-M^floor(k/2) unless M^k is already held.
+determinant are packed int numerators over denominators fixed by
+structure (see polymatrix.py), read here as numerators and unpacked to
+Poly only for trace_powers.  Only what a reading needs is formed: a
+zero test of M^k is answered by M's values at a fixed integer point
+when they prove M^k != 0, and otherwise on the symbolic M^k, so a zero
+is always proven exactly, and analyze forms a matrix product only for
+a power that is zero at that point (on a non-unit map, none).  tr M^k
+comes from the two halves M^ceil(k/2), M^floor(k/2) unless M^k is
+already held.
 
 The diagrammatic forms contract chains (open) or loops (closed) of k
 tensor vertices and symmetrize over the k(d-1) free legs.  No
@@ -28,9 +29,11 @@ tensor is never an artifact of one code path.  The contraction reads
 only the tensor, never the memoized powers or the packed kernel: it
 takes the tensor's int form over the lcm L of its denominators
 (SymTensor._scaled) and multiplies int vertex matrices, so its sums
-are exact over L^k; the coefficient route reads packed keys of M^k.
-The two are compared by cross-multiplying ints.  The chain and the
-loop of one length share one contraction walk, kept in the map's memo.
+are exact over L^k; the coefficient route reads packed keys of M^k,
+whose numerators are over (L (d-1)!)^k.  A sum and a numerator of the
+same leg multiset are then equal as ints, and are compared so.  The
+chain and the loop of one length share one contraction walk, kept in
+the map's memo.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ from math import factorial
 
 from treeinv._combinat import distinct_permutations, exponents, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
-from treeinv.poly import Poly, _from_part, _pack
+from treeinv.poly import Poly, _from_nums, _pack
 from treeinv.polymatrix import DET_DIM_GUARD, _mat_mul
 from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
@@ -79,7 +82,9 @@ def trace_powers(pmap: PolyMap, k_max: int | None = None) -> list[Poly]:
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
     powers = jacobian_powers(pmap, k_max)
-    return [_from_part(pmap.n, powers.base, powers.trace(k)) for k in range(1, k_max + 1)]
+    return [
+        _from_nums(pmap.n, powers.base, powers.den**k, powers.trace(k)) for k in range(1, k_max + 1)
+    ]
 
 
 @dataclass
@@ -96,7 +101,8 @@ def analyze(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> JacobianVerdict:
     unit = is_unit_jacobian(pmap, guard)
     order = nilpotency_order(pmap)
     powers = jacobian_powers(pmap, pmap.n)
-    traces = not any(powers.trace(k)[1] for k in range(1, pmap.n + 1))
+    # a trace holds no zero numerator (polymatrix.py), so an empty dict is tr M^k = 0
+    traces = not any(powers.trace(k) for k in range(1, pmap.n + 1))
     if not (unit == (order is not None) == traces):
         raise AssertionError(
             f"equivalence violated on {pmap!r}: det={unit}, "
@@ -159,20 +165,19 @@ def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
 
 
 def _routes(pmap: PolyMap, k: int, budget: int):
-    """The walk for k, the powers of M, and the scales that compare them.
+    """The walk for k, the powers of M, and the denominator of the tensor values.
 
-    A contraction sum x over L^k and a coefficient c / den of M^k are the
-    same leg-symmetrized value, m(mu) / K! times each, iff x * den ==
-    c * unit with unit = (d-1)!^k L^k; the tensor value is x m(mu) / over
-    with over = L^k K!.
+    A contraction sum x over L^k and a numerator c of M^k over
+    (L (d-1)!)^k are the same leg-symmetrized value, m(mu) / K! times
+    each, iff x == c; the tensor value is x m(mu) / over with
+    over = L^k K!.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     K = k * (pmap.d - 1)
     _check_leg_budget(pmap.n, K, budget)
     Lk, sums = _chain_products(pmap, k, K)
-    unit = factorial(pmap.d - 1) ** k * Lk
-    return K, sums, jacobian_powers(pmap, k), unit, Lk * factorial(K)
+    return K, sums, jacobian_powers(pmap, k), Lk * factorial(K)
 
 
 def symmetrized_chain_tensor(
@@ -185,8 +190,8 @@ def symmetrized_chain_tensor(
     tensor is equivalent to M(x)^k = 0.
     """
     n = pmap.n
-    K, sums, powers, unit, over = _routes(pmap, k, budget)
-    # independent route: coefficients of the matrix power, read on its packed parts
+    K, sums, powers, over = _routes(pmap, k, budget)
+    # independent route: coefficients of the matrix power, read on its packed numerators
     Mk = powers.power(k)
     zero = [[0] * n] * n
     result: ChainTensor = {}
@@ -196,9 +201,8 @@ def symmetrized_chain_tensor(
         m = multiplicity_factor(mu)
         for i in range(n):
             for j in range(n):
-                den, nums = Mk[i][j]
                 x = total[i][j]
-                if x * den != nums.get(key, 0) * unit:
+                if x != Mk[i][j].get(key, 0):
                     raise AssertionError(f"chain tensor paths disagree for k={k} on {pmap!r}")
                 if x:
                     result[(i, j, mu)] = Fraction(x * m, over)
@@ -213,13 +217,13 @@ def symmetrized_loop_tensor(
     Vanishing is equivalent to tr M(x)^k = 0.
     """
     n = pmap.n
-    K, sums, powers, unit, over = _routes(pmap, k, budget)
-    den, nums = powers.trace(k)
+    K, sums, powers, over = _routes(pmap, k, budget)
+    nums = powers.trace(k)
     result: LoopTensor = {}
     for mu in combinations_with_replacement(range(n), K):
         total = sums.get(mu)
         tr = sum(total[i][i] for i in range(n)) if total else 0
-        if tr * den != nums.get(_pack(exponents(mu, n), powers.base), 0) * unit:
+        if tr != nums.get(_pack(exponents(mu, n), powers.base), 0):
             raise AssertionError(f"loop tensor paths disagree for k={k} on {pmap!r}")
         if tr:
             result[mu] = Fraction(tr * multiplicity_factor(mu), over)

@@ -186,8 +186,9 @@ def theorem1_check(
 ) -> RadiusReport:
     """Residual and norm-bound check at each sample point.
 
-    Every point must satisfy ||y||_inf <= 0.9 R; anything farther out is
-    rejected outright since the truncation error is uncontrolled there.
+    Every point must be finite and satisfy ||y||_inf <= 0.9 R; anything
+    else is rejected outright, since the truncation error is uncontrolled
+    farther out and a nan coordinate would pass the radius test.
     The residual is max_i |F_i(G_num(y)) - y_i| for the degree-D
     truncation G; the bound check allows tol of float slack.  A given G
     is truncated to degree D, and must reach it: a component whose cap
@@ -204,6 +205,8 @@ def theorem1_check(
         point = tuple(float(c) for c in point)
         if len(point) != n:
             raise ValueError(f"point {point} has wrong dimension, expected {n}")
+        if not all(map(math.isfinite, point)):
+            raise ValueError(f"point {point} has a coordinate that is not finite")
         r = max(abs(c) for c in point)
         if r > 0.9 * R:
             raise ValueError(

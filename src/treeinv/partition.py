@@ -7,28 +7,29 @@ condition forces Z = 1 (self-normalization).
 
 Since M(G(y))^k = (M^k)(G(y)) and composition is linear in the outer
 polynomial, log Z is one composition P(G) of the exact polynomial
-P = sum over k of (1/k) tr M(x)^k with G.  The sum stops at the first
-M^k = 0; each zero test reads M's values at a fixed integer point first
-and confirms a zero on the symbolic M^k, and each trace is taken from
-the two halves of k (see polymatrix.py), so a non-unit map forms no
-power of M above the halves it needs.  G has no constant term, so
-composing det(I - M) with G in verify_z_identity skips the monomials
-above the cap.  Each object a map derives
-(H, the powers of M, det(I - M), G, log Z and Z) is computed once per
-map and cap and then read from the map's memo; G at a smaller cap is a
-truncation of the largest one computed.  Z = exp(log Z) uses
+P = sum over k of (1/k) tr M(x)^k with G.  tr M^k is numerators over
+den^k with den = L (d-1)! (tensormap.py) and has degree k(d-1), so P is
+the traces' terms over k den^k, merged with no lcm.  The sum stops at
+the first M^k = 0; each zero test reads M's values at a fixed integer
+point first and confirms a zero on the symbolic M^k, and each trace is
+taken from the two halves of k (see polymatrix.py), so a non-unit map
+forms no power of M above the halves it needs.  G has no constant
+term, so composing det(I - M) with G in verify_z_identity skips the
+monomials above the cap.  Each object a map derives (H, the powers of
+M, det(I - M), G, log Z and Z) is computed once per map and cap and
+then read from the map's memo; G at a smaller cap is a truncation of
+the largest one computed.  Z = exp(log Z) uses
 series_exp from poly.py (series_log is re-exported from there too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from treeinv.errors import PreconditionError
 from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
-from treeinv.poly import _UNIT, Series, _from_part, _graded_dot, series_compose, series_exp
+from treeinv.poly import Poly, Series, _from_nums, series_compose, series_exp
 from treeinv.poly import series_log  # noqa: F401 - public as treeinv.partition.series_log
 from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
 
@@ -50,13 +51,12 @@ def log_z_series(pmap: PolyMap, D: int) -> Series:
 def _log_z(pmap: PolyMap, D: int) -> Series:
     k_max = D // (pmap.d - 1)
     powers = jacobian_powers(pmap, k_max)
-    terms = []
+    terms = {}
     for k in range(1, k_max + 1):
         if powers.is_zero(k):
             break
-        terms.append((Fraction(1, k), powers.trace(k), _UNIT))
-    P = _from_part(pmap.n, powers.base, _graded_dot(terms))
-    return series_compose(P, inverse_series(pmap, D))
+        terms.update(_from_nums(pmap.n, powers.base, k * powers.den**k, powers.trace(k)).terms)
+    return series_compose(Poly._trusted(pmap.n, terms), inverse_series(pmap, D))
 
 
 def z_series(pmap: PolyMap, D: int) -> Series:

@@ -23,18 +23,20 @@ cap)`` packs a polynomial, and ``.body`` unpacks one afresh on every
 read.  Values are never mutated after construction, so they are safe to
 share and to reduce in any order.
 
-The same parts carry the untruncated products elsewhere: the matrix
-products and the determinant of polymatrix.py and the tree contractions
-of trees.py pack their operands in a base above every exponent the
-result can reach, so no product is truncated and the ``Poly`` product
-here is their test oracle.
+The same packed numerators carry the untruncated products elsewhere:
+the matrix products and the determinant of polymatrix.py and the tree
+contractions of trees.py pack their operands in a base above every
+exponent the result can reach, so no product is truncated and the
+``Poly`` product here is their test oracle.  Every pair product is one
+``_addmul`` over a denominator fixed by structure, so none takes an lcm
+or a gcd.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import factorial, gcd, lcm, perm
 from typing import Iterable, Mapping
 
 from treeinv.errors import DimensionMismatchError
@@ -299,12 +301,10 @@ def poly_compose(f: Poly, gs: list[Poly]) -> Poly:
 
 # -- the series kernel ------------------------------------------------
 #
-# A homogeneous part is a pair (den, dict) of a positive int denominator
-# and packed keys mapped to int numerators; a Series holds one
-# denominator for all its degrees.  series_exp and series_log below work
-# on parts, and the fixed point in inversion.py on bare numerators.
-
-Part = tuple[int, dict[int, int]]
+# A homogeneous part is a dict of packed keys mapped to int numerators
+# over a denominator fixed by where it comes from: a Series holds one for
+# all its degrees, and series_exp, series_log and the packed matrices of
+# polymatrix.py know theirs from structure, so no product takes an lcm.
 
 
 def _pack(mono: Monomial, base: int) -> int:
@@ -332,32 +332,16 @@ def _addmul(acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
             acc[k] = get(k, 0) + va * vb
 
 
-def _graded_dot(terms) -> tuple[int, dict[int, int]]:
-    """The part sum of c * a * b over (c, a, b) in terms, reduced by _reduce.
-
-    c is an int or Fraction and a, b are parts.  The products are summed
-    over the lcm of their denominators; each term's scale factor enters
-    once per numerator of its smaller factor, in the outer loop, so no
-    scaled copy of a factor is made.  A one-term factor (the constant
-    part ``_UNIT``, a degree-1 part of ``y``) is a single pass over the
-    other factor.
-    """
-    terms = list(terms)
-    dens = [c.denominator * a[0] * b[0] for c, a, b in terms]
-    L = lcm(*dens)
+def _dot(pairs) -> dict[int, int]:
+    """The numerators of the sum of a * b over pairs of numerator dicts, without zeros."""
     acc: dict[int, int] = {}
-    get = acc.get
-    for (c, (_, a), (_, b)), den in zip(terms, dens):
-        f = c.numerator * (L // den)
-        if len(a) > len(b):
-            a, b = b, a
-        for ka, va in a.items():
-            va *= f
-            for kb, vb in b.items():
-                k = ka + kb
-                acc[k] = get(k, 0) + va * vb
-    den, (acc,) = _reduce(L, [acc])
-    return den, acc
+    for a, b in pairs:
+        if a and b:
+            # the outer loop over the smaller factor starts fewer inner loops
+            if len(a) > len(b):
+                a, b = b, a
+            _addmul(acc, a, b)
+    return {k: v for k, v in acc.items() if v}
 
 
 def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
@@ -373,26 +357,14 @@ def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, 
     return den, comps
 
 
-def _to_part(p: Poly, base: int) -> Part:
-    """p as one part, keys packed in base; every exponent of p must be below it."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    return den, {_pack(m, base): c.numerator * (den // c.denominator) for m, c in p.terms.items()}
-
-
-def _from_part(n: int, base: int, part: Part) -> Poly:
-    """The Poly of a part whose keys are packed in base; zero numerators must be absent."""
-    den, nums = part
-    return Poly._trusted(n, {_unpack(k, n, base): Fraction(v, den) for k, v in nums.items()})
+def _from_nums(n: int, base: int, den: int, nums: dict[int, int]) -> Poly:
+    """The Poly of numerators over den whose keys are packed in base; zeros are skipped."""
+    return Poly._trusted(n, {_unpack(k, n, base): Fraction(v, den) for k, v in nums.items() if v})
 
 
 def _variables(n: int, base: int) -> list[dict[int, int]]:
     """The numerators of x_0, ..., x_{n-1} over denominator 1, keys packed in base."""
     return [{base**j: 1} for j in range(n)]
-
-
-# The constant part 1, so that a sum of c * a is _graded_dot over (c, a, _UNIT).
-_UNIT = (1, {0: 1})
-_ZERO_PART = (1, {})
 
 
 class Series:
@@ -455,10 +427,7 @@ class Series:
     def body(self) -> Poly:
         # keys of different degrees are different monomials, so the merge loses none
         nums = {k: v for c in self.comps for k, v in c.items()}
-        return _from_part(self.n, self.cap + 1, (self.den, nums))
-
-    def _part(self, degree: int) -> tuple[int, dict[int, int]]:
-        return self.den, self.comps[degree]
+        return _from_nums(self.n, self.cap + 1, self.den, nums)
 
     def _check_compat(self, other: Series) -> None:
         if self.n != other.n or self.cap != other.cap:
@@ -509,7 +478,7 @@ class Series:
 
     def homogeneous_component(self, degree: int) -> Poly:
         nums = self.comps[degree] if 0 <= degree <= self.cap else {}
-        return _from_part(self.n, self.cap + 1, (self.den, nums))
+        return _from_nums(self.n, self.cap + 1, self.den, nums)
 
     def __eq__(self, other) -> bool:
         return (
@@ -628,33 +597,42 @@ def series_exp(s: Series) -> Series:
 
     Through the scaling operator: with S the sum of its homogeneous parts
     S_j, E = exp(S) satisfies m E_m = sum_{j=1..m} j S_j E_{m-j}; series_log
-    runs the reverse recursion.  Both are exact over the rationals.
+    runs the reverse recursion.  With S_j = sigma_j / s, E_m is an int
+    numerator e_m over m! s^m, and
+    e_m = sum_j j perm(m-1, j-1) s^(j-1) sigma_j e_{m-j}.  Both are exact
+    over the rationals.
     """
     if s.comps[0]:
         raise ValueError("series_exp needs zero constant term")
-    cap = s.cap
-    E = [_UNIT]
-    for m in range(1, cap + 1):
-        E.append(
-            _graded_dot(
-                (Fraction(j, m), s._part(j), E[m - j]) for j in range(1, m + 1) if s.comps[j]
-            )
-        )
-    return Series._from_parts(s.n, E)
+    sigma, den = s.comps, s.den
+    E = [{0: 1}]
+    for m in range(1, s.cap + 1):
+        acc: dict[int, int] = {}
+        for j in range(1, m + 1):
+            if sigma[j] and E[m - j]:
+                c = j * perm(m - 1, j - 1) * den ** (j - 1)
+                _addmul(acc, {k: c * v for k, v in sigma[j].items()}, E[m - j])
+        E.append(acc)
+    return Series._from_parts(s.n, [(factorial(m) * den**m, e) for m, e in enumerate(E)])
 
 
 def series_log(s: Series) -> Series:
-    """log of a series with constant term one."""
+    """log of a series with constant term one.
+
+    L_m = S_m - sum_{j<m} (j/m) L_j S_{m-j}, with L_m an int numerator
+    l_m over m! s^m as in series_exp:
+    l_m = m! s^(m-1) sigma_m - sum_j j perm(m-1, m-1-j) s^(m-j-1) l_j sigma_{m-j}.
+    """
     if s.coefficient((0,) * s.n) != 1:
         raise ValueError("series_log needs constant term 1")
-    cap = s.cap
-    L = [_ZERO_PART]
-    for m in range(1, cap + 1):
-        terms = [(1, s._part(m), _UNIT)]
-        terms += [
-            (Fraction(-j, m), L[j], s._part(m - j))
-            for j in range(1, m)
-            if L[j][1] and s.comps[m - j]
-        ]
-        L.append(_graded_dot(terms))
-    return Series._from_parts(s.n, L)
+    sigma, den = s.comps, s.den
+    ell: list[dict[int, int]] = [{}]
+    for m in range(1, s.cap + 1):
+        c = factorial(m) * den ** (m - 1)
+        acc = {k: c * v for k, v in sigma[m].items()}
+        for j in range(1, m):
+            if ell[j] and sigma[m - j]:
+                c = -j * perm(m - 1, m - 1 - j) * den ** (m - j - 1)
+                _addmul(acc, {k: c * v for k, v in sigma[m - j].items()}, ell[j])
+        ell.append(acc)
+    return Series._from_parts(s.n, [(factorial(m) * den**m, e) for m, e in enumerate(ell)])

@@ -1,24 +1,28 @@
 """Square matrices of polynomials: products, powers, traces, determinants.
 
 Houses the derivative matrix of a polynomial map and I - M.  Entries are
-``Poly`` at the boundary, but every product runs on the packed integer
-parts of ``poly.py``: an entry becomes one part (one int denominator,
-packed keys mapped to int numerators) in a base above every exponent the
-result can reach, so keys add without carrying.  A matrix product forms
-each entry with one ``_graded_dot``.  ``PackedPowers`` keeps powers of P
-as parts in one base, made only when a reading needs them, and nothing
-is unpacked until a caller asks for a ``PolyMatrix``; ``power`` and the
-per-map powers of M (tensormap.py) both run on it.  P^k is the product
-P^ceil(k/2) P^floor(k/2), so a power is one product of two held ones.
-tr P^k is the diagonal of P^k when that power is held, and otherwise
-the sum of (P^ceil(k/2))_ij (P^floor(k/2))_ji, which does not form P^k.
-A zero test of P^k first raises the int matrix of P's values at a fixed
-integer point (the first n primes) to the k-th power: a nonzero value
-proves P^k != 0 (the one-sided half of Schwartz's identity test), and a
-zero value is always settled on the symbolic P^k, so a zero is proven
-exactly.  The determinant is a cofactor expansion along the first
-column on parts, its minors built by size from the ones a row smaller,
-behind a dimension guard.  Entries need not be homogeneous.
+``Poly`` at the boundary, but every product runs on packed ints
+(poly.py): a packed matrix is (den, rows), one int denominator and rows
+of dicts from packed keys to int numerators, in a base above every
+exponent the result can reach.  The denominator is fixed by structure:
+a product of matrices over a and b is over a b, each entry one ``_dot``
+of ``_addmul`` pair products with no lcm or gcd, so P^k and tr P^k are
+over den^k and a dim x dim determinant over den^dim.  An entry of a
+product, a trace and a determinant holds no zero numerator, so a zero
+test reads dict emptiness.  ``PackedPowers``
+keeps the powers of P in one base, made only when a reading needs them,
+and nothing is unpacked until a caller asks for a ``PolyMatrix``;
+``power`` and the per-map powers of M (tensormap.py) both run on it.
+P^k is the product P^ceil(k/2) P^floor(k/2), so a power is one product
+of two held ones.  tr P^k is the diagonal of P^k when that power is
+held, and otherwise the sum of (P^ceil(k/2))_ij (P^floor(k/2))_ji, which
+does not form P^k.  A zero test of P^k first raises the int matrix of
+P's numerators at a fixed integer point (the first n primes) to the k-th
+power: a nonzero value proves P^k != 0 (the one-sided half of Schwartz's
+identity test), and a zero value is always settled on the symbolic P^k,
+so a zero is proven exactly.  The determinant is a cofactor expansion
+along the first column, its minors built by size from the ones a row
+smaller, behind a dimension guard.  Entries need not be homogeneous.
 """
 
 from __future__ import annotations
@@ -27,9 +31,12 @@ from itertools import combinations
 from math import lcm, prod
 
 from treeinv.errors import DimensionMismatchError, GuardExceededError
-from treeinv.poly import _UNIT, Part, Poly, _from_part, _graded_dot, _to_part, _unpack
+from treeinv.poly import Poly, _dot, _from_nums, _pack, _unpack
 
 DET_DIM_GUARD = 8
+
+# The numerators of a packed matrix, one dict per entry; the denominator travels beside them.
+Rows = list[list[dict[int, int]]]
 
 
 class PolyMatrix:
@@ -88,25 +95,32 @@ class PolyMatrix:
     def __mul__(self, other: PolyMatrix) -> PolyMatrix:
         self._check(other)
         base = self._degree() + other._degree() + 1
-        return _from_parts(self.n, base, _mul_parts(self._parts(base), other._parts(base)))
+        (da, A), (db, B) = self._packed(base), other._packed(base)
+        return _from_parts(self.n, base, da * db, _mul_rows(A, B))
 
     def _degree(self) -> int:
         """Largest total degree of an entry, 0 for the zero matrix."""
         return max(0, max(p.total_degree() for row in self.entries for p in row))
 
-    def _parts(self, base: int) -> list[list[Part]]:
-        return [[_to_part(p, base) for p in row] for row in self.entries]
+    def _packed(self, base: int) -> tuple[int, Rows]:
+        """The entries as numerators over the lcm of their denominators, keys packed in base."""
+        den = lcm(*[c.denominator for row in self.entries for p in row for c in p.terms.values()])
+        return den, [
+            [{_pack(m, base): c.numerator * (den // c.denominator) for m, c in p.terms.items()} for p in row]
+            for row in self.entries
+        ]
 
     def power(self, k: int) -> PolyMatrix:
-        """self^k, k >= 1: packed once, multiplied on parts, unpacked once."""
+        """self^k, k >= 1: packed once, multiplied packed, unpacked once."""
         if k < 1:
             raise ValueError(f"matrix power requires k >= 1, got {k}")
         base = k * self._degree() + 1
-        return PackedPowers(self.n, base, self._parts(base)).matrix(k)
+        return PackedPowers(self.n, base, *self._packed(base)).matrix(k)
 
     def trace(self) -> Poly:
         base = self._degree() + 1
-        return _from_part(self.n, base, _trace_part(self._parts(base)))
+        den, rows = self._packed(base)
+        return _from_nums(self.n, base, den, _trace_nums(rows))
 
     def is_zero(self) -> bool:
         return all(p.is_zero() for row in self.entries for p in row)
@@ -116,7 +130,7 @@ class PolyMatrix:
         check_det_guard(self.dim, guard)
         # every product of at most dim entries has degree <= dim * (entry degree)
         base = self.dim * self._degree() + 1
-        return _from_part(self.n, base, _det_cofactor(self._parts(base)))
+        return _from_nums(self.n, base, *_det_cofactor(*self._packed(base)))
 
     def __eq__(self, other) -> bool:
         return (
@@ -142,28 +156,29 @@ def check_det_guard(dim: int, guard: int) -> None:
 
 
 class PackedPowers:
-    """Powers of one square matrix P as packed parts in one base, made on demand.
+    """Powers of one square matrix P as packed numerators in one base, made on demand.
 
-    ``rows`` is P as parts in ``base``; every exponent of every power asked
-    for must be below ``base``, which the caller picks from its degree
-    bound.  ``power(k)`` and ``trace(k)`` are parts, computed once each and
-    shared, never mutated.
+    ``rows`` is P's numerators over ``den`` in ``base``; every exponent of
+    every power asked for must be below ``base``, which the caller picks
+    from its degree bound.  ``power(k)`` and ``trace(k)`` are numerators
+    over den^k, computed once each and shared, never mutated.
     """
 
-    __slots__ = ("n", "base", "_powers", "_traces", "_at_point")
+    __slots__ = ("n", "base", "den", "_powers", "_traces", "_at_point")
 
-    def __init__(self, n: int, base: int, rows: list[list[Part]]):
+    def __init__(self, n: int, base: int, den: int, rows: Rows):
         self.n = n
         self.base = base
+        self.den = den
         self._powers = {1: rows}
-        self._traces: dict[int, Part] = {}
+        self._traces: dict[int, dict[int, int]] = {}
         self._at_point: list[list[list[int]]] = []
 
-    def power(self, k: int) -> list[list[Part]]:
+    def power(self, k: int) -> Rows:
         """P^k = P^ceil(k/2) P^floor(k/2), k >= 1."""
         powers = self._powers
         if k not in powers:
-            powers[k] = _mul_parts(self.power((k + 1) // 2), self.power(k // 2))
+            powers[k] = _mul_rows(self.power((k + 1) // 2), self.power(k // 2))
         return powers[k]
 
     def is_zero(self, k: int) -> bool:
@@ -175,27 +190,22 @@ class PackedPowers:
             values.append(_mat_mul(values[-1], values[0]))
         if any(any(row) for row in values[k - 1]):
             return False
-        return not any(e[1] for row in self.power(k) for e in row)
+        return not any(any(row) for row in self.power(k))
 
-    def trace(self, k: int) -> Part:
+    def trace(self, k: int) -> dict[int, int]:
         """tr P^k: the diagonal of P^k if held, else sum (P^ceil(k/2))_ij (P^floor(k/2))_ji."""
         traces = self._traces
         if k not in traces:
             if k in self._powers:
-                traces[k] = _trace_part(self._powers[k])
+                traces[k] = _trace_nums(self._powers[k])
             else:
                 A, B = self.power((k + 1) // 2), self.power(k // 2)
-                traces[k] = _graded_dot(
-                    (1, a, B[j][i])
-                    for i, row in enumerate(A)
-                    for j, a in enumerate(row)
-                    if a[1] and B[j][i][1]
-                )
+                traces[k] = _dot((a, B[j][i]) for i, row in enumerate(A) for j, a in enumerate(row))
         return traces[k]
 
     def matrix(self, k: int) -> PolyMatrix:
         """P^k as a fresh PolyMatrix."""
-        return _from_parts(self.n, self.base, self.power(k))
+        return _from_parts(self.n, self.base, self.den**k, self.power(k))
 
 
 def _witness(n: int) -> list[int]:
@@ -213,15 +223,13 @@ def _witness(n: int) -> list[int]:
     return primes
 
 
-def _at_witness(n: int, base: int, rows: list[list[Part]]) -> list[list[int]]:
-    """The values of a matrix of parts at the witness point, times the lcm of the denominators."""
+def _at_witness(n: int, base: int, rows: Rows) -> list[list[int]]:
+    """The values of a packed matrix's numerators at the witness point."""
     point = _witness(n)
-    L = lcm(*[den for row in rows for den, _ in row])
-
-    def value(den: int, nums: dict[int, int]) -> int:
-        return L // den * sum([v * prod(map(pow, point, _unpack(k, n, base))) for k, v in nums.items()])
-
-    return [[value(den, nums) for den, nums in row] for row in rows]
+    return [
+        [sum([v * prod(map(pow, point, _unpack(k, n, base))) for k, v in nums.items()]) for nums in row]
+        for row in rows
+    ]
 
 
 def _mat_mul(A: list[list], B: list[list]) -> list[list]:
@@ -230,37 +238,42 @@ def _mat_mul(A: list[list], B: list[list]) -> list[list]:
     return [[sum([a * b for a, b in zip(row, col)]) for col in cols] for row in A]
 
 
-def _mul_parts(A: list[list[Part]], B: list[list[Part]]) -> list[list[Part]]:
+def _mul_rows(A: Rows, B: Rows) -> Rows:
+    """The numerators of a matrix product, over the product of the factors' denominators."""
     cols = list(zip(*B))
-    return [
-        [_graded_dot((1, a, b) for a, b in zip(row, col) if a[1] and b[1]) for col in cols]
-        for row in A
-    ]
+    return [[_dot(zip(row, col)) for col in cols] for row in A]
 
 
-def _trace_part(rows: list[list[Part]]) -> Part:
-    return _graded_dot((1, row[i], _UNIT) for i, row in enumerate(rows) if row[i][1])
+def _trace_nums(rows: Rows) -> dict[int, int]:
+    acc: dict[int, int] = {}
+    for i, row in enumerate(rows):
+        get = acc.get
+        for k, v in row[i].items():
+            acc[k] = get(k, 0) + v
+    return {k: v for k, v in acc.items() if v}
 
 
-def _from_parts(n: int, base: int, rows: list[list[Part]]) -> PolyMatrix:
-    return PolyMatrix([[_from_part(n, base, e) for e in row] for row in rows])
+def _from_parts(n: int, base: int, den: int, rows: Rows) -> PolyMatrix:
+    return PolyMatrix([[_from_nums(n, base, den, nums) for nums in row] for row in rows])
 
 
-def _det_cofactor(rows: list[list[Part]]) -> Part:
-    """Cofactor expansion along the first column, with the minors built by size.
+def _det_cofactor(den: int, rows: Rows) -> tuple[int, dict[int, int]]:
+    """The determinant of a packed matrix by cofactor expansion along the first column.
 
     A minor is keyed by the rows it keeps and uses the last as many
     columns; it is expanded along its first column from the minors a
     row smaller, made in the pass before, so each minor is made once.
+    A minor of size s is over den^s, and odd positions read a negated
+    copy of the rows, made once.
     """
     dim = len(rows)
-    minors: dict[tuple[int, ...], Part] = {(i,): row[-1] for i, row in enumerate(rows)}
+    negated = [[{k: -v for k, v in nums.items()} for nums in row] for row in rows]
+    minors = {(i,): row[-1] for i, row in enumerate(rows)}
     for size in range(2, dim + 1):
         c = dim - size
         for kept in combinations(range(dim), size):
-            minors[kept] = _graded_dot(
-                (-1 if pos % 2 else 1, rows[i][c], minors[kept[:pos] + kept[pos + 1 :]])
+            minors[kept] = _dot(
+                ((negated if pos % 2 else rows)[i][c], minors[kept[:pos] + kept[pos + 1 :]])
                 for pos, i in enumerate(kept)
-                if rows[i][c][1]
             )
-    return minors[tuple(range(dim))]
+    return den**dim, minors[tuple(range(dim))]

@@ -17,11 +17,12 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from treeinv._combinat import exponents, multiset_orbit_size
-from treeinv.poly import Part, Poly, _from_part, _pack
+from treeinv.poly import Poly, _from_nums, _pack
 from treeinv.polymatrix import (
     DET_DIM_GUARD,
     PackedPowers,
     PolyMatrix,
+    Rows,
     _det_cofactor,
     check_det_guard,
 )
@@ -193,7 +194,7 @@ def jacobian_matrix(pmap: PolyMap) -> PolyMatrix:
 
 
 def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
-    """The per-map powers of M as packed parts, in a base that holds M^k_max.
+    """The per-map powers of M as packed numerators, in a base that holds M^k_max.
 
     M^k is homogeneous of degree k(d-1).  The first base holds every power
     up to M^(2 max(k_max, n)), and each power is made once per base.  A
@@ -204,7 +205,7 @@ def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
     base = 2 * max(k_max, pmap.n) * step + 1
     return pmap._memoized(
         "M^k",
-        lambda: PackedPowers(pmap.n, base, _jacobian_parts(pmap.tensor, base)),
+        lambda: PackedPowers(pmap.n, base, *_jacobian_parts(pmap.tensor, base)),
         lambda powers: k_max * step < powers.base,
     )
 
@@ -220,42 +221,38 @@ def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
     check_det_guard(n, guard)
     base = n * (pmap.d - 1) + 1
     return pmap._memoized(
-        "det", lambda: _from_part(n, base, _det_cofactor(_one_minus_m_parts(pmap.tensor, base)))
+        "det", lambda: _from_nums(n, base, *_det_cofactor(*_one_minus_m_parts(pmap.tensor, base)))
     )
 
 
-def _one_minus_m_parts(tensor: SymTensor, base: int) -> list[list[Part]]:
-    """I - M as packed parts in base, from a fresh copy of M."""
-    rows = [
-        [(den, {key: -v for key, v in nums.items()}) for den, nums in row]
-        for row in _jacobian_parts(tensor, base)
-    ]
+def _one_minus_m_parts(tensor: SymTensor, base: int) -> tuple[int, Rows]:
+    """I - M as a packed matrix in base, over M's denominator, from a fresh copy of M."""
+    den, rows = _jacobian_parts(tensor, base)
+    rows = [[{key: -v for key, v in nums.items()} for nums in row] for row in rows]
     for i, row in enumerate(rows):
         # M has no constant term, so key 0 (the monomial 1) is free on the diagonal
-        den, nums = row[i]
-        row[i] = den, {0: den, **nums}
-    return rows
+        row[i] = {0: den, **row[i]}
+    return den, rows
 
 
-def _jacobian_parts(tensor: SymTensor, base: int) -> list[list[Part]]:
-    """M as packed parts in base, read off the tensor's int form.
+def _jacobian_parts(tensor: SymTensor, base: int) -> tuple[int, Rows]:
+    """M as a packed matrix in base, read off the tensor's int form.
 
     The coefficient of x^mu in M[i][j] is w_{i, mu + e_j} / mu!, and
     (d-1)! / mu! is the orbit size of mu, so over the one denominator
     L (d-1)! (L from SymTensor._scaled) each numerator is an int.  A
-    fresh copy on every call; the parts are not reduced.
+    fresh copy on every call; the numerators are not reduced.
     """
     n = tensor.n
     L, scaled = tensor._scaled()
-    den = L * factorial(tensor.d - 1)
-    nums: list[list[dict[int, int]]] = [[{} for _ in range(n)] for _ in range(n)]
+    nums: Rows = [[{} for _ in range(n)] for _ in range(n)]
     for (i, lower), w in scaled.items():
         for pos, j in enumerate(lower):
             if pos and lower[pos - 1] == j:
                 continue
             mu = lower[:pos] + lower[pos + 1 :]
             nums[i][j][_pack(exponents(mu, n), base)] = w * multiset_orbit_size(mu)
-    return [[(den, entry) for entry in row] for row in nums]
+    return L * factorial(tensor.d - 1), nums
 
 
 def norm_w(pmap: PolyMap) -> Fraction:

@@ -15,23 +15,24 @@ Two sums are provided and must agree.  They differ only in where their
   first over sequence positions, so each pruned vertex's shape code is
   interned from its children's codes once per prefix, and each code's
   nested shape is built once, when it is first interned.  The (count,
-  shape) pairs, and the same pairs weighted count / (V! N!), are
-  cached per stratum for the life of the process.
+  shape) pairs are cached per stratum for the life of the process, and
+  each count is the shape's int weight over V! N!.
 * "grouped" never touches labeled trees: it generates the rooted shapes
-  directly and weights each amplitude by the reciprocal of the shape's
-  automorphism count, which is exactly the labeled multiplicity divided
-  by V!N!.  Its weighted shapes are cached per stratum, separately.
+  directly and weights each amplitude by V! N! / |Aut|, with |Aut| the
+  shape's automorphism count, which is exactly the labeled
+  multiplicity.  Its weighted shapes are cached per stratum, separately.
 
 Both contract nested shapes through one walk, on packed int numerators
 (poly.py): with L the lcm of the tensor's denominators, a subtree with
-V internal vertices has amplitudes over L^V, applied once per stratum
-or tree.  Within one tree_sum_inverse call each distinct
+V internal vertices has amplitudes over L^V, so a stratum's weighted
+sum is over V! N! L^V, fixed by the stratum, and no sum takes an lcm.
+Within one tree_sum_inverse call each distinct
 subtree is contracted once, through a memo keyed by the nested shape
 that lasts across strata.  The memo belongs to the call and to one
 method, and the labeled sum reads its shapes only from the labeled
 walk, so labeled == grouped stays an oracle.  amplitude and
-amplitude_vector contract the nested shape of the given tree and reduce
-and unpack the result to Poly once.
+amplitude_vector contract the nested shape of the given tree and unpack
+the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -39,15 +40,13 @@ Vertex and tensor indices are 0-based throughout this module.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
-from treeinv.poly import _UNIT, _ZERO_PART, Poly, Series, _addmul, _from_part, _graded_dot
-from treeinv.poly import _reduce, _variables
+from treeinv.poly import Poly, Series, _addmul, _dot, _from_nums, _variables
 from treeinv.tensormap import PolyMap
 
 DEFAULT_BUDGET = 10**6
@@ -365,8 +364,7 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
     nums = _amplitude_vector_from_shape(
         _nested_shape(tree.rooted()), groups, {(): _variables(n, base)}
     )
-    den, comps = _reduce(L**tree.vertices.V, nums)
-    return [_from_part(n, base, (den, c)) for c in comps]
+    return [_from_nums(n, base, L**tree.vertices.V, c) for c in nums]
 
 
 def amplitude(tree: ValencedTree, pmap: PolyMap, i: int) -> Poly:
@@ -420,15 +418,16 @@ def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
 
 
 @lru_cache(maxsize=None)
-def _stratum_weights(V: int, d: int, method: str) -> tuple[tuple[Fraction, Shape], ...]:
+def _stratum_weights(V: int, d: int, method: str) -> tuple[tuple[int, Shape], ...]:
     """One method's (weight, shape) pairs for a stratum; the methods share none.
 
-    "labeled" weighs census shapes by count / (V! N!), "grouped" by 1 / |Aut|.
+    The weights are ints over V! N!: "labeled" weighs census shapes by
+    their count, "grouped" by V! N! / |Aut|, each shape's labelings.
     """
     if method == "labeled":
-        weight = Fraction(1, factorial(V) * factorial((d - 1) * V + 1))
-        return tuple((weight * count, s) for count, s in labeled_shape_census(V, d))
-    return tuple((Fraction(1, shape_automorphisms(s)), s) for s in _shapes_cached(V, d))
+        return labeled_shape_census(V, d)
+    labelings = factorial(V) * factorial((d - 1) * V + 1)
+    return tuple((labelings // shape_automorphisms(s), s) for s in _shapes_cached(V, d))
 
 
 @lru_cache(maxsize=1 << 12)
@@ -477,8 +476,9 @@ def tree_sum_inverse(
     defining sum, with 1/(V! N!) weights); method "grouped" sums rooted
     shapes with 1/|Aut| weights.  Both are exact and identical.  A
     stratum larger than budget raises before any stratum is walked; the
-    check applies to both methods so the two are interchangeable.  Amplitudes are packed in base D + 1, so
-    stratum V's weighted sum over L^V is already the degree-N part of the Series.
+    check applies to both methods so the two are interchangeable.
+    Amplitudes are packed in base D + 1, so stratum V's weighted sum, over
+    V! N! L^V, is already the degree-N part of the Series.
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
@@ -492,14 +492,14 @@ def tree_sum_inverse(
     # one subtree memo for every stratum of this call, never shared with
     # the other method, so that labeled == grouped stays an oracle
     memo = {(): _variables(n, D + 1)}
-    parts = [[_ZERO_PART] * (D + 1) for _ in range(n)]
+    parts = [[(1, {})] * (D + 1) for _ in range(n)]
     for V in strata:
+        N = (d - 1) * V + 1
         weighted = [
-            (w, _amplitude_vector_from_shape(s, groups, memo))
+            ({0: w}, _amplitude_vector_from_shape(s, groups, memo))
             for w, s in _stratum_weights(V, d, method)
         ]
+        den = factorial(V) * factorial(N) * L**V
         for i in range(n):
-            parts[i][(d - 1) * V + 1] = _graded_dot(
-                (w, (L**V, comps[i]), _UNIT) for w, comps in weighted if comps[i]
-            )
+            parts[i][N] = den, _dot((w, comps[i]) for w, comps in weighted)
     return [Series._from_parts(n, p) for p in parts]

@@ -38,8 +38,7 @@ def test_overwritten_powers_break_chain_and_loop_agreement():
     # coefficient side now disagrees with the contraction
     powers = pmap._memo["M^k"]
     powers._powers[2] = [
-        [(den, {key: 2 * v for key, v in nums.items()}) for den, nums in row]
-        for row in powers.power(2)
+        [{key: 2 * v for key, v in nums.items()} for nums in row] for row in powers.power(2)
     ]
     with pytest.raises(AssertionError):
         symmetrized_chain_tensor(pmap, 2)

@@ -117,6 +117,18 @@ def test_theorem1_rejects_point_outside_radius():
         theorem1_check(univariate_map(2, 1), 10, [[0.46]])
 
 
+def test_theorem1_rejects_non_finite_point():
+    # nan passes a radius test (nan > x is False) and max(0.0, nan) is 0.0,
+    # so an unchecked nan coordinate would report residual 0.0
+    for pmap in (get_fixture("random-2-2"), PolyMap(SymTensor(2, 2))):
+        for bad in (math.nan, math.inf, -math.inf):
+            for coord in (0, 1):
+                point = [0.0, 0.0]
+                point[coord] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    theorem1_check(pmap, 6, [[0.01, 0.01], point])
+
+
 def test_residual_improves_with_truncation_degree():
     for pmap in [univariate_map(2, 1), get_fixture("univar-3")]:
         r = 0.5 * convergence_radius(pmap)

@@ -166,8 +166,8 @@ def test_packed_m_and_one_minus_m_unpack_to_jacobian_matrix(pmap):
     n = pmap.n
     M = jacobian_matrix(pmap)
     for base in (pmap.d, 2 * n * (pmap.d - 1) + 1):
-        assert _from_parts(n, base, _jacobian_parts(pmap.tensor, base)) == M
-        assert _from_parts(n, base, _one_minus_m_parts(pmap.tensor, base)) == (
+        assert _from_parts(n, base, *_jacobian_parts(pmap.tensor, base)) == M
+        assert _from_parts(n, base, *_one_minus_m_parts(pmap.tensor, base)) == (
             PolyMatrix.identity(n, n) - M
         )
 

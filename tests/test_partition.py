@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -50,19 +51,41 @@ def test_series_exp_log_constant_term_guards():
         series_log(Series.variable(1, 0, 3))
 
 
-def test_exp_log_round_trip_random():
+def _random_series(rng: random.Random, n: int, cap: int) -> Series:
+    """Up to four monomials of degree 1..2n, coefficients p/q with q in 1, 2, 3, 5."""
+    body = Poly.zero(n)
+    for _ in range(4):
+        exps = tuple(rng.randint(0, 2) for _ in range(n))
+        if sum(exps) == 0:
+            continue
+        body = body + Poly.monomial(exps, Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3, 5))))
+    return Series(body, cap)
+
+
+def _random_cases():
     rng = random.Random(55)
-    for _ in range(10):
-        body = Poly.zero(2)
-        for _ in range(4):
-            exps = (rng.randint(0, 2), rng.randint(0, 2))
-            if sum(exps) == 0:
-                continue
-            body = body + Poly.monomial(exps, Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
-        s = Series(body, 5)
+    return [_random_series(rng, n, cap) for n in (1, 2, 3) for cap in range(9) for _ in range(2)]
+
+
+def test_exp_log_round_trip_random():
+    for s in _random_cases():
         assert series_log(series_exp(s)) == s
         e = series_exp(s)
         assert series_exp(series_log(e)) == e
+
+
+def test_exp_log_match_their_power_series():
+    """exp(S) = sum_{k<=cap} S^k / k! and log(1 + T) = sum (-1)^(k+1) T^k / k, from Series products."""
+    for t in _random_cases():
+        n, cap = t.n, t.cap
+        one = Series.one(n, cap)
+        exp_t, log_1_t, power = one, Series.zero(n, cap), one
+        for k in range(1, cap + 1):
+            power = power * t
+            exp_t = exp_t + power.scale(Fraction(1, factorial(k)))
+            log_1_t = log_1_t + power.scale(Fraction((-1) ** (k + 1), k))
+        assert series_exp(t) == exp_t
+        assert series_log(one + t) == log_1_t
 
 
 def test_exp_is_multiplicative():

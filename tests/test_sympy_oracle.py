@@ -358,13 +358,13 @@ def test_zero_at_the_witness_point_falls_back_to_symbolic_powers(pmap, monkeypat
 
 def test_analyze_multiplies_matrices_only_where_the_point_gives_zero(monkeypatch):
     products = []
-    real = polymatrix._mul_parts
+    real = polymatrix._mul_rows
 
     def counted(A, B):
         products.append(len(A))
         return real(A, B)
 
-    monkeypatch.setattr(polymatrix, "_mul_parts", counted)
+    monkeypatch.setattr(polymatrix, "_mul_rows", counted)
     # a dense non-unit map: M^k is nonzero at the point for every k <= n
     dense = random_map(4, 2, seed=6)
     assert analyze(dense) == JacobianVerdict(False, None, False)
