@@ -19,8 +19,8 @@ from fractions import Fraction
 from math import comb, factorial
 
 from treeinv._combinat import exponents, multiplicity_factor, multiset_orbit_size
-from treeinv.errors import PreconditionError
-from treeinv.poly import Poly, Series, _addmul, _prefixes, _variables, series_compose_many
+from treeinv.errors import DimensionMismatchError, PreconditionError
+from treeinv.poly import Poly, Series, _addmul, _composed_terms, _prefixes, _sum_nums, _variables
 from treeinv.tensormap import PolyMap, build_H, jacobian_powers
 
 
@@ -116,22 +116,36 @@ def lagrange_oracle_1d(d: int, a, D: int) -> Series:
 
 
 def _truncated(pmap: PolyMap, G: list[Series], D: int) -> list[Series]:
-    """A caller's G truncated to degree D: n components, each reaching D, else ValueError."""
+    """A caller's G truncated to degree D: n components in the map's n variables, each reaching D.
+
+    Anything else raises ValueError (DimensionMismatchError for a
+    component in another number of variables).
+    """
     n = pmap.n
     if len(G) != n:
         raise ValueError(f"expected {n} components, got {len(G)}")
+    if any(g.n != n for g in G):
+        raise DimensionMismatchError(f"components in {[g.n for g in G]} variables, map has n={n}")
     if any(g.cap < D for g in G):
         raise ValueError(f"series caps {[g.cap for g in G]} below {D}")
     return [g.truncate(D) for g in G]
 
 
 def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
-    """True iff F(G(y)) = y holds exactly through degree D."""
+    """True iff F(G(y)) = y holds exactly through degree D.
+
+    The residual is never reduced: the numerators of H_i(G) - G_i over
+    the lcm L of its terms' denominators must be -L at y_i's key and
+    zero at every other key.
+    """
     G = _truncated(pmap, G, D)
-    HG = series_compose_many(build_H(pmap), G)
-    return all(
-        g - hg == Series.variable(pmap.n, i, D) for i, (g, hg) in enumerate(zip(G, HG))
-    )
+    for i, (g, terms) in enumerate(zip(G, _composed_terms(build_H(pmap), G))):
+        L, comps = _sum_nums(D, terms + [(-1, g.den, g.comps)])
+        # keys of different degrees are different monomials, so the merge loses none
+        residual = {k: v for c in comps for k, v in c.items() if v}
+        if residual != ({(D + 1) ** i: -L} if D >= 1 else {}):
+            return False
+    return True
 
 
 def correlation_tensor(pmap: PolyMap, i: int, leaf_indices, D: int | None = None):

@@ -515,10 +515,11 @@ def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]]
     return out
 
 
-def _lincomb(n: int, cap: int, terms) -> Series:
-    """The reduced series sum of c * comps / den over (c, den, comps) in terms.
+def _sum_nums(cap: int, terms) -> tuple[int, list[dict[int, int]]]:
+    """(L, numerators) of the sum of c * comps / den over (c, den, comps) in terms.
 
-    c is an int or Fraction; the sum runs over the lcm of the denominators.
+    c is an int or Fraction and L the lcm of the denominators; the
+    numerators are not reduced and may hold zeros.
     """
     dens = [c.denominator * den for c, den, _ in terms]
     L = lcm(*dens)
@@ -529,7 +530,12 @@ def _lincomb(n: int, cap: int, terms) -> Series:
             get = acc.get
             for k, v in comp.items():
                 acc[k] = get(k, 0) + v * f
-    return Series._reduced(n, cap, L, out)
+    return L, out
+
+
+def _lincomb(n: int, cap: int, terms) -> Series:
+    """The reduced series sum of c * comps / den over (c, den, comps) in terms (see _sum_nums)."""
+    return Series._reduced(n, cap, *_sum_nums(cap, terms))
 
 
 def _indices(mono: Monomial) -> tuple[int, ...]:
@@ -546,17 +552,15 @@ def _prefixes(rows) -> list[tuple[int, ...]]:
     return sorted({p[:l] for row in rows for _, p in row for l in range(2, len(p) + 1)}, key=len)
 
 
-def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
-    """[f(g_1, ..., g_n) mod degree cap for f in fs], sharing products.
+def _composed_terms(fs: list[Poly], gs: list[Series]) -> list[list[tuple]]:
+    """For each f in fs, its kept monomials composed with gs as (c, den, comps) terms.
 
     Each monomial of an f is the product of its factors in increasing
     variable order.  The prefixes of the kept monomials are built in
     order of length, each once for all the polynomials from its head and
     one substituent, and kept as unreduced numerators over the product
-    of its factors' denominators.  Only the final sums are reduced.  All
-    substituents must share one ambient dimension and one cap, which the
-    results carry.  Exact: equals full composition followed by
-    truncation.
+    of its factors' denominators; f(gs) mod the cap is the sum of its
+    row (see _sum_nums).
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
@@ -579,7 +583,21 @@ def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
         den, comps = products[p[:-1]]
         g = gs[p[-1]]
         products[p] = (den * g.den, _mul_comps(cap, comps, g.comps))
-    return [_lincomb(n_out, cap, [(c, *products[p]) for c, p in row]) for row in kept]
+    return [[(c, *products[p]) for c, p in row] for row in kept]
+
+
+def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
+    """[f(g_1, ..., g_n) mod degree cap for f in fs], sharing products.
+
+    The prefix products are shared between all the polynomials (see
+    _composed_terms), and only the final sums are reduced.  All
+    substituents must share one ambient dimension and one cap, which the
+    results carry.  Exact: equals full composition followed by
+    truncation.
+    """
+    rows = _composed_terms(fs, gs)
+    n_out, cap = gs[0].n, gs[0].cap
+    return [_lincomb(n_out, cap, row) for row in rows]
 
 
 def series_compose(f: Poly, gs: list[Series]) -> Series:

@@ -109,11 +109,11 @@ class PolyMap:
 
     ``tensor`` is read-only, so the objects derived from it (H, ||w||,
     the powers of M and their traces, det(I - M), the chain
-    contractions, G, log Z and Z) are computed once per map and kept in
-    a private memo that can never go stale.  Every entry is written by
-    ``_memoized``: an entry that cannot serve a request (G at a smaller
-    cap, powers of M in a base too small) is named by its ``serves``
-    predicate and rebuilt in place.
+    contractions, G, the tree amplitudes, log Z and Z) are computed once
+    per map and kept in a private memo that can never go stale.  Every
+    entry is written by ``_memoized``: an entry that cannot serve a
+    request (G at a smaller cap, powers of M in a base too small) is
+    named by its ``serves`` predicate and rebuilt in place.
     """
 
     __slots__ = ("_tensor", "name", "_memo")
@@ -131,8 +131,9 @@ class PolyMap:
         """The value memoized under key, from build() on first use.
 
         With serves, a memoized value for which serves(value) is false is
-        replaced by a fresh build().  For the package's own modules;
-        memoized values are never mutated.
+        replaced by a fresh build().  For the package's own modules.  No
+        part of a memoized value ever changes, though the packed powers
+        of M and the tree sums' subtree memo gain entries as they are read.
         """
         memo = self._memo
         if key not in memo or (serves is not None and not serves(memo[key])):

@@ -26,13 +26,16 @@ Both contract nested shapes through one walk, on packed int numerators
 (poly.py): with L the lcm of the tensor's denominators, a subtree with
 V internal vertices has amplitudes over L^V, so a stratum's weighted
 sum is over V! N! L^V, fixed by the stratum, and no sum takes an lcm.
-Within one tree_sum_inverse call each distinct
-subtree is contracted once, through a memo keyed by the nested shape
-that lasts across strata.  The memo belongs to the call and to one
-method, and the labeled sum reads its shapes only from the labeled
-walk, so labeled == grouped stays an oracle.  amplitude and
-amplitude_vector contract the nested shape of the given tree and unpack
-the result to Poly once.
+Each distinct subtree is contracted once per map and cap, through a
+memo keyed by the nested shape (children in tuple order in both
+methods) that is kept in the map's memo: it serves every stratum, both
+methods and every later call at that cap.  It gains entries but never
+changes one.  Sharing amplitudes does not weaken labeled == grouped,
+which checks the (weight, shape) pairs: the labeled sum reads its
+shapes only from the labeled walk, the grouped sum only from the
+generated shapes and their automorphism counts.  amplitude and
+amplitude_vector contract the nested shape of the given tree afresh,
+outside the memo, and unpack the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -393,7 +396,11 @@ def _nested_shape(parents) -> Shape:
 
 @lru_cache(maxsize=None)
 def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
-    """Rooted shapes with V internal nodes, generated directly; () is a leaf."""
+    """Rooted shapes with V internal nodes, generated directly; () is a leaf.
+
+    Each node's children are in tuple order, so a shape equals the
+    nested shape of any of its labeled trees (_nested_shape).
+    """
     if V == 0:
         return ((),)
     out: list[Shape] = []
@@ -401,10 +408,10 @@ def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
     def fill(slots: int, remaining: int, minimum: tuple[int, int], chosen: list[Shape]):
         if slots == 0:
             if remaining == 0:
-                out.append(tuple(chosen))
+                out.append(tuple(sorted(chosen)))
             return
         # children are picked non-decreasing in (internal count, index)
-        # so each multiset appears exactly once
+        # so each multiset appears exactly once, and stored in tuple order
         for v in range(minimum[0], remaining + 1):
             pool = _shapes_cached(v, d)
             start = minimum[1] if v == minimum[0] else 0
@@ -489,9 +496,10 @@ def tree_sum_inverse(
     for V in strata:
         _check_budget(V, d, budget)
     L, groups = _vertex_rule(pmap)
-    # one subtree memo for every stratum of this call, never shared with
-    # the other method, so that labeled == grouped stays an oracle
-    memo = {(): _variables(n, D + 1)}
+    # one subtree memo per map and cap, for every stratum of both methods;
+    # each method keeps its own (weight, shape) source, so labeled ==
+    # grouped stays an oracle
+    memo = pmap._memoized(("amplitudes", D), lambda: {(): _variables(n, D + 1)})
     parts = [[(1, {})] * (D + 1) for _ in range(n)]
     for V in strata:
         N = (d - 1) * V + 1

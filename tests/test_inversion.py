@@ -4,12 +4,12 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 
 import pytest
 
 from treeinv.catalog import catalog, get_fixture, random_map, triangular_map, univariate_map
-from treeinv.errors import PreconditionError
+from treeinv.errors import DimensionMismatchError, PreconditionError
 from treeinv.inversion import (
     check_quadratic_nilpotent_theorem,
     correlation_tensor,
@@ -20,6 +20,8 @@ from treeinv.inversion import (
     polynomial_inverse_degree,
     verify_inverse,
 )
+from treeinv.mapfile import parse_map
+from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.poly import Poly, Series, series_compose
 from treeinv.tensormap import PolyMap, SymTensor, build_H
 from treeinv.trees import ValencedTree, VertexSet, _shapes_cached, amplitude_vector
@@ -193,6 +195,40 @@ def test_inverse_uniqueness_under_perturbation():
     (g,) = fixed_point_inverse(u2, 6)
     bumped = Series(g.body + Poly.monomial((3,), Fraction(1, 7)), 6)
     assert not verify_inverse(u2, [bumped], 6)
+
+
+def test_verify_inverse_accepts_the_branch_with_a_constant_term():
+    # y = x - x^2 has a second inverse branch, G = 1 - sum_k C_(k-1) y^k
+    # (Catalan numbers); substitution composes every monomial of H with it
+    pmap = parse_map("map x-x2\nn 1\nd 2\nw 1 1 1 2\nend\n")
+    D = 8
+    terms = {(0,): Fraction(1)}
+    terms.update({(k,): Fraction(-comb(2 * k - 2, k - 1), k) for k in range(1, D + 1)})
+    assert verify_inverse(pmap, [Series(Poly(1, terms), D)], D)
+    terms[(5,)] += 1
+    assert not verify_inverse(pmap, [Series(Poly(1, terms), D)], D)
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_verify_inverse_refuses_one_coefficient_off_at_each_degree(pmap):
+    D = 7
+    G = fixed_point_inverse(pmap, D)
+    assert verify_inverse(pmap, G, D)
+    for i in range(pmap.n):
+        for m in range(D + 1):
+            mono = tuple(m if j == i else 0 for j in range(pmap.n))
+            off = Series(G[i].body + Poly.monomial(mono, Fraction(1, 3)), D)
+            assert not verify_inverse(pmap, G[:i] + [off] + G[i + 1 :], D), (i, m)
+
+
+def test_components_in_another_dimension_are_refused():
+    pmap = random_map(2, 2, seed=1)
+    G = [Series.variable(1, 0, 6)] * 2
+    assert issubclass(DimensionMismatchError, ValueError)
+    with pytest.raises(DimensionMismatchError, match="variables"):
+        verify_inverse(pmap, G, 6)
+    with pytest.raises(DimensionMismatchError, match="variables"):
+        theorem1_check(pmap, 6, default_sample_points(pmap), G=G)
 
 
 def test_correlation_triangular_2_3():

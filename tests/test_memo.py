@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from treeinv import inversion, jacobian
+from treeinv import inversion, jacobian, trees
 from treeinv.catalog import catalog, get_fixture, random_map
 from treeinv.errors import GuardExceededError
 from treeinv.inversion import check_quadratic_nilpotent_theorem, polynomial_inverse_degree
@@ -17,8 +17,9 @@ from treeinv.partition import (
     verify_z_identity,
     z_series,
 )
-from treeinv.poly import Poly
+from treeinv.poly import Poly, _from_nums
 from treeinv.tensormap import SymTensor, jacobian_det, jacobian_powers
+from treeinv.trees import amplitude_vector, enumerate_trees, labeled_shape_census, tree_sum_inverse
 
 
 def test_tensor_is_read_only():
@@ -153,3 +154,40 @@ def test_invert_report_still_verifies_the_memoized_G(monkeypatch):
     monkeypatch.setattr(inversion, "verify_inverse", lambda pmap, G, D: False)
     with pytest.raises(AssertionError, match="verification"):
         inversion.invert_report(pmap, 8)
+
+
+def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
+    pmap = random_map(2, 2, seed=36)
+    D = 5
+    assert inversion.verify_inverse(pmap, tree_sum_inverse(pmap, D), D)
+    # a wrong amplitude for the one-vertex subtree, at root index 0
+    memo = pmap._memo[("amplitudes", D)]
+    vec = memo[((), ())]
+    assert vec[0]
+    memo[((), ())] = [{k: 2 * v for k, v in vec[0].items()}] + vec[1:]
+    labeled = tree_sum_inverse(pmap, D, method="labeled")
+    grouped = tree_sum_inverse(pmap, D, method="grouped")
+    # both sums read the shared memo, so only substitution sees the fault
+    assert labeled == grouped
+    assert not inversion.verify_inverse(pmap, labeled, D)
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_memoized_amplitudes_equal_fresh_contractions(pmap):
+    n, d = pmap.n, pmap.d
+    D = 3 * (d - 1) + 1
+    tree_sum_inverse(pmap, D, method="grouped")
+    tree_sum_inverse(pmap, D, method="labeled")
+    memo = pmap._memo[("amplitudes", D)]
+    L, _ = pmap.tensor._scaled()
+    for V in range(4):
+        # one labeled tree of each census shape; the memo packs in base D + 1,
+        # amplitude_vector in base N + 1, so compare the unpacked forms
+        shapes = {s for _, s in labeled_shape_census(V, d)}
+        for tree in enumerate_trees(V, d):
+            shape = trees._nested_shape(tree.rooted())
+            if shape in shapes:
+                shapes.remove(shape)
+                got = [_from_nums(n, D + 1, L**V, nums) for nums in memo[shape]]
+                assert got == amplitude_vector(tree, pmap), (V, shape)
+        assert not shapes

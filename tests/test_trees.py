@@ -435,20 +435,45 @@ def _count_contractions(monkeypatch) -> list[int]:
     return calls
 
 
+def _distinct_subtrees(d: int, D: int) -> int:
+    """Rooted shapes with 1 <= V internal vertices and (d-1)V + 1 <= D, over every stratum."""
+    return sum(len(_shapes_cached(V, d)) for V in range(1, (D - 1) // (d - 1) + 1))
+
+
 @pytest.mark.parametrize("n,d,D,distinct", [(2, 2, 6, 13), (3, 2, 5, 7)])
 def test_tree_sum_contracts_each_distinct_subtree_once(monkeypatch, n, d, D, distinct):
-    # distinct = rooted shapes with 1 <= V internal vertices, (d-1)V + 1 <= D,
-    # over every stratum of the call
-    assert distinct == sum(len(_shapes_cached(V, d)) for V in range(1, (D - 1) // (d - 1) + 1))
+    assert distinct == _distinct_subtrees(d, D)
     calls = _count_contractions(monkeypatch)
+
+    def contractions(pmap, cap, methods):
+        counts = []
+        for method in methods:
+            calls[0] = 0
+            tree_sum_inverse(pmap, cap, method=method)
+            counts.append(calls[0])
+        return counts
+
+    # on one map and cap the first call contracts every distinct subtree,
+    # and later calls of either method contract none
     pmap = random_map(n, d, seed=5)
-    # on one map: a call after the other method's, or after its own, reuses nothing
-    counts = []
-    for method in ("labeled", "grouped", "labeled", "grouped", "grouped"):
-        calls[0] = 0
-        tree_sum_inverse(pmap, D, method=method)
-        counts.append(calls[0])
-    assert counts == [distinct] * 5
+    methods = ("labeled", "grouped", "labeled", "grouped", "grouped")
+    assert contractions(pmap, D, methods) == [distinct, 0, 0, 0, 0]
+    # a fresh map contracts them again, grouped first this time
+    assert contractions(random_map(n, d, seed=5), D, ("grouped", "labeled")) == [distinct, 0]
+    # so does another cap on the same map
+    assert contractions(pmap, D - 1, methods[:2]) == [_distinct_subtrees(d, D - 1), 0]
+
+
+def _sorted_shape(shape):
+    return tuple(sorted(_sorted_shape(s) for s in shape))
+
+
+@pytest.mark.parametrize("d,top", [(2, 10), (3, 7)])
+def test_generated_shapes_have_children_in_tuple_order(d, top):
+    # the order _nested_shape gives census shapes, so a shape has one memo key in both sums
+    for V in range(top + 1):
+        for shape in _shapes_cached(V, d):
+            assert shape == _sorted_shape(shape)
 
 
 def test_tree_sum_budget_enforced():
