@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, lcm
 
-from treeinv._combinat import exponents, multiplicity_factor, multiset_orbit_size
+from treeinv._combinat import exponents, multiplicity_factor
 from treeinv.errors import DimensionMismatchError, PreconditionError
-from treeinv.poly import Poly, Series, _addmul, _composed_terms, _prefixes, _sum_nums, _variables
-from treeinv.tensormap import PolyMap, build_H, jacobian_powers
+from treeinv.poly import Poly, Series, _addmul, _composed_terms, _indices, _prefixes, _sum_nums, _variables
+from treeinv.tensormap import PolyMap, _h_series, build_H, jacobian_powers
 
 
 def default_degree_cap(pmap: PolyMap) -> int:
@@ -48,21 +48,21 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     nonzero parts lie in degrees congruent to l mod (d-1), the only ones
     the loop reads, because j steps over the live degrees of G only.
 
-    Each part is a bare dict of int numerators: H's coefficients are ints
-    over K = L d! (L from SymTensor._scaled), so G_m is over K^V with
-    V = (m-1)/(d-1), and a prefix part of l factors at degree k over
-    K^((k-l)/(d-1)).  Each K^V is applied once, when the Series is made.
+    Each part is a bare dict of int numerators: H is read off its
+    memoized Series as ints over K, the lcm of their denominators, so G_m
+    is over K^V with V = (m-1)/(d-1), and a prefix part of l factors at
+    degree k over K^((k-l)/(d-1)).  Each K^V is applied once, when the
+    Series is made.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n, d = pmap.n, pmap.d
-    L, scaled = pmap.tensor._scaled()
+    H = _h_series(pmap)
+    K = lcm(*[h.den for h in H])
     # parts[j][k] is the numerators of the degree-k part of G_j, packed in base D + 1.
     parts = [[{}, x] + [{}] * (D - 1) for x in _variables(n, D + 1)]
     # Each monomial of H_i as (its numerator over K, the variable indices it multiplies).
-    monomials = [[] for _ in range(n)]
-    for (i, lower), w in scaled.items():
-        monomials[i].append((w * multiset_orbit_size(lower), lower))
+    monomials = [[(c * (K // h.den), _indices(k, n, d + 1)) for k, c in h.comps[d].items()] for h in H]
     # prefix_parts[p][k] is the degree-k part of the product of G_j over j in p.
     prefix_parts = {(j,): parts[j] for j in range(n)}
     steps = []
@@ -79,7 +79,7 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
             parts[i][m] = acc = {}
             for c, p in monomials[i]:
                 _addmul(acc, {0: c}, prefix_parts[p][m])
-    dens = [(L * factorial(d)) ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
+    dens = [K ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
     return [Series._from_parts(n, list(zip(dens, p))) for p in parts]
 
 
@@ -103,16 +103,15 @@ def lagrange_oracle_1d(d: int, a, D: int) -> Series:
     """
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
+    if D < 0:
+        raise ValueError(f"cap must be non-negative, got {D}")
     a = Fraction(a)
-    terms = {}
-    k = 0
-    while (d - 1) * k + 1 <= D:
+    parts = [(1, {})] * (D + 1)
+    for k in range((D - 1) // (d - 1) + 1):
         deg = (d - 1) * k + 1
         c = Fraction(comb(d * k, k), deg) * a**k
-        if c != 0:
-            terms[(deg,)] = c
-        k += 1
-    return Series(Poly(1, terms), D)
+        parts[deg] = (c.denominator, {deg: c.numerator})
+    return Series._from_parts(1, parts)
 
 
 def _truncated(pmap: PolyMap, G: list[Series], D: int) -> list[Series]:
@@ -139,7 +138,7 @@ def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
     zero at every other key.
     """
     G = _truncated(pmap, G, D)
-    for i, (g, terms) in enumerate(zip(G, _composed_terms(build_H(pmap), G))):
+    for i, (g, terms) in enumerate(zip(G, _composed_terms(_h_series(pmap), G))):
         L, comps = _sum_nums(D, terms + [(-1, g.den, g.comps)])
         # keys of different degrees are different monomials, so the merge loses none
         residual = {k: v for c in comps for k, v in c.items() if v}
@@ -204,11 +203,8 @@ def check_quadratic_nilpotent_theorem(pmap: PolyMap, D: int) -> bool:
             "Jacobian matrix does not square to zero; the one-step inverse "
             "form only applies to order-2 nilpotent maps"
         )
-    n = pmap.n
-    H = build_H(pmap)
-    G = inverse_series(pmap, D)
-    expected = [Series(Poly.variable(n, i) + H[i], D) for i in range(n)]
-    return G == expected
+    expected = [Series(Poly.variable(pmap.n, i) + h, D) for i, h in enumerate(build_H(pmap))]
+    return inverse_series(pmap, D) == expected
 
 
 @dataclass

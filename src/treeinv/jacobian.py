@@ -7,10 +7,10 @@ analyze() computes all three and refuses to return a verdict in which
 they disagree.  The determinant is a cofactor expansion of its own copy
 of I - M, packed from the tensor's ints, and shares nothing with the
 powers of M; nilpotency and traces read the same per-map powers, since
-they are the same matrices.  The powers, their traces and the
-determinant are packed int numerators over denominators fixed by
-structure (see polymatrix.py), read here as numerators and unpacked to
-Poly only for trace_powers.  Only what a reading needs is formed: a
+they are the same matrices.  The powers and their traces are packed
+int numerators over denominators fixed by structure (see polymatrix.py)
+and the determinant is the map's memoized Series (tensormap.py); only
+trace_powers unpacks to Poly.  Only what a reading needs is formed: a
 zero test of M^k is answered by M's values at a fixed integer point
 when they prove M^k != 0, and otherwise on the symbolic M^k, so a zero
 is always proven exactly, and analyze forms a matrix product only for
@@ -45,9 +45,9 @@ from math import factorial
 
 from treeinv._combinat import distinct_permutations, exponents, multiplicity_factor
 from treeinv.errors import BudgetExceededError, GuardExceededError
-from treeinv.poly import Poly, _from_nums, _pack
+from treeinv.poly import Poly, Series, _from_nums, _pack
 from treeinv.polymatrix import DET_DIM_GUARD, _mat_mul
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
+from treeinv.tensormap import PolyMap, _det_series, jacobian_powers
 
 ChainTensor = dict[tuple[int, int, tuple[int, ...]], Fraction]
 LoopTensor = dict[tuple[int, ...], Fraction]
@@ -59,7 +59,8 @@ LEG_BUDGET = 10**6
 
 def is_unit_jacobian(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> bool:
     """True iff det(I - M(x)) is the constant polynomial 1."""
-    return jacobian_det(pmap, guard) == Poly.const(pmap.n, Fraction(1))
+    det = _det_series(pmap, guard)
+    return det == Series.one(det.n, det.cap)
 
 
 def nilpotency_order(pmap: PolyMap) -> int | None:
@@ -139,7 +140,7 @@ def _walk_chains(pmap: PolyMap, k: int, K: int) -> ChainSums:
     Multisets whose sum is zero are left out.  Reads only the tensor.
     """
     n, per = pmap.n, pmap.d - 1
-    L, scaled = pmap.tensor._scaled()
+    L, scaled = pmap.tensor._scaled
     vertex = {}
     for chunk in combinations_with_replacement(range(n), per):
         W = [[scaled.get((a, tuple(sorted((b,) + chunk))), 0) for b in range(n)] for a in range(n)]

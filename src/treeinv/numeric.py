@@ -10,12 +10,13 @@ Floats are confined to this module; everything upstream is exact.
 Summation orders are fixed (graded-lexicographic monomials, component
 order) so repeated runs give bit-identical reports.
 
-Every evaluation has one prepared form, read off packed Series parts (a
-polynomial is packed at a cap of its total degree first): a list of
-terms, each a coefficient as a double and the power-table indices of
-its factors.  v / den is the correctly rounded double of v/den, as
-float(Fraction(v, den)) is, and each degree is ordered by monomial
-through a cached per-key slot, so the terms come in graded-lex order.
+Every evaluation has one prepared form, read off packed Series parts
+(H is the map's memoized Series; a Poly is packed at a cap of its total
+degree first): a list of terms, each a coefficient as a double and the
+power-table indices of its factors.  v / den is the correctly rounded
+double of v/den, as float(Fraction(v, den)) is, and each degree is
+ordered by monomial through a cached per-key slot, so the terms come in
+graded-lex order.
 At each point the table holds x_i ** e at index i * base + e, computed
 once for every power some term reads; a term is its coefficient times
 its table entries in increasing variable order.
@@ -30,7 +31,7 @@ from random import Random
 
 from treeinv.inversion import _truncated, inverse_series
 from treeinv.poly import Monomial, Poly, Series, _unpack
-from treeinv.tensormap import PolyMap, build_H, norm_w
+from treeinv.tensormap import PolyMap, _h_series, norm_w
 
 
 def convergence_radius(pmap: PolyMap) -> float:
@@ -58,34 +59,28 @@ def _slot(key: int, n: int, base: int) -> tuple[Monomial, tuple[int, ...]]:
 
 
 class _Evaluator:
-    """Polynomials in n variables prepared for evaluation in doubles at many points.
+    """Series of one dimension and one cap, prepared for evaluation in doubles at many points.
 
-    ``terms[k]`` lists polynomial k's terms in graded-lex order;
-    ``powers`` names, as (index, variable, exponent), every table entry
-    a term reads.
+    ``terms[k]`` lists series k's terms in graded-lex order, read off its
+    packed parts; ``powers`` names, as (index, variable, exponent), every
+    table entry a term reads.
     """
 
     __slots__ = ("terms", "powers", "size")
 
-    def __init__(self, n: int, base: int, terms: list[Terms]):
-        used = sorted({j for ts in terms for _, idx in ts for j in idx})
-        self.terms = terms
-        self.powers = [(j, *divmod(j, base)) for j in used]
-        self.size = n * base
-
-    @classmethod
-    def of_series(cls, n: int, cap: int, ss: list[Series]) -> _Evaluator:
-        """For series of dimension n and one cap, read off their packed parts."""
-        base = cap + 1
-        terms = []
+    def __init__(self, ss: list[Series]):
+        n, base = ss[0].n, ss[0].cap + 1
+        self.terms: list[Terms] = []
         for s in ss:
             den, ts = s.den, []
             for comp in s.comps:
                 # the monomials of one degree are distinct, so the sort compares only them
-                slots = sorted([(_slot(k, s.n, base), v) for k, v in comp.items()])
+                slots = sorted([(_slot(k, n, base), v) for k, v in comp.items()])
                 ts += [(v / den, idx) for (_, idx), v in slots]
-            terms.append(ts)
-        return cls(n, base, terms)
+            self.terms.append(ts)
+        used = sorted({j for ts in self.terms for _, idx in ts for j in idx})
+        self.powers = [(j, *divmod(j, base)) for j in used]
+        self.size = n * base
 
     def __call__(self, point) -> list[float]:
         table = [0.0] * self.size
@@ -104,16 +99,14 @@ class _Evaluator:
 
 def eval_poly_numeric(p: Poly, point) -> float:
     """Double-precision value at point, summed in graded-lex order."""
-    if len(point) != p.n:
-        raise ValueError(f"point has {len(point)} coordinates, poly has {p.n}")
     return eval_series_numeric(Series(p, max(0, p.total_degree())), point)
 
 
 def eval_series_numeric(s: Series, point) -> float:
     """Double-precision value of the truncated series at point."""
     if len(point) != s.n:
-        raise ValueError(f"point has {len(point)} coordinates, series has {s.n}")
-    return _Evaluator.of_series(s.n, s.cap, [s])(point)[0]
+        raise ValueError(f"point has {len(point)} coordinates, expected {s.n}")
+    return _Evaluator([s])(point)[0]
 
 
 @dataclass
@@ -154,8 +147,10 @@ def default_sample_points(
     """Axis-aligned plus seeded random-direction points at {0.25, 0.5, 0.8} R.
 
     For the zero tensor the radius is infinite and the scale drops to 1
-    so the points stay finite.
+    so the points stay finite.  A negative random_per_radius is refused.
     """
+    if random_per_radius < 0:
+        raise ValueError(f"random points per radius must be non-negative, got {random_per_radius}")
     n = pmap.n
     R = convergence_radius(pmap)
     scale = 1.0 if math.isinf(R) else R
@@ -188,18 +183,21 @@ def theorem1_check(
 
     Every point must be finite and satisfy ||y||_inf <= 0.9 R; anything
     else is rejected outright, since the truncation error is uncontrolled
-    farther out and a nan coordinate would pass the radius test.
+    farther out and a nan coordinate would pass the radius test.  So
+    are an empty point list and a tol that is negative or not finite.
     The residual is max_i |F_i(G_num(y)) - y_i| for the degree-D
     truncation G; the bound check allows tol of float slack.  A given G
     is truncated to degree D, and must reach it: a component whose cap
     is below D, or a G without exactly n components, raises ValueError.
     """
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     n = pmap.n
     R = convergence_radius(pmap)
     G = inverse_series(pmap, D) if G is None else _truncated(pmap, G, D)
     # prepared once per call; each point sums in the same order as eval_poly_numeric
-    G_at = _Evaluator.of_series(n, D, G)
-    H_at = _Evaluator.of_series(n, pmap.d, [Series(h, pmap.d) for h in build_H(pmap)])
+    G_at = _Evaluator(G)
+    H_at = _Evaluator(_h_series(pmap))
     samples: list[SampleCheck] = []
     for point in points:
         point = tuple(float(c) for c in point)
@@ -226,4 +224,6 @@ def theorem1_check(
         samples.append(
             SampleCheck(point=point, values=tuple(g_num), residual=residual, bound_ok=bound_ok)
         )
+    if not samples:
+        raise ValueError("no sample points to check")
     return RadiusReport(norm_w=float(norm_w(pmap)), radius=R, tol=tol, samples=samples)

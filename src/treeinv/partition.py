@@ -5,21 +5,18 @@ log Z = sum over k >= 1 of (1/k) tr[M(G(y))^k] satisfies
 Z(y) * det(I - M(x))|_{x=G(y)} = 1 identically, and the unit-Jacobian
 condition forces Z = 1 (self-normalization).
 
-Since M(G(y))^k = (M^k)(G(y)) and composition is linear in the outer
-polynomial, log Z is one composition P(G) of the exact polynomial
-P = sum over k of (1/k) tr M(x)^k with G.  tr M^k is numerators over
-den^k with den = L (d-1)! (tensormap.py) and has degree k(d-1), so P is
-the traces' terms over k den^k, merged with no lcm.  The sum stops at
-the first M^k = 0; each zero test reads M's values at a fixed integer
-point first and confirms a zero on the symbolic M^k, and each trace is
-taken from the two halves of k (see polymatrix.py), so a non-unit map
-forms no power of M above the halves it needs.  G has no constant
-term, so composing det(I - M) with G in verify_z_identity skips the
-monomials above the cap.  Each object a map derives (H, the powers of
-M, det(I - M), G, log Z and Z) is computed once per map and cap and
-then read from the map's memo; G at a smaller cap is a truncation of
-the largest one computed.  Z = exp(log Z) uses
-series_exp from poly.py (series_log is re-exported from there too).
+Since M(G(y))^k = (M^k)(G(y)), log Z is one composition P(G) of the
+loop polynomial P = sum over k of (1/k) tr M(x)^k.  tr M^k is numerators
+over den^k (den = L (d-1)!, tensormap.py) of degree k(d-1), so P is a
+Series with those parts over k den^k, keyed in the base of the powers
+of M; no Poly is made.  The sum stops at the first M^k = 0, which
+polymatrix.py tests at an integer point before the symbolic M^k, and
+each trace comes from the two halves of k.  det(I - M) is the map's
+memoized Series; G has no constant term, so composing it with G skips
+the monomials above the cap.  Every object a map derives is computed
+once per map and cap and read from its memo; G at a smaller cap is a
+truncation of the largest computed.  Z = exp(log Z) uses series_exp
+from poly.py (series_log is re-exported from there too).
 """
 
 from __future__ import annotations
@@ -29,9 +26,9 @@ from dataclasses import dataclass
 from treeinv.errors import PreconditionError
 from treeinv.inversion import inverse_series
 from treeinv.jacobian import is_unit_jacobian
-from treeinv.poly import Poly, Series, _from_nums, series_compose, series_exp
+from treeinv.poly import Series, _compose, series_exp
 from treeinv.poly import series_log  # noqa: F401 - public as treeinv.partition.series_log
-from treeinv.tensormap import PolyMap, jacobian_det, jacobian_powers
+from treeinv.tensormap import PolyMap, _det_series, jacobian_powers
 
 
 def log_z_series(pmap: PolyMap, D: int) -> Series:
@@ -51,12 +48,13 @@ def log_z_series(pmap: PolyMap, D: int) -> Series:
 def _log_z(pmap: PolyMap, D: int) -> Series:
     k_max = D // (pmap.d - 1)
     powers = jacobian_powers(pmap, k_max)
-    terms = {}
+    # P at cap base - 1, so the traces' keys serve as they are
+    parts = [(1, {})] * powers.base
     for k in range(1, k_max + 1):
         if powers.is_zero(k):
             break
-        terms.update(_from_nums(pmap.n, powers.base, k * powers.den**k, powers.trace(k)).terms)
-    return series_compose(Poly._trusted(pmap.n, terms), inverse_series(pmap, D))
+        parts[k * (pmap.d - 1)] = (k * powers.den**k, powers.trace(k))
+    return _compose(Series._from_parts(pmap.n, parts), inverse_series(pmap, D))
 
 
 def z_series(pmap: PolyMap, D: int) -> Series:
@@ -67,7 +65,7 @@ def z_series(pmap: PolyMap, D: int) -> Series:
 def verify_z_identity(pmap: PolyMap, D: int) -> bool:
     """True iff z_series(map, D) * det(I - M(x))|_{x=G(y)} = 1 through degree D."""
     G = inverse_series(pmap, D)
-    jf_at_g = series_compose(jacobian_det(pmap), G)
+    jf_at_g = _compose(_det_series(pmap), G)
     product = z_series(pmap, D) * jf_at_g
     return product == Series.one(pmap.n, D)
 

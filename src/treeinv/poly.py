@@ -18,10 +18,12 @@ form is always reduced (no zero numerators, ``gcd(den, numerators) ==
 degrees that sum to at most the cap, and sums run over the lcm of the
 denominators: no ``Fraction`` is made inside the loops.
 
-The boundary to the rest of the package is ``Poly``: ``Series(body,
-cap)`` packs a polynomial, and ``.body`` unpacks one afresh on every
-read.  Values are never mutated after construction, so they are safe to
-share and to reduce in any order.
+``Series`` is the package's one internal form (H, log Z's loop
+polynomial and det(I - M) included); a ``Poly`` is made only where a
+public function returns one.  ``Series(body, cap)`` packs a polynomial
+and ``.body`` unpacks one afresh on every read.  Values are never
+mutated after construction, so they are safe to share and to reduce in
+any order.
 
 The same packed numerators carry the untruncated products elsewhere:
 the matrix products and the determinant of polymatrix.py and the tree
@@ -362,6 +364,14 @@ def _from_nums(n: int, base: int, den: int, nums: dict[int, int]) -> Poly:
     return Poly._trusted(n, {_unpack(k, n, base): Fraction(v, den) for k, v in nums.items() if v})
 
 
+def _graded(n: int, cap: int, nums: dict[int, int]) -> list[dict[int, int]]:
+    """Numerators keyed in base cap + 1, of degrees up to cap, split by degree."""
+    comps: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+    for k, v in nums.items():
+        comps[sum(_unpack(k, n, cap + 1))][k] = v
+    return comps
+
+
 def _variables(n: int, base: int) -> list[dict[int, int]]:
     """The numerators of x_0, ..., x_{n-1} over denominator 1, keys packed in base."""
     return [{base**j: 1} for j in range(n)]
@@ -381,17 +391,11 @@ class Series:
     def __init__(self, body: Poly, cap: int):
         if cap < 0:
             raise ValueError(f"cap must be non-negative, got {cap}")
-        base = cap + 1
-        kept = [(m, c, deg) for m, c in body.terms.items() if (deg := sum(m)) <= cap]
+        kept = [(m, c) for m, c in body.terms.items() if sum(m) <= cap]
         # over the lcm of reduced Fractions, the numerators share no factor with it
-        den = lcm(*[c.denominator for _, c, _ in kept])
-        comps: list[dict[int, int]] = [{} for _ in range(base)]
-        for m, c, deg in kept:
-            comps[deg][_pack(m, base)] = c.numerator * (den // c.denominator)
-        self.n = body.n
-        self.cap = cap
-        self.den = den
-        self.comps = comps
+        den = lcm(*[c.denominator for _, c in kept])
+        nums = {_pack(m, cap + 1): c.numerator * (den // c.denominator) for m, c in kept}
+        self.n, self.cap, self.den, self.comps = body.n, cap, den, _graded(body.n, cap, nums)
 
     @classmethod
     def _reduced(cls, n: int, cap: int, den: int, comps: list[dict[int, int]]) -> Series:
@@ -417,7 +421,7 @@ class Series:
 
     @classmethod
     def one(cls, n: int, cap: int) -> Series:
-        return cls(Poly.const(n, 1), cap)
+        return cls._reduced(n, cap, 1, [{0: 1}] + [{} for _ in range(cap)])
 
     @classmethod
     def variable(cls, n: int, i: int, cap: int) -> Series:
@@ -452,7 +456,8 @@ class Series:
         return Series._reduced(self.n, self.cap, self.den * other.den, out)
 
     def scale(self, value) -> Series:
-        return _lincomb(self.n, self.cap, [(_as_fraction(value), self.den, self.comps)])
+        value = _as_fraction(value)
+        return _lincomb(self.n, self.cap, [(value.numerator, self.den * value.denominator, self.comps)])
 
     def coefficient(self, mono: Monomial) -> Fraction:
         mono = tuple(mono)
@@ -518,14 +523,13 @@ def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]]
 def _sum_nums(cap: int, terms) -> tuple[int, list[dict[int, int]]]:
     """(L, numerators) of the sum of c * comps / den over (c, den, comps) in terms.
 
-    c is an int or Fraction and L the lcm of the denominators; the
-    numerators are not reduced and may hold zeros.
+    c is an int (a rational factor folds its denominator into den) and L
+    the lcm of the dens; the numerators are not reduced and may hold zeros.
     """
-    dens = [c.denominator * den for c, den, _ in terms]
-    L = lcm(*dens)
+    L = lcm(*[den for _, den, _ in terms])
     out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
-    for (c, _, comps), den in zip(terms, dens):
-        f = c.numerator * (L // den)
+    for c, den, comps in terms:
+        f = c * (L // den)
         for acc, comp in zip(out, comps):
             get = acc.get
             for k, v in comp.items():
@@ -538,9 +542,9 @@ def _lincomb(n: int, cap: int, terms) -> Series:
     return Series._reduced(n, cap, *_sum_nums(cap, terms))
 
 
-def _indices(mono: Monomial) -> tuple[int, ...]:
-    """The variable index of each factor of x^mono, in increasing order."""
-    return tuple([j for j, e in enumerate(mono) for _ in range(e)])
+def _indices(key: int, n: int, base: int) -> tuple[int, ...]:
+    """The variable index of each factor of the monomial of a packed key, in increasing order."""
+    return tuple([j for j, e in enumerate(_unpack(key, n, base)) for _ in range(e)])
 
 
 def _prefixes(rows) -> list[tuple[int, ...]]:
@@ -552,62 +556,56 @@ def _prefixes(rows) -> list[tuple[int, ...]]:
     return sorted({p[:l] for row in rows for _, p in row for l in range(2, len(p) + 1)}, key=len)
 
 
-def _composed_terms(fs: list[Poly], gs: list[Series]) -> list[list[tuple]]:
-    """For each f in fs, its kept monomials composed with gs as (c, den, comps) terms.
+def _composed_terms(fs: list[Series], gs: list[Series]) -> list[list[tuple]]:
+    """For each f in fs, its kept monomials composed with gs as int (c, den, comps) terms.
 
     Each monomial of an f is the product of its factors in increasing
     variable order.  The prefixes of the kept monomials are built in
-    order of length, each once for all the polynomials from its head and
-    one substituent, and kept as unreduced numerators over the product
-    of its factors' denominators; f(gs) mod the cap is the sum of its
-    row (see _sum_nums).
+    order of length, each once for all the series from its head and one
+    substituent, and kept as unreduced numerators over the product of
+    its factors' denominators.  A term's c is the monomial's numerator
+    in f and its den that product times f's den, so f(gs) mod the cap
+    of gs is the sum of its row (see _sum_nums).  The caps of fs are
+    their own: an f only lists monomials.
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
     for f in fs:
         if len(gs) != f.n:
             raise DimensionMismatchError(f"expected {f.n} substituents, got {len(gs)}")
-    cap = gs[0].cap
-    n_out = gs[0].n
+    n_out, cap = gs[0].n, gs[0].cap
     for g in gs:
         if g.cap != cap or g.n != n_out:
             raise DimensionMismatchError("substituents have mixed dimension or cap")
     # with no constant term in any g, a monomial above the cap composes to
     # degrees above the cap only, so every product it would form is cut
     const = any(g.comps[0] for g in gs)
-    kept = [[(c, _indices(m)) for m, c in f.terms.items() if const or sum(m) <= cap] for f in fs]
-    one = Series.one(n_out, cap)
-    products: dict[tuple[int, ...], tuple[int, list[dict[int, int]]]] = {(): (1, one.comps)}
+    kept = [[(c, _indices(k, f.n, f.cap + 1)) for comp in f.comps[: None if const else cap + 1]
+             for k, c in comp.items()] for f in fs]
+    # products[p] is (den, comps) of the product of the substituents p names
+    products = {(): (1, Series.one(n_out, cap).comps)}
     products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
     for p in _prefixes(kept):
         den, comps = products[p[:-1]]
         g = gs[p[-1]]
         products[p] = (den * g.den, _mul_comps(cap, comps, g.comps))
-    return [[(c, *products[p]) for c, p in row] for row in kept]
+    return [[(c, f.den * products[p][0], products[p][1]) for c, p in row] for f, row in zip(fs, kept)]
 
 
-def series_compose_many(fs: list[Poly], gs: list[Series]) -> list[Series]:
-    """[f(g_1, ..., g_n) mod degree cap for f in fs], sharing products.
-
-    The prefix products are shared between all the polynomials (see
-    _composed_terms), and only the final sums are reduced.  All
-    substituents must share one ambient dimension and one cap, which the
-    results carry.  Exact: equals full composition followed by
-    truncation.
-    """
-    rows = _composed_terms(fs, gs)
-    n_out, cap = gs[0].n, gs[0].cap
-    return [_lincomb(n_out, cap, row) for row in rows]
+def _compose(f: Series, gs: list[Series]) -> Series:
+    """f(g_1, ..., g_n) mod the cap of gs, for f packed at any cap (see _composed_terms)."""
+    (row,) = _composed_terms([f], gs)
+    return _lincomb(gs[0].n, gs[0].cap, row)
 
 
 def series_compose(f: Poly, gs: list[Series]) -> Series:
     """Substitute series into a polynomial: f(g_1, ..., g_n) mod degree cap.
 
-    All substituents must share one ambient dimension and one cap; the
-    result carries that cap.  Exact: equals full composition followed by
-    truncation.
+    f is packed once, at a cap of its total degree.  All substituents
+    must share one ambient dimension and one cap; the result carries
+    that cap.  Exact: equals full composition followed by truncation.
     """
-    return series_compose_many([f], gs)[0]
+    return _compose(Series(f, max(0, f.total_degree())), gs)
 
 
 def series_exp(s: Series) -> Series:

@@ -6,8 +6,9 @@ all ordered index tuples.  The tensor is fully symmetric in the lower
 indices, so one canonical entry (lower indices sorted) represents a whole
 orbit of ordered tuples; orbit sizes are multinomial coefficients.
 
-Indices are 0-based internally; file formats and printed reports use
-1-based indices.
+H and det(I - M) are memoized per map as Series, read off the tensor's
+int form; build_H and jacobian_det unpack them to Poly.  Indices are
+0-based internally; file formats and printed reports use 1-based ones.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from math import factorial, lcm
 from types import MappingProxyType
 
 from treeinv._combinat import exponents, multiset_orbit_size
-from treeinv.poly import Poly, _from_nums, _pack
+from treeinv.poly import Poly, Series, _graded, _pack
 from treeinv.polymatrix import (
     DET_DIM_GUARD,
     PackedPowers,
@@ -37,10 +38,12 @@ class SymTensor:
     Construction sorts lower indices, sums duplicate keys, prunes zeros,
     and refuses an index that is not an int in [0, n).  A tensor is
     read-only afterwards (no attribute can be set, ``entries`` is a
-    read-only view), so nothing derived from it can go stale.
+    read-only view), so nothing derived from it can go stale.  Its int
+    form ``_scaled`` = (L, {key: L * entry}), L the lcm of the entries'
+    denominators, is made here once and never mutated by its readers.
     """
 
-    __slots__ = ("n", "d", "entries")
+    __slots__ = ("n", "d", "entries", "_scaled")
 
     def __init__(self, n: int, d: int, entries=None):
         if n < 1:
@@ -68,20 +71,12 @@ class SymTensor:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", MappingProxyType(clean))
+        L = lcm(*[v.denominator for v in clean.values()])
+        scaled = {key: v.numerator * (L // v.denominator) for key, v in clean.items()}
+        object.__setattr__(self, "_scaled", (L, scaled))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"SymTensor is read-only; cannot set {name!r}")
-
-    def _scaled(self) -> tuple[int, dict[TensorKey, int]]:
-        """(L, {key: L * entry}) with L the lcm of the entries' denominators.
-
-        The one int form of the tensor, read by the fixed point, the tree
-        vertex, the packed M and I - M, the chain contraction and ||w||.
-        Not memoized: each caller gets its own dict.
-        """
-        entries = self.entries
-        L = lcm(*[v.denominator for v in entries.values()])
-        return L, {key: v.numerator * (L // v.denominator) for key, v in entries.items()}
 
     def get(self, i: int, lower) -> Fraction:
         """Entry for any ordering of the lower indices."""
@@ -158,24 +153,27 @@ class PolyMap:
 
 
 def build_H(pmap: PolyMap) -> list[Poly]:
-    """The homogeneous components H_i of degree d (memoized per map).
+    """The homogeneous components H_i of degree d, unpacked from the memoized series."""
+    return [h.body for h in _h_series(pmap)]
 
-    Each canonical tensor entry contributes (orbit size / d!) times its
-    value to the coefficient of the corresponding monomial.
+
+def _h_series(pmap: PolyMap) -> tuple[Series, ...]:
+    """H_1, ..., H_n as Series at cap d (memoized per map).
+
+    Each canonical tensor entry, written once, contributes (orbit size /
+    d!) times its value to the coefficient of the corresponding monomial,
+    so over L d! (L from SymTensor._scaled) every numerator is an int.
     """
-    return list(pmap._memoized("H", lambda: _build_H(pmap.tensor)))
 
+    def build() -> tuple[Series, ...]:
+        n, d = pmap.n, pmap.d
+        L, scaled = pmap.tensor._scaled
+        nums: list[dict[int, int]] = [{} for _ in range(n)]
+        for (i, lower), w in scaled.items():
+            nums[i][_pack(exponents(lower, n), d + 1)] = w * multiset_orbit_size(lower)
+        return tuple([Series._reduced(n, d, L * factorial(d), [{}] * d + [c]) for c in nums])
 
-def _build_H(tensor: SymTensor) -> tuple[Poly, ...]:
-    # Canonical keys are distinct, so each (i, monomial) is written once.
-    n, d = tensor.n, tensor.d
-    d_fact = factorial(d)
-    coeffs: list[dict] = [dict() for _ in range(n)]
-    for (i, lower), value in tensor.entries.items():
-        coeffs[i][exponents(lower, n)] = Fraction(
-            value.numerator * multiset_orbit_size(lower), value.denominator * d_fact
-        )
-    return tuple([Poly._trusted(n, c) for c in coeffs])
+    return pmap._memoized("H", build)
 
 
 def build_F(pmap: PolyMap) -> list[Poly]:
@@ -212,7 +210,12 @@ def jacobian_powers(pmap: PolyMap, k_max: int) -> PackedPowers:
 
 
 def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
-    """det(I - M(x)) by cofactor expansion; its constant term is always 1.
+    """det(I - M(x)) by cofactor expansion; its constant term is always 1."""
+    return _det_series(pmap, guard).body
+
+
+def _det_series(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Series:
+    """det(I - M(x)) as a Series at cap n(d-1), its degree (memoized per map).
 
     The guard is checked on every call, before the memo is read.  The
     determinant is expanded from its own copy of M, never from the
@@ -220,10 +223,13 @@ def jacobian_det(pmap: PolyMap, guard: int = DET_DIM_GUARD) -> Poly:
     """
     n = pmap.n
     check_det_guard(n, guard)
-    base = n * (pmap.d - 1) + 1
-    return pmap._memoized(
-        "det", lambda: _from_nums(n, base, *_det_cofactor(*_one_minus_m_parts(pmap.tensor, base)))
-    )
+    cap = n * (pmap.d - 1)
+
+    def build() -> Series:
+        den, nums = _det_cofactor(*_one_minus_m_parts(pmap.tensor, cap + 1))
+        return Series._reduced(n, cap, den, _graded(n, cap, nums))
+
+    return pmap._memoized("det", build)
 
 
 def _one_minus_m_parts(tensor: SymTensor, base: int) -> tuple[int, Rows]:
@@ -245,7 +251,7 @@ def _jacobian_parts(tensor: SymTensor, base: int) -> tuple[int, Rows]:
     fresh copy on every call; the numerators are not reduced.
     """
     n = tensor.n
-    L, scaled = tensor._scaled()
+    L, scaled = tensor._scaled
     nums: Rows = [[{} for _ in range(n)] for _ in range(n)]
     for (i, lower), w in scaled.items():
         for pos, j in enumerate(lower):
@@ -267,7 +273,7 @@ def norm_w(pmap: PolyMap) -> Fraction:
 
 
 def _norm_w(tensor: SymTensor) -> Fraction:
-    L, scaled = tensor._scaled()
+    L, scaled = tensor._scaled
     totals = [0] * tensor.n
     for (i, lower), value in scaled.items():
         totals[i] += abs(value) * multiset_orbit_size(lower)

@@ -317,7 +317,7 @@ def _vertex_rule(pmap: PolyMap):
     over the lcm L of its denominators (SymTensor._scaled), so every
     weight is an int.
     """
-    L, scaled = pmap.tensor._scaled()
+    L, scaled = pmap.tensor._scaled
     by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (j, lower), value in scaled.items():
         by_lower.setdefault(lower, []).append((j, value))

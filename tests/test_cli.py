@@ -280,6 +280,24 @@ def test_verify_theorem1_fails_with_tiny_tol(capsys, tmp_path):
     assert "FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--tol", "inf"], "tolerance"),
+        (["--tol", "-1"], "tolerance"),
+        (["--tol", "nan"], "tolerance"),
+        (["--samples", "-1"], "non-negative"),
+    ],
+)
+def test_verify_theorem1_refuses_what_it_cannot_judge(capsys, tmp_path, flags, message):
+    path = tmp_path / "u2.map"
+    save_map(get_fixture("univar-2"), path)
+    assert cli.run(["verify-theorem1", "--map", str(path), "--degree", "10", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 def test_catalog_name_round_trip_through_check(tmp_path, capsys):
     for name in catalog_names():
         assert cli.run(["catalog", "--name", name]) == 0

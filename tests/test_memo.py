@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from treeinv import inversion, jacobian, trees
 from treeinv.catalog import catalog, get_fixture, random_map
 from treeinv.errors import GuardExceededError
-from treeinv.inversion import check_quadratic_nilpotent_theorem, polynomial_inverse_degree
+from treeinv.inversion import (
+    check_quadratic_nilpotent_theorem,
+    inverse_series,
+    polynomial_inverse_degree,
+)
 from treeinv.jacobian import analyze, symmetrized_chain_tensor, symmetrized_loop_tensor
 from treeinv.numeric import default_sample_points, theorem1_check
 from treeinv.partition import (
@@ -17,8 +23,8 @@ from treeinv.partition import (
     verify_z_identity,
     z_series,
 )
-from treeinv.poly import Poly, _from_nums
-from treeinv.tensormap import SymTensor, jacobian_det, jacobian_powers
+from treeinv.poly import Series, _from_nums
+from treeinv.tensormap import SymTensor, build_H, jacobian_det, jacobian_powers, norm_w
 from treeinv.trees import amplitude_vector, enumerate_trees, labeled_shape_census, tree_sum_inverse
 
 
@@ -82,13 +88,13 @@ def test_overwritten_chain_walk_breaks_chain_and_loop_agreement():
 def test_overwritten_det_breaks_analyze_agreement():
     nonunit = get_fixture("random-2-2")
     jacobian_det(nonunit)
-    nonunit._memo["det"] = Poly.const(2, 1)
+    nonunit._memo["det"] = Series.one(2, 2)
     with pytest.raises(AssertionError):
         analyze(nonunit)
 
     unit = get_fixture("triangular-3-2")
     jacobian_det(unit)
-    unit._memo["det"] = Poly.const(3, 1) + Poly.variable(3, 0)
+    unit._memo["det"] = Series.one(3, 3) + Series.variable(3, 0, 3)
     with pytest.raises(AssertionError):
         analyze(unit)
 
@@ -179,7 +185,7 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
     tree_sum_inverse(pmap, D, method="grouped")
     tree_sum_inverse(pmap, D, method="labeled")
     memo = pmap._memo[("amplitudes", D)]
-    L, _ = pmap.tensor._scaled()
+    L, _ = pmap.tensor._scaled
     for V in range(4):
         # one labeled tree of each census shape; the memo packs in base D + 1,
         # amplitude_vector in base N + 1, so compare the unpacked forms
@@ -191,3 +197,24 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
                 got = [_from_nums(n, D + 1, L**V, nums) for nums in memo[shape]]
                 assert got == amplitude_vector(tree, pmap), (V, shape)
         assert not shapes
+
+
+def test_int_form_is_made_once_and_read_unchanged():
+    pmap = random_map(3, 2, seed=33)
+    tensor = pmap.tensor
+    first = tensor._scaled
+    assert tensor._scaled is first
+    L, scaled = first
+    assert all(Fraction(v, L) == tensor.entries[key] for key, v in scaled.items())
+    snapshot = dict(scaled)
+    # every reader of the int form: H (and through it the fixed point),
+    # the tree vertex, the packed M and I - M, the chain walk and ||w||
+    inverse_series(pmap, 6)
+    build_H(pmap)
+    tree_sum_inverse(pmap, 5, method="labeled")
+    tree_sum_inverse(pmap, 5, method="grouped")
+    analyze(pmap)
+    symmetrized_chain_tensor(pmap, 2)
+    norm_w(pmap)
+    assert tensor._scaled is first
+    assert first == (L, snapshot)

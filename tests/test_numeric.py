@@ -129,6 +129,32 @@ def test_theorem1_rejects_non_finite_point():
                     theorem1_check(pmap, 6, [[0.01, 0.01], point])
 
 
+def test_theorem1_rejects_an_empty_point_list():
+    # with no samples every "all" holds, so the report would pass having checked nothing
+    with pytest.raises(ValueError, match="no sample points"):
+        theorem1_check(univariate_map(2, 1), 10, [])
+    with pytest.raises(ValueError, match="no sample points"):
+        theorem1_check(univariate_map(2, 1), 10, iter([]))
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
+def test_theorem1_rejects_a_tolerance_it_cannot_judge_by(tol):
+    # inf would pass every residual; a negative or nan tol would fail every one
+    with pytest.raises(ValueError, match="tolerance"):
+        theorem1_check(univariate_map(2, 1), 10, [[0.4]], tol=tol)
+
+
+def test_theorem1_takes_a_zero_tolerance():
+    assert theorem1_check(univariate_map(2, 1), 10, [[0.0]], tol=0).passed
+
+
+def test_default_sample_points_rejects_negative_random_count():
+    pmap = get_fixture("random-2-2")
+    with pytest.raises(ValueError, match="non-negative"):
+        default_sample_points(pmap, random_per_radius=-1)
+    assert len(default_sample_points(pmap, random_per_radius=0)) == 3 * pmap.n
+
+
 def test_residual_improves_with_truncation_degree():
     for pmap in [univariate_map(2, 1), get_fixture("univar-3")]:
         r = 0.5 * convergence_radius(pmap)
