@@ -20,7 +20,8 @@ from math import comb, lcm
 
 from treeinv._combinat import exponents, multiplicity_factor
 from treeinv.errors import DimensionMismatchError, PreconditionError
-from treeinv.poly import Poly, Series, _addmul, _composed_terms, _indices, _prefixes, _sum_nums, _variables
+from treeinv.plan import PLANS, Plan, Recorder
+from treeinv.poly import Poly, Series, _addmul, _composed_sums, _indices, _prefixes, _variables
 from treeinv.tensormap import PolyMap, _h_series, build_H, jacobian_powers
 
 
@@ -37,7 +38,59 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     of a monomial of H has degree at least 1).  Every monomial of H is a
     product of G-components taken in a fixed variable order; its prefix
     products are shared between monomials, and each prefix keeps one
-    list of its parts by degree.
+    list of its parts by degree (see _graded_parts).
+
+    Each part is a bare dict of int numerators: H is read off its
+    memoized Series as ints over K, the lcm of their denominators, so G_m
+    is over K^V with V = (m-1)/(d-1), and a prefix part of l factors at
+    degree k over K^((k-l)/(d-1)).  Each K^V is applied once, when the
+    Series is made.
+
+    Which keys the recursion pairs depends only on (n, d, D) and the keys
+    of each H_i, so the plan cache (plan.py) compiles that structure into
+    a flat plan on its second sighting, and later maps of it run the
+    plan.  A first sighting, or a structure whose plan would pass
+    plan.LIMIT triples, runs the recursion on dicts; the plans held stay
+    within plan.BUDGET triples.  Both routes give the same numerators.
+    """
+    if D < 1:
+        raise ValueError(f"degree cap must be >= 1, got {D}")
+    n, d = pmap.n, pmap.d
+    H = _h_series(pmap)
+    K = lcm(*[h.den for h in H])
+    # H_i's keys in their own order, which a map's tensor fixes, so each
+    # monomial's slot is its place and the outputs keep the dict route's order
+    keys = tuple([tuple(h.comps[d]) for h in H])
+    plan = PLANS.get(("G", n, d, D, keys), lambda limit: _fixed_point_plan(n, d, D, keys, limit))
+    if plan is None:
+        # Each monomial of H_i as (its numerator over K, the variable indices it multiplies).
+        monomials = [[(c * (K // h.den), _indices(k, n, d + 1)) for k, c in h.comps[d].items()] for h in H]
+        parts = _graded_parts(n, d, D, monomials, _variables(n, D + 1), _addmul)
+    else:
+        # slot 0 holds the numerator 1 of each variable, then H's numerators over K
+        v = [0] * plan.size
+        v[0] = 1
+        at = 1
+        for h in H:
+            scale, comp = K // h.den, h.comps[d]
+            v[at : at + len(comp)] = [c * scale for c in comp.values()]
+            at += len(comp)
+        parts = plan.run(v)
+    dens = [K ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
+    return [Series._from_parts(n, list(zip(dens, p))) for p in parts]
+
+
+def _fixed_point_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
+    """The fixed point's recursion recorded as a plan: input slot 0 is the 1 of y, then each H_i's keys."""
+    rec = Recorder(limit)
+    (one,) = rec.slots(1)
+    monomials = [[(s, _indices(k, n, d + 1)) for k, s in zip(ks, rec.slots(len(ks)))] for ks in keys]
+    variables = [{k: one for k in x} for x in _variables(n, D + 1)]
+    return Plan(rec, _graded_parts(n, d, D, monomials, variables, rec.addmul))
+
+
+def _graded_parts(n: int, d: int, D: int, monomials, variables, addmul) -> list[list[dict]]:
+    """For each i, the parts of G_i by degree, from H's monomials as (c, variable indices).
 
     Only live degrees are computed.  A tree with V vertices has
     (d-1)V + 1 leaves, so G_m = 0 unless (m-1) % (d-1) == 0; the other
@@ -48,25 +101,15 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     nonzero parts lie in degrees congruent to l mod (d-1), the only ones
     the loop reads, because j steps over the live degrees of G only.
 
-    Each part is a bare dict of int numerators: H is read off its
-    memoized Series as ints over K, the lcm of their denominators, so G_m
-    is over K^V with V = (m-1)/(d-1), and a prefix part of l factors at
-    degree k over K^((k-l)/(d-1)).  Each K^V is applied once, when the
-    Series is made.
+    The dicts hold whatever addmul multiplies: numerators with
+    poly._addmul, slots with a plan's Recorder.addmul.
     """
-    if D < 1:
-        raise ValueError(f"degree cap must be >= 1, got {D}")
-    n, d = pmap.n, pmap.d
-    H = _h_series(pmap)
-    K = lcm(*[h.den for h in H])
-    # parts[j][k] is the numerators of the degree-k part of G_j, packed in base D + 1.
-    parts = [[{}, x] + [{}] * (D - 1) for x in _variables(n, D + 1)]
-    # Each monomial of H_i as (its numerator over K, the variable indices it multiplies).
-    monomials = [[(c * (K // h.den), _indices(k, n, d + 1)) for k, c in h.comps[d].items()] for h in H]
+    # parts[j][k] is the degree-k part of G_j, packed in base D + 1.
+    parts = [[{}, x] + [{}] * (D - 1) for x in variables]
     # prefix_parts[p][k] is the degree-k part of the product of G_j over j in p.
     prefix_parts = {(j,): parts[j] for j in range(n)}
     steps = []
-    for p in _prefixes(monomials):
+    for p in _prefixes(p for row in monomials for _, p in row):
         prefix_parts[p] = [{}] * (D + 1)
         steps.append((len(p), prefix_parts[p[:-1]], parts[p[-1]], prefix_parts[p]))
     for m in range(d, D + 1, d - 1):
@@ -74,13 +117,12 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
             k = m - d + l
             own[k] = acc = {}
             for j in range(1, k - l + 2, d - 1):
-                _addmul(acc, head[k - j], last[j])
+                addmul(acc, head[k - j], last[j])
         for i in range(n):
             parts[i][m] = acc = {}
             for c, p in monomials[i]:
-                _addmul(acc, {0: c}, prefix_parts[p][m])
-    dens = [K ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
-    return [Series._from_parts(n, list(zip(dens, p))) for p in parts]
+                addmul(acc, {0: c}, prefix_parts[p][m])
+    return parts
 
 
 def inverse_series(pmap: PolyMap, D: int) -> list[Series]:
@@ -135,11 +177,15 @@ def verify_inverse(pmap: PolyMap, G: list[Series], D: int) -> bool:
 
     The residual is never reduced: the numerators of H_i(G) - G_i over
     the lcm L of its terms' denominators must be -L at y_i's key and
-    zero at every other key.
+    zero at every other key.  They come from one composition
+    (poly._composed_sums), which from a structure's second sighting on
+    runs a plan compiled over a dense shadow of G's parts; a numerator
+    that G lacks there reads as 0.  Its plans are recorded from the
+    composition's own recursion, never the fixed point's, so it stays
+    the fixed point's oracle.
     """
     G = _truncated(pmap, G, D)
-    for i, (g, terms) in enumerate(zip(G, _composed_terms(_h_series(pmap), G))):
-        L, comps = _sum_nums(D, terms + [(-1, g.den, g.comps)])
+    for i, (L, comps) in enumerate(_composed_sums(_h_series(pmap), G, subtract=True)):
         # keys of different degrees are different monomials, so the merge loses none
         residual = {k: v for c in comps for k, v in c.items() if v}
         if residual != ({(D + 1) ** i: -L} if D >= 1 else {}):

@@ -194,11 +194,9 @@ def theorem1_check(
         raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
     n = pmap.n
     R = convergence_radius(pmap)
-    G = inverse_series(pmap, D) if G is None else _truncated(pmap, G, D)
-    # prepared once per call; each point sums in the same order as eval_poly_numeric
-    G_at = _Evaluator(G)
-    H_at = _Evaluator(_h_series(pmap))
-    samples: list[SampleCheck] = []
+    G = None if G is None else _truncated(pmap, G, D)
+    # every point is checked before any series is made or evaluated
+    checked = []
     for point in points:
         point = tuple(float(c) for c in point)
         if len(point) != n:
@@ -211,6 +209,16 @@ def theorem1_check(
                 f"point {point} has sup norm {r:.6g}, outside 0.9 R = {0.9 * R:.6g}; "
                 "refusing to check a point without a convergence guarantee"
             )
+        checked.append((point, r))
+    if not checked:
+        raise ValueError("no sample points to check")
+    if G is None:
+        G = inverse_series(pmap, D)
+    # prepared once per call; each point sums in the same order as eval_poly_numeric
+    G_at = _Evaluator(G)
+    H_at = _Evaluator(_h_series(pmap))
+    samples: list[SampleCheck] = []
+    for point, r in checked:
         g_num = G_at(point)
         residual = 0.0
         for i, h in enumerate(H_at(g_num)):
@@ -224,6 +232,4 @@ def theorem1_check(
         samples.append(
             SampleCheck(point=point, values=tuple(g_num), residual=residual, bound_ok=bound_ok)
         )
-    if not samples:
-        raise ValueError("no sample points to check")
     return RadiusReport(norm_w=float(norm_w(pmap)), radius=R, tol=tol, samples=samples)

@@ -31,17 +31,21 @@ contractions of trees.py pack their operands in a base above every
 exponent the result can reach, so no product is truncated and the
 ``Poly`` product here is their test oracle.  Every pair product is one
 ``_addmul`` over a denominator fixed by structure, so none takes an lcm
-or a gcd.
+or a gcd.  The composition, like the fixed point of inversion.py, is
+also recorded once per structure as a flat plan of those products
+(plan.py), which later calls of that structure run.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, gcd, lcm, perm
+from itertools import combinations_with_replacement
+from math import comb, factorial, gcd, lcm, perm, prod
 from typing import Iterable, Mapping
 
 from treeinv.errors import DimensionMismatchError
+from treeinv.plan import PLANS, Plan, Recorder
 
 Monomial = tuple[int, ...]
 
@@ -506,7 +510,7 @@ class Series:
         return self.body.to_string(var)
 
 
-def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]]) -> list[dict]:
+def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]], addmul=_addmul) -> list[dict]:
     """The numerators of a truncated product over the product of the denominators, unreduced.
 
     Degree da of left pairs only with degrees <= cap - da of right.
@@ -516,7 +520,7 @@ def _mul_comps(cap: int, left: list[dict[int, int]], right: list[dict[int, int]]
         if a:
             for db in range(cap - da + 1):
                 if right[db]:
-                    _addmul(out[da + db], a, right[db])
+                    addmul(out[da + db], a, right[db])
     return out
 
 
@@ -542,31 +546,39 @@ def _lincomb(n: int, cap: int, terms) -> Series:
     return Series._reduced(n, cap, *_sum_nums(cap, terms))
 
 
+@lru_cache(maxsize=1 << 10)
 def _indices(key: int, n: int, base: int) -> tuple[int, ...]:
     """The variable index of each factor of the monomial of a packed key, in increasing order."""
     return tuple([j for j, e in enumerate(_unpack(key, n, base)) for _ in range(e)])
 
 
-def _prefixes(rows) -> list[tuple[int, ...]]:
-    """The prefixes of two or more factors of the p in rows of (c, p), by length.
+def _prefixes(ps) -> list[tuple[int, ...]]:
+    """The prefixes of two or more factors of the variable-index tuples in ps, by length.
 
-    p is a tuple of variable indices (see _indices).  A prefix comes
-    after its head, so a walk in this order finds each head built.
+    Each p is a tuple of variable indices (see _indices).  A prefix
+    comes after its head, so a walk in this order finds each head built.
     """
-    return sorted({p[:l] for row in rows for _, p in row for l in range(2, len(p) + 1)}, key=len)
+    return sorted({p[:l] for p in ps for l in range(2, len(p) + 1)}, key=len)
 
 
-def _composed_terms(fs: list[Series], gs: list[Series]) -> list[list[tuple]]:
-    """For each f in fs, its kept monomials composed with gs as int (c, den, comps) terms.
+def _composed_sums(fs: list[Series], gs: list[Series], subtract: bool = False) -> list[tuple[int, list[dict]]]:
+    """For each f in fs, (L, numerators) of f(g_1, ..., g_n) mod the cap of gs; with subtract, of f_i(gs) - g_i.
 
     Each monomial of an f is the product of its factors in increasing
-    variable order.  The prefixes of the kept monomials are built in
-    order of length, each once for all the series from its head and one
-    substituent, and kept as unreduced numerators over the product of
-    its factors' denominators.  A term's c is the monomial's numerator
-    in f and its den that product times f's den, so f(gs) mod the cap
-    of gs is the sum of its row (see _sum_nums).  The caps of fs are
-    their own: an f only lists monomials.
+    variable order, over f's den times its factors' denominators, and L
+    is the lcm of those; the numerators by degree are not reduced and may
+    hold zeros (see _sum_nums).  The caps of fs are their own: an f only
+    lists monomials.  The products are built by _products.
+
+    Which keys meet depends only on the dimension and cap of gs and on
+    the shadow (see _shadow) of each f and each g, so the plan cache
+    (plan.py) compiles that structure into a flat plan on its second
+    sighting.  A series drops its zero numerators, so its key set varies
+    from call to call where a numerator cancels, and a dense shadow takes
+    that in: a key that a series lacks enters as 0.  A first sighting, or
+    a structure whose plan would pass plan.LIMIT triples, runs on dicts.
+    Both give the same numerators; the plan may add keys whose numerator
+    is 0.
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
@@ -579,23 +591,125 @@ def _composed_terms(fs: list[Series], gs: list[Series]) -> list[list[tuple]]:
             raise DimensionMismatchError("substituents have mixed dimension or cap")
     # with no constant term in any g, a monomial above the cap composes to
     # degrees above the cap only, so every product it would form is cut
-    const = any(g.comps[0] for g in gs)
-    kept = [[(c, _indices(k, f.n, f.cap + 1)) for comp in f.comps[: None if const else cap + 1]
-             for k, c in comp.items()] for f in fs]
-    # products[p] is (den, comps) of the product of the substituents p names
-    products = {(): (1, Series.one(n_out, cap).comps)}
-    products.update(((j,), (g.den, g.comps)) for j, g in enumerate(gs))
-    for p in _prefixes(kept):
-        den, comps = products[p[:-1]]
-        g = gs[p[-1]]
-        products[p] = (den * g.den, _mul_comps(cap, comps, g.comps))
-    return [[(c, f.den * products[p][0], products[p][1]) for c, p in row] for f, row in zip(fs, kept)]
+    top = None if any(g.comps[0] for g in gs) else cap + 1
+    live = tuple(_shadow(n_out, g.comps) for g in gs)
+    outer = tuple((f.cap, _shadow(f.n, f.comps[:top])) for f in fs)
+    dens = [g.den for g in gs]
+    sums, rows = [], []
+    for i, f in enumerate(fs):
+        # (variable indices, numerator over den, den) of each kept monomial, degree by degree
+        terms = [(_indices(key, f.n, f.cap + 1), c, f.den) for comp in f.comps[:top] for key, c in comp.items()]
+        if subtract:
+            # -g_i is the monomial y_i with numerator -1 over 1
+            terms.append(((i,), -1, 1))
+        term_dens = [den * prod(map(dens.__getitem__, p)) for p, _, den in terms]
+        L = lcm(*term_dens)
+        sums.append(L)
+        rows.append([(p, c * (L // t)) for (p, c, _), t in zip(terms, term_dens)])
+    key = ("compose", n_out, cap, subtract, live, outer)
+    plan = PLANS.get(key, lambda limit: _composition_plan(n_out, cap, subtract, live, outer, limit))
+    if plan is None:
+        products = _products(cap, Series.one(n_out, cap).comps, [g.comps for g in gs], [[p for p, _ in row] for row in rows], _addmul)
+        return [(L, _sum_nums(cap, [(c, 1, products[p]) for p, c in row])[1]) for L, row in zip(sums, rows)]
+    # the inputs of the plan: slot 0 holds 1, then each g over its shadow,
+    # then each row's factors over its f's shadow, the term -g_i last
+    v = [0] * plan.size
+    v[0] = 1
+    at = 1
+    for g, shadow in zip(gs, live):
+        size, places = _placed(g.comps, shadow, n_out, cap + 1)
+        for place, x in zip(places, [x for c in g.comps for x in c.values()]):
+            v[at + place] = x
+        at += size
+    for f, (_, shadow), row in zip(fs, outer, rows):
+        size, places = _placed(f.comps[:top], shadow, f.n, f.cap + 1)
+        for place, (_, c) in zip(places + [size], row):
+            v[at + place] = c
+        at += size + subtract
+    return list(zip(sums, plan.run(v)))
+
+
+def _products(cap: int, one: list[dict], gcomps: list[list[dict]], shape, addmul) -> dict:
+    """The parts by degree of the product of the g_j over p, for p = (), each (j,) and each prefix in shape.
+
+    Each prefix is built once for all the rows, from its head and one
+    substituent, in order of length (see _prefixes), and truncated at
+    the cap.  The dicts hold whatever addmul multiplies: numerators with
+    _addmul, slots with a plan's Recorder.addmul.
+    """
+    products = {(): one}
+    products.update(((j,), comps) for j, comps in enumerate(gcomps))
+    for p in _prefixes(p for ps in shape for p in ps):
+        products[p] = _mul_comps(cap, products[p[:-1]], gcomps[p[-1]], addmul)
+    return products
+
+
+def _composition_plan(n_out: int, cap: int, subtract: bool, live, outer, limit: int) -> Plan:
+    """_composed_sums recorded as a plan over the shadows, its inputs laid out as it scatters them."""
+    rec = Recorder(limit)
+    (one,) = rec.slots(1)
+    gcomps = []
+    for shadow in live:
+        comps = [{}] * (cap + 1)
+        for k, keys in shadow:
+            keys = _dense_keys(n_out, cap + 1, k) if keys is None else keys
+            comps[k] = dict(zip(keys, rec.slots(len(keys))))
+        gcomps.append(comps)
+    n = len(live)
+    shape = [[_indices(key, n, fcap + 1) for k, keys in shadow for key in (_dense_keys(n, fcap + 1, k) if keys is None else keys)]
+             + [(i,)] * subtract for i, (fcap, shadow) in enumerate(outer)]
+    factors = [rec.slots(len(ps)) for ps in shape]
+    products = _products(cap, [{0: one}] + [{}] * cap, gcomps, shape, rec.addmul)
+    outputs = []
+    for ps, slots in zip(shape, factors):
+        out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
+        for p, s in zip(ps, slots):
+            for acc, comp in zip(out, products[p]):
+                rec.addmul(acc, {0: s}, comp)
+        outputs.append(out)
+    return Plan(rec, outputs)
+
+
+def _shadow(n: int, comps: list[dict[int, int]]) -> tuple:
+    """The shadow of a series: (k, keys) for each nonzero degree k, keys None where it is dense, else its own keys.
+
+    A part holding at least half of the monomials of its degree stands for
+    all of them; a sparser one, such as the y_i of a G, for its own keys,
+    in its own order.
+    """
+    return tuple([(k, None if 2 * len(c) >= comb(k + n - 1, n - 1) else tuple(c))
+                  for k, c in enumerate(comps) if c])
+
+
+def _placed(comps: list[dict[int, int]], shadow, n: int, base: int) -> tuple[int, list[int]]:
+    """The size of a series' shadow, and the place in it of each numerator of comps, degree by degree."""
+    places, at = [], 0
+    for k, keys in shadow:
+        if keys is None:
+            index = _dense_index(n, base, k)
+            places += [at + index[key] for key in comps[k]]
+            at += len(index)
+        else:
+            places += range(at, at + len(keys))
+            at += len(keys)
+    return at, places
+
+
+def _dense_keys(n: int, base: int, k: int) -> list[int]:
+    """Every packed key of degree k in n variables, in a fixed order."""
+    return [sum([base**j for j in c]) for c in combinations_with_replacement(range(n), k)]
+
+
+@lru_cache(maxsize=1 << 8)
+def _dense_index(n: int, base: int, k: int) -> dict[int, int]:
+    """The place of each key in _dense_keys; only a compiled plan's calls read it, so its sizes stay small."""
+    return {key: i for i, key in enumerate(_dense_keys(n, base, k))}
 
 
 def _compose(f: Series, gs: list[Series]) -> Series:
-    """f(g_1, ..., g_n) mod the cap of gs, for f packed at any cap (see _composed_terms)."""
-    (row,) = _composed_terms([f], gs)
-    return _lincomb(gs[0].n, gs[0].cap, row)
+    """f(g_1, ..., g_n) mod the cap of gs, for f packed at any cap (see _composed_sums)."""
+    ((L, comps),) = _composed_sums([f], gs)
+    return Series._reduced(gs[0].n, gs[0].cap, L, comps)
 
 
 def series_compose(f: Poly, gs: list[Series]) -> Series:

@@ -14,6 +14,7 @@ int form; build_H and jacobian_det unpack them to Poly.  Indices are
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
 from types import MappingProxyType
 
@@ -170,10 +171,17 @@ def _h_series(pmap: PolyMap) -> tuple[Series, ...]:
         L, scaled = pmap.tensor._scaled
         nums: list[dict[int, int]] = [{} for _ in range(n)]
         for (i, lower), w in scaled.items():
-            nums[i][_pack(exponents(lower, n), d + 1)] = w * multiset_orbit_size(lower)
+            key, orbit = _monomial_of(lower, n, d)
+            nums[i][key] = w * orbit
         return tuple([Series._reduced(n, d, L * factorial(d), [{}] * d + [c]) for c in nums])
 
     return pmap._memoized("H", build)
+
+
+@lru_cache(maxsize=1 << 12)
+def _monomial_of(lower: tuple[int, ...], n: int, d: int) -> tuple[int, int]:
+    """The packed key (base d + 1) of the monomial a sorted lower-index tuple names, and its orbit size."""
+    return _pack(exponents(lower, n), d + 1), multiset_orbit_size(lower)
 
 
 def build_F(pmap: PolyMap) -> list[Poly]:

@@ -9,6 +9,7 @@ from math import factorial
 
 import pytest
 
+from treeinv import numeric
 from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.inversion import fixed_point_inverse
 from treeinv.numeric import (
@@ -135,6 +136,26 @@ def test_theorem1_rejects_an_empty_point_list():
         theorem1_check(univariate_map(2, 1), 10, [])
     with pytest.raises(ValueError, match="no sample points"):
         theorem1_check(univariate_map(2, 1), 10, iter([]))
+
+
+def test_theorem1_checks_every_point_before_any_series_is_made(monkeypatch):
+    # r32 at D = 30 spends seconds in the fixed point; a refusal must not wait for it
+    def refuse(*args):
+        raise AssertionError("inverse_series ran before the points were checked")
+
+    monkeypatch.setattr(numeric, "inverse_series", refuse)
+    pmap = random_map(3, 2, seed=1)
+    R = convergence_radius(pmap)
+    good = [0.1 * R, 0.0, -0.1 * R]
+    for points, match in (
+        ([], "no sample points"),
+        (iter([]), "no sample points"),
+        ([good, [0.0, 0.0]], "wrong dimension"),
+        ([good, [0.0, math.nan, 0.0]], "finite"),
+        ([good, [0.0, 0.0, -0.95 * R]], "0.9"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            theorem1_check(pmap, 30, points)
 
 
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.inf, -math.inf, math.nan])
