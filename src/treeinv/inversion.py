@@ -49,43 +49,37 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     Which keys the recursion pairs depends only on (n, d, D) and the keys
     of each H_i, so the plan cache (plan.py) compiles that structure into
     a flat plan on its second sighting, and later maps of it run the
-    plan.  A first sighting, or a structure whose plan would pass
-    plan.LIMIT triples, runs the recursion on dicts; the plans held stay
-    within plan.BUDGET triples.  Both routes give the same numerators.
+    plan on H_i's numerators over K, keyed as in H_i.  A first sighting,
+    or a structure whose plan would pass plan.LIMIT triples, runs the
+    recursion on dicts; the plans held stay within plan.BUDGET triples.
+    Both routes give the same numerators.
     """
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n, d = pmap.n, pmap.d
     H = _h_series(pmap)
     K = lcm(*[h.den for h in H])
-    # H_i's keys in their own order, which a map's tensor fixes, so each
-    # monomial's slot is its place and the outputs keep the dict route's order
+    # H_i's keys in their own order, which a map's tensor fixes, so the
+    # plan's outputs keep the dict route's order
     keys = tuple([tuple(h.comps[d]) for h in H])
     plan = PLANS.get(("G", n, d, D, keys), lambda limit: _fixed_point_plan(n, d, D, keys, limit))
+    # each H_i's numerators over K
+    nums = [[(k, c * (K // h.den)) for k, c in h.comps[d].items()] for h in H]
     if plan is None:
-        # Each monomial of H_i as (its numerator over K, the variable indices it multiplies).
-        monomials = [[(c * (K // h.den), _indices(k, n, d + 1)) for k, c in h.comps[d].items()] for h in H]
+        monomials = [[(c, _indices(k, n, d + 1)) for k, c in row] for row in nums]
         parts = _graded_parts(n, d, D, monomials, _variables(n, D + 1), _addmul)
     else:
-        # slot 0 holds the numerator 1 of each variable, then H's numerators over K
-        v = [0] * plan.size
-        v[0] = 1
-        at = 1
-        for h in H:
-            scale, comp = K // h.den, h.comps[d]
-            v[at : at + len(comp)] = [c * scale for c in comp.values()]
-            at += len(comp)
-        parts = plan.run(v)
+        parts = plan.run(nums)
     dens = [K ** (max(k - 1, 0) // (d - 1)) for k in range(D + 1)]
     return [Series._from_parts(n, list(zip(dens, p))) for p in parts]
 
 
 def _fixed_point_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
-    """The fixed point's recursion recorded as a plan: input slot 0 is the 1 of y, then each H_i's keys."""
+    """The fixed point's recursion recorded as a plan whose inputs are the H_i, keyed by keys[i]."""
     rec = Recorder(limit)
-    (one,) = rec.slots(1)
-    monomials = [[(s, _indices(k, n, d + 1)) for k, s in zip(ks, rec.slots(len(ks)))] for ks in keys]
-    variables = [{k: one for k in x} for x in _variables(n, D + 1)]
+    monomials = [[(s, _indices(k, n, d + 1)) for k, s in rec.input(ks).items()] for ks in keys]
+    # slot 0 holds the 1 of each variable
+    variables = [{k: 0 for k in x} for x in _variables(n, D + 1)]
     return Plan(rec, _graded_parts(n, d, D, monomials, variables, rec.addmul))
 
 

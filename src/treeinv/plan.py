@@ -6,9 +6,11 @@ keys meet, and which numerator each pair product adds into, depend only
 on the key sets, never on the numerators.  A plan records that work
 once, as slot triples (out, a, b), by running the kernel's own
 recursion over dicts that map each packed key to a slot instead of a
-numerator (``Recorder.addmul`` mirrors ``poly._addmul``).  A later call
-with the same structure scatters its numerators into a flat list of
-ints and runs one loop, ``v[out] += v[a] * v[b]``, over three int32
+numerator (``Recorder.addmul`` mirrors ``poly._addmul``); slot 0 holds
+1, and ``Recorder.input`` gives each key of an input a slot.  A later
+call with the same structure hands ``Plan.run`` the (key, numerator)
+items of each input, which it puts at their slots in a flat list of
+ints before one loop, ``v[out] += v[a] * v[b]``, over three int32
 arrays; the outputs are gathered back into dicts of packed keys.  The
 arithmetic is the dict route's, exact, so the results are equal.
 
@@ -41,20 +43,24 @@ class TooLarge(Exception):
 
 
 class Recorder:
-    """Slots for a recursion run over dicts of packed keys mapped to slots."""
+    """Slots for a recursion run over dicts of packed keys mapped to slots; slot 0 holds 1."""
 
-    __slots__ = ("size", "out", "a", "b", "limit")
+    __slots__ = ("size", "inputs", "out", "a", "b", "limit")
 
     def __init__(self, limit: int):
-        self.size = 0
+        self.size = 1
+        self.inputs: list[dict] = []
         self.out, self.a, self.b = array("i"), array("i"), array("i")
         self.limit = limit
 
-    def slots(self, count: int) -> range:
-        """count fresh slots."""
-        start = self.size
-        self.size += count
-        return range(start, self.size)
+    def input(self, keys) -> dict:
+        """A fresh slot for each key of the next input, in order; a repeated key raises ValueError."""
+        slots = dict(zip(keys, range(self.size, self.size + len(keys))))
+        if len(slots) < len(keys):
+            raise ValueError("an input repeats a key")
+        self.size += len(keys)
+        self.inputs.append(slots)
+        return slots
 
     def addmul(self, acc: dict[int, int], a: dict[int, int], b: dict[int, int]) -> None:
         """Record acc += a * b, as poly._addmul computes it, giving each new key of acc a slot.
@@ -94,13 +100,14 @@ class Recorder:
 class Plan:
     """Recorded triples and where the outputs lie, for one structure.
 
+    ``inputs[i]`` maps each key of input i to its slot, and
     ``outputs[r][k]`` is (keys, slots) for output dict k of row r.
     """
 
-    __slots__ = ("size", "out", "a", "b", "outputs")
+    __slots__ = ("size", "inputs", "out", "a", "b", "outputs")
 
     def __init__(self, rec: Recorder, outputs):
-        self.size, self.out, self.a, self.b = rec.size, rec.out, rec.a, rec.b
+        self.size, self.inputs, self.out, self.a, self.b = rec.size, rec.inputs, rec.out, rec.a, rec.b
         self.outputs = [
             [(tuple(d), array("i", [s if s >= 0 else ~s for s in d.values()])) for d in row] for row in outputs
         ]
@@ -115,11 +122,16 @@ class Plan:
         arrays = [self.out, self.a, self.b] + [s for row in self.outputs for _, s in row]
         return sum(x.itemsize * len(x) for x in arrays)
 
-    def run(self, v: list[int]) -> list[list[dict[int, int]]]:
-        """Run the triples over v, which holds every input at its slot and zero elsewhere.
+    def run(self, inputs) -> list[list[dict[int, int]]]:
+        """The outputs, as dicts of packed keys mapped to numerators, for one iterable of (key, numerator) per input.
 
-        Returns the outputs as dicts of packed keys mapped to numerators.
+        A key that an input lacks reads as 0; one the plan lacks raises KeyError.
         """
+        v = [0] * self.size
+        v[0] = 1
+        for slots, items in zip(self.inputs, inputs, strict=True):
+            for k, x in items:
+                v[slots[k]] = x
         for o, a, b in zip(self.out, self.a, self.b):
             v[o] += v[a] * v[b]
         at = v.__getitem__

@@ -351,8 +351,11 @@ def _dot(pairs) -> dict[int, int]:
 
 
 def _reduce(den: int, comps: list[dict[int, int]]) -> tuple[int, list[dict[int, int]]]:
-    """Several dicts of numerators over one den, without zeros and with the common factor out."""
-    comps = [{k: v for k, v in c.items() if v} for c in comps]
+    """Several dicts of numerators over one den, without zeros and with the common factor out.
+
+    A dict without zeros is kept as it is, not copied.
+    """
+    comps = [c if all(c.values()) else {k: v for k, v in c.items() if v} for c in comps]
     # Star-arguments come from lists here, not generators: a generator is
     # packed into a tuple of guessed length and then resized, and the
     # resized tuples pile up in CPython's per-length tuple free lists.
@@ -414,9 +417,14 @@ class Series:
 
     @classmethod
     def _from_parts(cls, n: int, parts: list[tuple[int, dict[int, int]]]) -> Series:
-        """The series whose degree-k part is parts[k]: cap len(parts) - 1, keys in that base."""
+        """The series whose degree-k part is parts[k] = (den, numerators): cap len(parts) - 1, keys in that base.
+
+        Each part is rescaled to the lcm of the dens and loses its zeros in
+        one pass, so _reduced copies none of them again.
+        """
         den = lcm(*[p[0] for p in parts])
-        comps = [c if d == den else {k: v * (den // d) for k, v in c.items()} for d, c in parts]
+        comps = [{k: v * f for k, v in c.items() if v} if f > 1 else {k: v for k, v in c.items() if v}
+                 for f, c in [(den // d, c) for d, c in parts]]
         return cls._reduced(n, len(parts) - 1, den, comps)
 
     @classmethod
@@ -568,17 +576,20 @@ def _composed_sums(fs: list[Series], gs: list[Series], subtract: bool = False) -
     variable order, over f's den times its factors' denominators, and L
     is the lcm of those; the numerators by degree are not reduced and may
     hold zeros (see _sum_nums).  The caps of fs are their own: an f only
-    lists monomials.  The products are built by _products.
+    lists monomials.  Each f gives a row of (variable indices, numerator
+    over L), one per monomial, with -g_i folded into the numerator of
+    y_i; _products forms the products, and each row is summed over them.
 
     Which keys meet depends only on the dimension and cap of gs and on
     the shadow (see _shadow) of each f and each g, so the plan cache
     (plan.py) compiles that structure into a flat plan on its second
-    sighting.  A series drops its zero numerators, so its key set varies
-    from call to call where a numerator cancels, and a dense shadow takes
-    that in: a key that a series lacks enters as 0.  A first sighting, or
-    a structure whose plan would pass plan.LIMIT triples, runs on dicts.
-    Both give the same numerators; the plan may add keys whose numerator
-    is 0.
+    sighting, and later calls hand the plan the items of each g's parts
+    and of each row, matched by key.  A series drops its zero numerators,
+    so its key set varies from call to call where a numerator cancels,
+    and a dense shadow takes that in: a key that a series lacks enters
+    as 0.  A first sighting, or a structure whose plan would pass
+    plan.LIMIT triples, runs on dicts.  Both give the same numerators;
+    the plan may add keys whose numerator is 0.
     """
     if not gs:
         raise DimensionMismatchError("series composition needs at least one substituent")
@@ -605,28 +616,19 @@ def _composed_sums(fs: list[Series], gs: list[Series], subtract: bool = False) -
         term_dens = [den * prod(map(dens.__getitem__, p)) for p, _, den in terms]
         L = lcm(*term_dens)
         sums.append(L)
-        rows.append([(p, c * (L // t)) for (p, c, _), t in zip(terms, term_dens)])
+        # a y_i of f and -g_i share one numerator, so a row lists each p once
+        row: dict[tuple[int, ...], int] = {}
+        for (p, c, _), t in zip(terms, term_dens):
+            row[p] = row.get(p, 0) + c * (L // t)
+        rows.append(row)
     key = ("compose", n_out, cap, subtract, live, outer)
     plan = PLANS.get(key, lambda limit: _composition_plan(n_out, cap, subtract, live, outer, limit))
     if plan is None:
-        products = _products(cap, Series.one(n_out, cap).comps, [g.comps for g in gs], [[p for p, _ in row] for row in rows], _addmul)
-        return [(L, _sum_nums(cap, [(c, 1, products[p]) for p, c in row])[1]) for L, row in zip(sums, rows)]
-    # the inputs of the plan: slot 0 holds 1, then each g over its shadow,
-    # then each row's factors over its f's shadow, the term -g_i last
-    v = [0] * plan.size
-    v[0] = 1
-    at = 1
-    for g, shadow in zip(gs, live):
-        size, places = _placed(g.comps, shadow, n_out, cap + 1)
-        for place, x in zip(places, [x for c in g.comps for x in c.values()]):
-            v[at + place] = x
-        at += size
-    for f, (_, shadow), row in zip(fs, outer, rows):
-        size, places = _placed(f.comps[:top], shadow, f.n, f.cap + 1)
-        for place, (_, c) in zip(places + [size], row):
-            v[at + place] = c
-        at += size + subtract
-    return list(zip(sums, plan.run(v)))
+        products = _products(cap, Series.one(n_out, cap).comps, [g.comps for g in gs], rows, _addmul)
+        parts = [_sum_nums(cap, [(c, 1, products[p]) for p, c in row.items()])[1] for row in rows]
+    else:
+        parts = plan.run([c.items() for g in gs for c in g.comps] + [row.items() for row in rows])
+    return list(zip(sums, parts))
 
 
 def _products(cap: int, one: list[dict], gcomps: list[list[dict]], shape, addmul) -> dict:
@@ -645,25 +647,28 @@ def _products(cap: int, one: list[dict], gcomps: list[list[dict]], shape, addmul
 
 
 def _composition_plan(n_out: int, cap: int, subtract: bool, live, outer, limit: int) -> Plan:
-    """_composed_sums recorded as a plan over the shadows, its inputs laid out as it scatters them."""
+    """_composed_sums recorded as a plan over the shadows.
+
+    Its inputs are each part of each g, keyed by packed key, then each
+    row, keyed by variable indices.
+    """
     rec = Recorder(limit)
-    (one,) = rec.slots(1)
     gcomps = []
     for shadow in live:
-        comps = [{}] * (cap + 1)
-        for k, keys in shadow:
-            keys = _dense_keys(n_out, cap + 1, k) if keys is None else keys
-            comps[k] = dict(zip(keys, rec.slots(len(keys))))
-        gcomps.append(comps)
-    n = len(live)
-    shape = [[_indices(key, n, fcap + 1) for k, keys in shadow for key in (_dense_keys(n, fcap + 1, k) if keys is None else keys)]
-             + [(i,)] * subtract for i, (fcap, shadow) in enumerate(outer)]
-    factors = [rec.slots(len(ps)) for ps in shape]
-    products = _products(cap, [{0: one}] + [{}] * cap, gcomps, shape, rec.addmul)
+        keys = _spelled(n_out, cap + 1, shadow)
+        gcomps.append([rec.input(keys.get(k, ())) for k in range(cap + 1)])
+    n, rows = len(live), []
+    for i, (fcap, shadow) in enumerate(outer):
+        shape = [_indices(key, n, fcap + 1) for keys in _spelled(n, fcap + 1, shadow).values() for key in keys]
+        if subtract and (i,) not in shape:
+            shape.append((i,))
+        rows.append(rec.input(shape))
+    # slot 0 holds 1
+    products = _products(cap, [{0: 0}] + [{}] * cap, gcomps, rows, rec.addmul)
     outputs = []
-    for ps, slots in zip(shape, factors):
+    for row in rows:
         out: list[dict[int, int]] = [{} for _ in range(cap + 1)]
-        for p, s in zip(ps, slots):
+        for p, s in row.items():
             for acc, comp in zip(out, products[p]):
                 rec.addmul(acc, {0: s}, comp)
         outputs.append(out)
@@ -681,29 +686,10 @@ def _shadow(n: int, comps: list[dict[int, int]]) -> tuple:
                   for k, c in enumerate(comps) if c])
 
 
-def _placed(comps: list[dict[int, int]], shadow, n: int, base: int) -> tuple[int, list[int]]:
-    """The size of a series' shadow, and the place in it of each numerator of comps, degree by degree."""
-    places, at = [], 0
-    for k, keys in shadow:
-        if keys is None:
-            index = _dense_index(n, base, k)
-            places += [at + index[key] for key in comps[k]]
-            at += len(index)
-        else:
-            places += range(at, at + len(keys))
-            at += len(keys)
-    return at, places
-
-
-def _dense_keys(n: int, base: int, k: int) -> list[int]:
-    """Every packed key of degree k in n variables, in a fixed order."""
-    return [sum([base**j for j in c]) for c in combinations_with_replacement(range(n), k)]
-
-
-@lru_cache(maxsize=1 << 8)
-def _dense_index(n: int, base: int, k: int) -> dict[int, int]:
-    """The place of each key in _dense_keys; only a compiled plan's calls read it, so its sizes stay small."""
-    return {key: i for i, key in enumerate(_dense_keys(n, base, k))}
+def _spelled(n: int, base: int, shadow) -> dict[int, list[int]]:
+    """The keys of each degree k of a shadow, a dense degree's being every key of degree k in a fixed order."""
+    return {k: [sum([base**j for j in c]) for c in combinations_with_replacement(range(n), k)] if keys is None else keys
+            for k, keys in shadow}
 
 
 def _compose(f: Series, gs: list[Series]) -> Series:

@@ -260,3 +260,52 @@ def test_plans_are_stored_as_compact_arrays():
         assert p.nbytes == sum(len(x) for x in arrays) * 4
     assert PLANS.nbytes < 200_000
     PLANS.clear()
+
+
+# -- keyed inputs ------------------------------------------------------------
+
+
+def _nonzero(sums):
+    """Composed sums without their zero numerators, which the plan route may add."""
+    return [(L, [{k: v for k, v in c.items() if v} for c in comps]) for L, comps in sums]
+
+
+def test_an_outer_linear_term_and_minus_g_share_one_input(counts):
+    # each f_i holds the linear term y_i, so f_i(G) - G_i lists (i,) twice before the fold
+    pmap = random_map(2, 2, seed=7)
+    D = 5
+    G = fixed_point_inverse(pmap, D)
+    fs = [
+        Series(Poly(2, {(1, 0): Fraction(2, 3), (0, 1): 1, (2, 0): 5, (1, 1): Fraction(-1, 2)}), 2),
+        Series(Poly(2, {(0, 1): Fraction(-7, 5), (1, 1): 3, (0, 2): Fraction(1, 4)}), 2),
+    ]
+    sums = _routes(counts, lambda: _nonzero(poly._composed_sums(fs, G, subtract=True)))
+    for i, (L, comps) in enumerate(sums):
+        assert Series._reduced(2, D, L, comps) == poly._compose(fs[i], G) - G[i]
+
+
+def test_an_input_may_not_repeat_a_key():
+    rec = plan.Recorder(10)
+    assert rec.input([3, 5]) == {3: 1, 5: 2}
+    with pytest.raises(ValueError):
+        rec.input([(0,), (1,), (0,)])
+
+
+def test_a_warm_plan_matches_its_inputs_by_key_not_by_position(counts):
+    pmap, D = random_map(4, 3, seed=2), 5
+    G = fixed_point_inverse(pmap, D)
+    cubes = {m: Fraction(k + 1, 3) for k, m in enumerate(_monomials(4, 3))}
+    f = Series(Poly(4, {**cubes, (0, 0, 0, 1): 5}), 3)
+
+    def reversed_parts(s: Series) -> Series:
+        return Series._reduced(s.n, s.cap, s.den, [dict(reversed(c.items())) for c in s.comps])
+
+    G_rev, f_rev = [reversed_parts(g) for g in G], reversed_parts(f)
+    assert list(G_rev[0].comps[3]) == list(G[0].comps[3])[::-1] != list(G[0].comps[3])
+    assert list(f_rev.comps[3]) == list(f.comps[3])[::-1]
+    PLANS.clear()
+    by_dicts = poly._compose(f, G)
+    poly._compose(f, G)
+    counts.update(run=0, compiled=0)
+    assert _fields(poly._compose(f_rev, G_rev)) == _fields(by_dicts)
+    assert counts == {"run": 1, "compiled": 0}
