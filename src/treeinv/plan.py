@@ -1,18 +1,27 @@
 """Flat multiply-accumulate plans for the graded kernels, compiled once per structure.
 
-The fixed point G = y + H(G) and the series composition f(g_1, ..., g_n)
-do the same key arithmetic for every map of one structure: which packed
-keys meet, and which numerator each pair product adds into, depend only
-on the key sets, never on the numerators.  A plan records that work
-once, as slot triples (out, a, b), by running the kernel's own
-recursion over dicts that map each packed key to a slot instead of a
-numerator (``Recorder.addmul`` mirrors ``poly._addmul``); slot 0 holds
-1, and ``Recorder.input`` gives each key of an input a slot.  A later
-call with the same structure hands ``Plan.run`` the (key, numerator)
-items of each input, which it puts at their slots in a flat list of
-ints before one loop, ``v[out] += v[a] * v[b]``, over three int32
-arrays; the outputs are gathered back into dicts of packed keys.  The
-arithmetic is the dict route's, exact, so the results are equal.
+The fixed point G = y + H(G), the series composition f(g_1, ..., g_n)
+and the tree sums (the contraction of every subtree up to a cap, then
+each method's weighted sums) do the same key arithmetic for every map
+of one structure: which packed keys meet, and which numerator each pair
+product adds into, depend only on the key sets, never on the
+numerators.  A plan records that work once, as slot triples
+(out, a, b), by running the kernel's own recursion over dicts that map
+each packed key to a slot instead of a numerator (``Recorder.addmul``
+mirrors ``poly._addmul``); slot 0 holds 1, and ``Recorder.input`` gives
+each key of an input a slot.  A later call with the same structure
+hands ``Plan.run`` the (key, numerator) items of each input, which it
+puts at their slots in a flat list of ints before one loop,
+``v[out] += v[a] * v[b]``, over three int32 arrays; the outputs are
+gathered back into dicts of packed keys.  The arithmetic is the dict
+route's, exact, so the results are equal.
+
+A plan may continue another: after ``Recorder.split`` the triples and
+inputs recorded are the new plan's own, and its slots start where the
+other's end.  ``Plan.slots`` gives the flat list itself, and a run of
+the continuing plan is handed that list as its head, which it copies.
+The tree sums use this: one contraction plan per structure, whose slot
+list a map keeps, and one sum plan per method that continues it.
 
 ``PLANS`` holds the plans of the process, keyed by structure (the
 callers say what that is), under one policy with no setting:
@@ -45,13 +54,23 @@ class TooLarge(Exception):
 class Recorder:
     """Slots for a recursion run over dicts of packed keys mapped to slots; slot 0 holds 1."""
 
-    __slots__ = ("size", "inputs", "out", "a", "b", "limit")
+    __slots__ = ("size", "base", "inputs", "out", "a", "b", "limit")
 
     def __init__(self, limit: int):
-        self.size = 1
+        self.size = self.base = 1
         self.inputs: list[dict] = []
         self.out, self.a, self.b = array("i"), array("i"), array("i")
         self.limit = limit
+
+    def split(self) -> None:
+        """Start a plan that continues the slots recorded so far, with triples and inputs of its own.
+
+        The triples recorded so far are dropped: they belong to the plan
+        whose slot vector a run of the new one is handed.
+        """
+        self.base = self.size
+        self.inputs = []
+        self.out, self.a, self.b = array("i"), array("i"), array("i")
 
     def input(self, keys) -> dict:
         """A fresh slot for each key of the next input, in order; a repeated key raises ValueError."""
@@ -101,13 +120,16 @@ class Plan:
     """Recorded triples and where the outputs lie, for one structure.
 
     ``inputs[i]`` maps each key of input i to its slot, and
-    ``outputs[r][k]`` is (keys, slots) for output dict k of row r.
+    ``outputs[r][k]`` is (keys, slots) for output dict k of row r.  The
+    slots below ``base`` are those of the plan this one continues (see
+    Recorder.split), or slot 0 alone.
     """
 
-    __slots__ = ("size", "inputs", "out", "a", "b", "outputs")
+    __slots__ = ("size", "base", "inputs", "out", "a", "b", "outputs")
 
     def __init__(self, rec: Recorder, outputs):
-        self.size, self.inputs, self.out, self.a, self.b = rec.size, rec.inputs, rec.out, rec.a, rec.b
+        self.size, self.base, self.inputs = rec.size, rec.base, rec.inputs
+        self.out, self.a, self.b = rec.out, rec.a, rec.b
         self.outputs = [
             [(tuple(d), array("i", [s if s >= 0 else ~s for s in d.values()])) for d in row] for row in outputs
         ]
@@ -118,23 +140,38 @@ class Plan:
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the plan's arrays."""
+        """Bytes of the plan's int32 arrays.
+
+        Left out: the key->slot dicts of ``inputs``, the key tuples of
+        ``outputs`` and the objects they hold, and the array and list
+        headers.  PlanCache.nbytes is the sum of these counts, so it
+        understates what the plans hold.
+        """
         arrays = [self.out, self.a, self.b] + [s for row in self.outputs for _, s in row]
         return sum(x.itemsize * len(x) for x in arrays)
 
-    def run(self, inputs) -> list[list[dict[int, int]]]:
-        """The outputs, as dicts of packed keys mapped to numerators, for one iterable of (key, numerator) per input.
+    def slots(self, inputs, head=(1,)) -> list[int]:
+        """The slot vector after the triples, for one iterable of (key, numerator) per input.
 
-        A key that an input lacks reads as 0; one the plan lacks raises KeyError.
+        head fills the slots below ``base``: the slot vector of the plan
+        this one continues, which is copied, never changed, or slot 0's 1.
+        A key that an input lacks reads as 0; one the plan lacks raises
+        KeyError, and a head of another length ValueError.
         """
+        if len(head) != self.base:
+            raise ValueError(f"a head of {len(head)} slots for a plan that continues {self.base}")
         v = [0] * self.size
-        v[0] = 1
-        for slots, items in zip(self.inputs, inputs, strict=True):
+        v[: self.base] = head
+        for placed, items in zip(self.inputs, inputs, strict=True):
             for k, x in items:
-                v[slots[k]] = x
+                v[placed[k]] = x
         for o, a, b in zip(self.out, self.a, self.b):
             v[o] += v[a] * v[b]
-        at = v.__getitem__
+        return v
+
+    def run(self, inputs, head=(1,)) -> list[list[dict[int, int]]]:
+        """The outputs of slots(inputs, head), as dicts of packed keys mapped to numerators."""
+        at = self.slots(inputs, head).__getitem__
         return [[dict(zip(keys, map(at, slots))) for keys, slots in row] for row in self.outputs]
 
 

@@ -25,17 +25,28 @@ Two sums are provided and must agree.  They differ only in where their
 Both contract nested shapes through one walk, on packed int numerators
 (poly.py): with L the lcm of the tensor's denominators, a subtree with
 V internal vertices has amplitudes over L^V, so a stratum's weighted
-sum is over V! N! L^V, fixed by the stratum, and no sum takes an lcm.
-Each distinct subtree is contracted once per map and cap, through a
-memo keyed by the nested shape (children in tuple order in both
-methods) that is kept in the map's memo: it serves every stratum, both
-methods and every later call at that cap.  It gains entries but never
-changes one.  Sharing amplitudes does not weaken labeled == grouped,
-which checks the (weight, shape) pairs: the labeled sum reads its
-shapes only from the labeled walk, the grouped sum only from the
-generated shapes and their automorphism counts.  amplitude and
-amplitude_vector contract the nested shape of the given tree afresh,
-outside the memo, and unpack the result to Poly once.
+sum is over V! N! L^V, fixed by the stratum, and no sum takes an lcm;
+its weights are scaled to put every stratum over the last one's.
+Each distinct subtree is contracted once per map and cap, and the
+map's memo keeps the result for every stratum, both methods and every
+later call at that cap.  On a structure's first sighting (n, d, the cap
+and the tensor's keys), or past plan.LIMIT, that is a memo of Vectors
+keyed by nested shape (children in tuple order in both methods), which
+gains entries but never changes one.  From the second sighting on, the
+plan cache (plan.py) holds the same walk over every rooted shape up to
+the cap as a contraction plan whose input is the tensor's ints, and
+the map's memo keeps the slot vector of its run instead.  Each
+method's weighted sums are a plan that continues those slots, with the
+method's weights as its input, so a grouped call after a labeled one
+on the same map runs only its own sums; while a method has no sum
+plan, it contracts afresh on dicts.  Sharing amplitudes does not
+weaken labeled == grouped, which checks the (weight, shape) pairs: the
+labeled sum reads its shapes only from the labeled walk, the grouped
+sum only from the generated shapes and their automorphism counts.  A census shape that the contraction plan
+lacks raises KeyError when the labeled sum plan is recorded; it is
+never dropped.  amplitude and amplitude_vector contract the nested
+shape of the given tree afresh, outside the memo, and unpack the
+result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -49,7 +60,8 @@ from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
-from treeinv.poly import Poly, Series, _addmul, _dot, _from_nums, _variables
+from treeinv.plan import PLANS, Plan, Recorder
+from treeinv.poly import Poly, Series, _addmul, _from_nums, _variables
 from treeinv.tensormap import PolyMap
 
 DEFAULT_BUDGET = 10**6
@@ -309,22 +321,21 @@ def enumerate_trees(
         yield ValencedTree.from_parents(vs, decode_parents(seq, T))
 
 
-def _vertex_rule(pmap: PolyMap):
-    """The tensor grouped for _contract_children: (L, [(orderings, rows)]).
+def _vertex_rule(scaled) -> list:
+    """The tensor grouped for _contract_children: [(orderings, rows)].
 
     One group per lower multiset: its distinct orderings (cached per
-    process), and rows of (j, w_{j,lower} * L) from the tensor's int form
-    over the lcm L of its denominators (SymTensor._scaled), so every
-    weight is an int.
+    process), and rows of (j, w) for each entry (j, lower) of scaled,
+    which maps it to w_{j,lower} * L, the tensor's int form over the lcm
+    L of its denominators (SymTensor._scaled), or to that int's slot.
     """
-    L, scaled = pmap.tensor._scaled
     by_lower: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for (j, lower), value in scaled.items():
         by_lower.setdefault(lower, []).append((j, value))
-    return L, [(_orderings(lower), rows) for lower, rows in by_lower.items()]
+    return [(_orderings(lower), rows) for lower, rows in by_lower.items()]
 
 
-def _contract_children(child_vecs: list[Vector], groups) -> Vector:
+def _contract_children(child_vecs: list[Vector], groups, addmul) -> Vector:
     """One internal vertex: fold d child vectors through the tensor.
 
     out[j] = sum over ordered lower tuples (k_1..k_d) of
@@ -333,6 +344,9 @@ def _contract_children(child_vecs: list[Vector], groups) -> Vector:
     children over L^(V_t) and each weight an int over L, every product
     is an int over L^V, V = 1 + sum_t V_t, the subtree's internal
     count; so the sums run on int numerators alone and are not reduced.
+
+    The dicts hold whatever addmul multiplies: numerators with
+    poly._addmul, slots with a plan's Recorder.addmul.
     """
     first, middle, last = child_vecs[0], child_vecs[1:-1], child_vecs[-1]
     out: list[dict[int, int]] = [{} for _ in first]
@@ -344,15 +358,12 @@ def _contract_children(child_vecs: list[Vector], groups) -> Vector:
                 if not prod:
                     break
                 step: dict[int, int] = {}
-                _addmul(step, prod, c[perm[t]])
+                addmul(step, prod, c[perm[t]])
                 prod = step
-            _addmul(sym, prod, last[perm[-1]])
+            addmul(sym, prod, last[perm[-1]])
         if sym:
             for j, w in rows:
-                acc = out[j]
-                get = acc.get
-                for k, v in sym.items():
-                    acc[k] = get(k, 0) + w * v
+                addmul(out[j], {0: w}, sym)
     return out
 
 
@@ -363,9 +374,9 @@ def amplitude_vector(tree: ValencedTree, pmap: PolyMap) -> list[Poly]:
             f"tree has arity {tree.vertices.d}, map has d={pmap.d}"
         )
     n, base = pmap.n, tree.vertices.N + 1
-    L, groups = _vertex_rule(pmap)
+    L, scaled = pmap.tensor._scaled
     nums = _amplitude_vector_from_shape(
-        _nested_shape(tree.rooted()), groups, {(): _variables(n, base)}
+        _nested_shape(tree.rooted()), _vertex_rule(scaled), {(): _variables(n, base)}, _addmul
     )
     return [_from_nums(n, base, L**tree.vertices.V, c) for c in nums]
 
@@ -424,17 +435,30 @@ def _shapes_cached(V: int, d: int) -> tuple[Shape, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _stratum_weights(V: int, d: int, method: str) -> tuple[tuple[int, Shape], ...]:
-    """One method's (weight, shape) pairs for a stratum; the methods share none.
+def _labelings(V: int, d: int) -> int:
+    """V! N!: the labelings of a stratum's internal vertices and leaves."""
+    return factorial(V) * factorial((d - 1) * V + 1)
 
-    The weights are ints over V! N!: "labeled" weighs census shapes by
-    their count, "grouped" by V! N! / |Aut|, each shape's labelings.
+
+@lru_cache(maxsize=None)
+def _stratum_weights(d: int, D: int, method: str) -> tuple[tuple[int, int, Shape], ...]:
+    """One method's (V, weight, shape) triples for the strata up to D; the methods share none.
+
+    Stratum V's weights are ints over V! N!: "labeled" weighs census
+    shapes by their count, "grouped" by V! N! / |Aut|, each shape's
+    labelings.  Each is scaled by top! N_top! / (V! N!), with top the
+    last stratum, so every weight is over top! N_top!.
     """
-    if method == "labeled":
-        return labeled_shape_census(V, d)
-    labelings = factorial(V) * factorial((d - 1) * V + 1)
-    return tuple((labelings // shape_automorphisms(s), s) for s in _shapes_cached(V, d))
+    top = (D - 1) // (d - 1)
+    out = []
+    for V in range(top + 1):
+        scale = _labelings(top, d) // _labelings(V, d)
+        if method == "labeled":
+            pairs = labeled_shape_census(V, d)
+        else:
+            pairs = [(_labelings(V, d) // shape_automorphisms(s), s) for s in _shapes_cached(V, d)]
+        out.extend((V, w * scale, s) for w, s in pairs)
+    return tuple(out)
 
 
 @lru_cache(maxsize=1 << 12)
@@ -461,14 +485,65 @@ def shape_automorphisms(shape: Shape) -> int:
     return aut
 
 
-def _amplitude_vector_from_shape(shape: Shape, groups, memo: dict) -> Vector:
+def _amplitude_vector_from_shape(shape: Shape, groups, memo: dict, addmul) -> Vector:
     """The shape's Vector, contracting only subtrees memo does not hold; memo[()] is the leaf."""
     got = memo.get(shape)
     if got is None:
         got = memo[shape] = _contract_children(
-            [_amplitude_vector_from_shape(s, groups, memo) for s in shape], groups
+            [_amplitude_vector_from_shape(s, groups, memo, addmul) for s in shape], groups, addmul
         )
     return got
+
+
+def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul) -> list[list[dict]]:
+    """For each root index, the parts by degree of the sum of weight * amps[shape] over (V, _, shape) of triples.
+
+    Stratum V fills degree N = (d-1)V + 1 alone.  The dicts hold whatever
+    addmul multiplies: numerators with poly._addmul, slots with a plan's
+    Recorder.addmul.
+    """
+    rows = [[{} for _ in range(D + 1)] for _ in range(n)]
+    for (V, _, s), w in zip(triples, weights):
+        N = (d - 1) * V + 1
+        for parts, amp in zip(rows, amps[s]):
+            addmul(parts[N], {0: w}, amp)
+    return rows
+
+
+def _recorded_amplitudes(rec: Recorder, n: int, d: int, D: int, keys) -> dict:
+    """The contraction of every rooted shape up to D, recorded in rec: each shape's Vector of slots.
+
+    The recording's input is the tensor's ints, keyed by keys.
+    """
+    groups = _vertex_rule(rec.input(keys))
+    # slot 0 holds the 1 of each variable
+    memo = {(): [{k: 0 for k in x} for x in _variables(n, D + 1)]}
+    for V in range((D - 1) // (d - 1) + 1):
+        for s in _shapes_cached(V, d):
+            _amplitude_vector_from_shape(s, groups, memo, rec.addmul)
+    return memo
+
+
+def _contraction_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
+    """_recorded_amplitudes as a plan; its run is the slot vector the sum plans continue."""
+    rec = Recorder(limit)
+    _recorded_amplitudes(rec, n, d, D, keys)
+    return Plan(rec, [])
+
+
+def _sum_plan(n: int, d: int, D: int, keys, method: str, limit: int) -> Plan:
+    """One method's weighted sums as a plan that continues _contraction_plan's slots.
+
+    The contraction is recorded again, so the slots of each shape are
+    the contraction plan's; a shape it lacks raises KeyError.  The input
+    is the weights, keyed by their place in _stratum_weights.
+    """
+    rec = Recorder(limit)
+    amps = _recorded_amplitudes(rec, n, d, D, keys)
+    rec.split()
+    triples = _stratum_weights(d, D, method)
+    weights = rec.input(range(len(triples))).values()
+    return Plan(rec, _weighted_sums(n, d, D, triples, weights, amps, rec.addmul))
 
 
 def tree_sum_inverse(
@@ -484,30 +559,47 @@ def tree_sum_inverse(
     shapes with 1/|Aut| weights.  Both are exact and identical.  A
     stratum larger than budget raises before any stratum is walked; the
     check applies to both methods so the two are interchangeable.
-    Amplitudes are packed in base D + 1, so stratum V's weighted sum, over
-    V! N! L^V, is already the degree-N part of the Series.
+    Amplitudes are packed in base D + 1, so stratum V's weighted sum is
+    already the degree-N part of the Series.  It is over V! N! L^V, and
+    its weights are scaled to put every stratum over the last one's,
+    top! N_top! L^top, the denominator of the whole Series.
     """
     if method not in ("labeled", "grouped"):
         raise ValueError(f"unknown method {method!r}")
     if D < 1:
         raise ValueError(f"degree cap must be >= 1, got {D}")
     n, d = pmap.n, pmap.d
-    strata = range((D - 1) // (d - 1) + 1)
-    for V in strata:
+    top = (D - 1) // (d - 1)
+    for V in range(top + 1):
         _check_budget(V, d, budget)
-    L, groups = _vertex_rule(pmap)
-    # one subtree memo per map and cap, for every stratum of both methods;
-    # each method keeps its own (weight, shape) source, so labeled ==
+    L, scaled = pmap.tensor._scaled
+    # each method reads its own (weight, shape) source, so labeled ==
     # grouped stays an oracle
-    memo = pmap._memoized(("amplitudes", D), lambda: {(): _variables(n, D + 1)})
-    parts = [[(1, {})] * (D + 1) for _ in range(n)]
-    for V in strata:
-        N = (d - 1) * V + 1
-        weighted = [
-            ({0: w}, _amplitude_vector_from_shape(s, groups, memo))
-            for w, s in _stratum_weights(V, d, method)
-        ]
-        den = factorial(V) * factorial(N) * L**V
-        for i in range(n):
-            parts[i][N] = den, _dot((w, comps[i]) for w, comps in weighted)
-    return [Series._from_parts(n, p) for p in parts]
+    triples = _stratum_weights(d, D, method)
+    powers = [L**k for k in range(top + 1)]
+    weights = [w * powers[top - V] for V, w, _ in triples]
+    # the tensor's keys in their own order, so a plan's outputs keep the dict route's order
+    keys = tuple(scaled)
+    # one contraction per map and cap, for every stratum of both methods
+    amps = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, keys, scaled))
+    plan = PLANS.get((method, n, d, D, keys), lambda limit: _sum_plan(n, d, D, keys, method, limit))
+    if plan is not None and isinstance(amps, list):
+        rows = plan.run([enumerate(weights)], amps)
+    else:
+        if isinstance(amps, list):
+            # the slot vector serves only a sum plan, and this method has none
+            amps = {(): _variables(n, D + 1)}
+        groups = _vertex_rule(scaled)
+        for _, _, s in triples:
+            _amplitude_vector_from_shape(s, groups, amps, _addmul)
+        rows = _weighted_sums(n, d, D, triples, weights, amps, _addmul)
+    den = _labelings(top, d) * powers[top]
+    return [Series._reduced(n, D, den, comps) for comps in rows]
+
+
+def _contracted(n: int, d: int, D: int, keys, scaled) -> dict | list[int]:
+    """The contraction plan's slot vector, or on the dict route a memo of Vectors by shape to fill."""
+    plan = PLANS.get(("contract", n, d, D, keys), lambda limit: _contraction_plan(n, d, D, keys, limit))
+    if plan is None:
+        return {(): _variables(n, D + 1)}
+    return plan.slots([scaled.items()])

@@ -16,6 +16,7 @@ from treeinv.inversion import (
 )
 from treeinv.jacobian import analyze, symmetrized_chain_tensor, symmetrized_loop_tensor
 from treeinv.numeric import default_sample_points, theorem1_check
+from treeinv.plan import LIMIT, PLANS, Recorder
 from treeinv.partition import (
     check_self_normalization,
     log_z_series,
@@ -163,6 +164,8 @@ def test_invert_report_still_verifies_the_memoized_G(monkeypatch):
 
 
 def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
+    # the dict route: a structure's first sighting runs no plan
+    PLANS.clear()
     pmap = random_map(2, 2, seed=36)
     D = 5
     assert inversion.verify_inverse(pmap, tree_sum_inverse(pmap, D), D)
@@ -178,8 +181,61 @@ def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
     assert not inversion.verify_inverse(pmap, labeled, D)
 
 
+def _warm_tree_plans(pmap, D: int) -> None:
+    """Compile the contraction plan and both sum plans of pmap's structure, on copies of pmap."""
+    PLANS.clear()
+    for _ in range(2):
+        fresh = type(pmap)(pmap.tensor)
+        tree_sum_inverse(fresh, D)
+        tree_sum_inverse(fresh, D, method="grouped")
+
+
+def test_corrupted_slot_is_carried_by_both_sums_and_refused_by_verify():
+    pmap = random_map(2, 2, seed=36)
+    D = 5
+    _warm_tree_plans(pmap, D)
+    want = tree_sum_inverse(pmap, D)
+    assert inversion.verify_inverse(pmap, want, D)
+    slots = pmap._memo[("amplitudes", D)]
+    assert type(slots) is list
+    # the one-vertex subtree's amplitude at root index 0, at the slots the
+    # contraction plan records it in
+    amps = trees._recorded_amplitudes(Recorder(LIMIT), 2, 2, D, tuple(pmap.tensor._scaled[1]))
+    at = [s if s >= 0 else ~s for s in amps[((), ())][0].values()]
+    assert any(slots[s] for s in at)
+    for s in at:
+        slots[s] *= 2
+    labeled = tree_sum_inverse(pmap, D, method="labeled")
+    grouped = tree_sum_inverse(pmap, D, method="grouped")
+    # both sums read the shared slot vector, so only substitution sees the fault
+    assert labeled == grouped != want
+    assert not inversion.verify_inverse(pmap, labeled, D)
+    PLANS.clear()
+
+
+def test_a_wrong_weight_in_one_sum_plan_breaks_labeled_equals_grouped(monkeypatch):
+    pmap = random_map(2, 2, seed=36)
+    D = 5
+    _warm_tree_plans(pmap, D)
+    want = tree_sum_inverse(pmap, D)
+    grouped = PLANS.plans[("grouped", 2, 2, D, tuple(pmap.tensor._scaled[1]))]
+    (weights,) = grouped.inputs
+    # the first and the last shape of the grouped sum trade weights
+    triples = trees._stratum_weights(2, D, "grouped")
+    assert triples[0][:2] != triples[-1][:2]
+    last = len(weights) - 1
+    monkeypatch.setattr(grouped, "inputs", [{**weights, 0: weights[last], last: weights[0]}])
+    fresh = type(pmap)(pmap.tensor)
+    labeled = tree_sum_inverse(fresh, D, method="labeled")
+    assert labeled == want
+    assert tree_sum_inverse(fresh, D, method="grouped") != labeled
+    PLANS.clear()
+
+
 @pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
 def test_memoized_amplitudes_equal_fresh_contractions(pmap):
+    # the dict route: a structure's first sighting runs no plan
+    PLANS.clear()
     n, d = pmap.n, pmap.d
     D = 3 * (d - 1) + 1
     tree_sum_inverse(pmap, D, method="grouped")

@@ -1,10 +1,10 @@
 """Compiled plans: the same numerators as the dict route, and the cache's policy.
 
-The fixed point and the series composition run on dicts the first time
-a structure is seen and on a flat plan (treeinv.plan) from its second
-sighting on.  Each route is the other's oracle: every Series below is
-compared field for field.  Each call takes a fresh copy of its map, so
-nothing comes from an earlier call's memo.
+The fixed point, the series composition and the tree sums run on dicts
+the first time a structure is seen and on flat plans (treeinv.plan)
+from its second sighting on.  Each route is the other's oracle: every
+Series below is compared field for field.  Each call takes a fresh
+copy of its map, so nothing comes from an earlier call's memo.
 """
 
 from __future__ import annotations
@@ -14,13 +14,15 @@ from fractions import Fraction
 
 import pytest
 
-from treeinv import inversion, plan, poly
+from treeinv import inversion, plan, poly, trees
 from treeinv.catalog import catalog, random_map
+from treeinv.errors import BudgetExceededError
 from treeinv.inversion import fixed_point_inverse, verify_inverse
 from treeinv.partition import log_z_series, verify_z_identity, z_series
 from treeinv.plan import PLANS, PlanCache
 from treeinv.poly import Poly, Series
 from treeinv.tensormap import PolyMap
+from treeinv.trees import tree_sum_inverse
 
 
 def _conjugated_maps() -> list[PolyMap]:
@@ -58,9 +60,9 @@ def counts(monkeypatch):
     seen = {"run": 0, "compiled": 0}
     run, get = plan.Plan.run, PLANS.get
 
-    def counted_run(self, v):
+    def counted_run(self, *args):
         seen["run"] += 1
-        return run(self, v)
+        return run(self, *args)
 
     def counted_get(key, compile):
         def counted_compile(limit):
@@ -157,6 +159,106 @@ def test_a_plan_serves_a_G_missing_numerators_its_dense_shadow_holds(counts):
     counts.update(run=0, compiled=0)
     assert _fields(poly._compose(f_sparse, G_sparse)) == _fields(by_dicts)
     assert counts == {"run": 1, "compiled": 0}
+
+
+# the six kinds of the benchmark's treesum workload, as (n, d, cap)
+TREESUM_KINDS = [(1, 2, 6), (2, 4, 10), (3, 2, 5), (2, 2, 6), (1, 3, 7), (2, 3, 7)]
+TREE_MAPS = [(p, 6 if p.d == 2 else 7) for p in catalog()] + [
+    (random_map(n, d, seed=7, name=f"random-{n}-{d}-seed7"), D) for n, d, D in TREESUM_KINDS
+]
+
+
+@pytest.mark.parametrize("pmap,D", TREE_MAPS, ids=lambda x: x.name if isinstance(x, PolyMap) else str(x))
+def test_tree_sums_agree_on_both_routes(pmap, D, counts):
+    want = fixed_point_inverse(pmap, D)
+    labeled = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="labeled"))
+    grouped = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="grouped"))
+    assert labeled == grouped == want
+    # with both sum plans warm, the grouped call reads the labeled call's slot vector
+    tree_sum_inverse(_fresh(pmap), D, method="labeled")
+    tree_sum_inverse(_fresh(pmap), D, method="labeled")
+    fresh = _fresh(pmap)
+    counts.update(run=0, compiled=0)
+    both = [tree_sum_inverse(fresh, D, method=m) for m in ("labeled", "grouped")]
+    assert counts == {"run": 2, "compiled": 0}
+    assert _fields(both) == _fields([labeled, grouped])
+
+
+def test_a_tree_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(monkeypatch):
+    compiled = []
+    for name in ("_contraction_plan", "_sum_plan"):
+        record = getattr(trees, name)
+        monkeypatch.setattr(trees, name, lambda *args, record=record: compiled.append(args[-1]) or record(*args))
+    monkeypatch.setattr(PLANS, "limit", 500)
+    pmap, D = random_map(2, 2, seed=1), 6
+    want = fixed_point_inverse(pmap, D)
+    PLANS.clear()
+    for _ in range(4):
+        fresh = _fresh(pmap)
+        assert tree_sum_inverse(fresh, D) == tree_sum_inverse(fresh, D, method="grouped") == want
+    # the contraction and both sums were each tried once, on their second sighting
+    assert compiled == [500] * 3
+    assert not PLANS.plans
+    assert list(PLANS.marks.values()) == [True] * 3
+    PLANS.clear()
+
+
+@pytest.mark.parametrize("method", ["labeled", "grouped"])
+def test_tree_sum_budget_refused_before_any_plan(monkeypatch, method, counts):
+    # random-2-2 at D = 6 is over a budget of 10^5 only at V = 5, the last stratum
+    pmap = random_map(2, 2, seed=7)
+    for _ in range(2):
+        tree_sum_inverse(_fresh(pmap), 6, method=method)
+    warm = _fresh(pmap)
+    tree_sum_inverse(warm, 6, method=method)
+
+    def refuse(*args):
+        raise AssertionError("contracted a stratum of an over-budget call")
+
+    monkeypatch.setattr(trees, "_contract_children", refuse)
+    counts.update(run=0, compiled=0)
+    slots = []
+    monkeypatch.setattr(plan.Plan, "slots", lambda *args: slots.append(args))
+    for p in (_fresh(pmap), warm):
+        with pytest.raises(BudgetExceededError, match="V=5"):
+            tree_sum_inverse(p, 6, budget=10**5, method=method)
+    assert counts == {"run": 0, "compiled": 0} and not slots
+
+
+@pytest.mark.parametrize("method", ["labeled", "grouped"])
+def test_a_sum_plan_never_drops_a_shape_its_contraction_lacks(monkeypatch, method):
+    PLANS.clear()
+    pmap, D = random_map(2, 2, seed=1), 6
+    tree_sum_inverse(_fresh(pmap), D, method=method)
+    record = trees._recorded_amplitudes
+
+    def without_a_shape(*args):
+        amps = record(*args)
+        del amps[trees._shapes_cached(5, 2)[-1]]
+        return amps
+
+    monkeypatch.setattr(trees, "_recorded_amplitudes", without_a_shape)
+    with pytest.raises(KeyError):
+        tree_sum_inverse(_fresh(pmap), D, method=method)
+    PLANS.clear()
+
+
+def test_a_plan_continues_only_a_head_of_the_length_it_was_recorded_after():
+    rec = plan.Recorder(10)
+    x = rec.input(["x"])["x"]
+    square: dict = {}
+    rec.addmul(square, {0: x}, {0: x})
+    rec.split()
+    y = rec.input(["y"])["y"]
+    out: dict = {}
+    rec.addmul(out, {0: y}, square)
+    p = plan.Plan(rec, [[out]])
+    assert p.base == 3 and p.triples == 1
+    head = [1, 5, 25]
+    assert p.run([[("y", 2)]], head) == [[{0: 50}]]
+    assert head == [1, 5, 25]
+    with pytest.raises(ValueError):
+        p.run([[("y", 2)]])
 
 
 def _monomials(n: int, k: int) -> list[tuple[int, ...]]:

@@ -14,7 +14,8 @@ from treeinv._combinat import distinct_permutations
 from treeinv.catalog import catalog, get_fixture, random_map, univariate_map
 from treeinv.errors import BudgetExceededError, DimensionMismatchError
 from treeinv.inversion import fixed_point_inverse
-from treeinv.poly import Poly, Series
+from treeinv.plan import PLANS, Plan
+from treeinv.poly import Poly, Series, _addmul
 from treeinv.tensormap import PolyMap, SymTensor
 from treeinv.trees import (
     ValencedTree,
@@ -424,12 +425,13 @@ def test_tree_sum_equals_naive_per_tree_sum():
 
 
 def _count_contractions(monkeypatch) -> list[int]:
+    """Contractions of numerators; a plan's recording of the same walk is not counted."""
     calls = [0]
     contract = trees._contract_children
 
-    def counted(child_vecs, rule):
-        calls[0] += 1
-        return contract(child_vecs, rule)
+    def counted(child_vecs, rule, addmul):
+        calls[0] += addmul is _addmul
+        return contract(child_vecs, rule, addmul)
 
     monkeypatch.setattr(trees, "_contract_children", counted)
     return calls
@@ -446,6 +448,8 @@ def test_tree_sum_contracts_each_distinct_subtree_once(monkeypatch, n, d, D, dis
     calls = _count_contractions(monkeypatch)
 
     def contractions(pmap, cap, methods):
+        # the dict route: a structure's first sighting runs no plan
+        PLANS.clear()
         counts = []
         for method in methods:
             calls[0] = 0
@@ -462,6 +466,47 @@ def test_tree_sum_contracts_each_distinct_subtree_once(monkeypatch, n, d, D, dis
     assert contractions(random_map(n, d, seed=5), D, ("grouped", "labeled")) == [distinct, 0]
     # so does another cap on the same map
     assert contractions(pmap, D - 1, methods[:2]) == [_distinct_subtrees(d, D - 1), 0]
+
+
+@pytest.mark.parametrize("n,d,D", [(2, 2, 6), (3, 2, 5)])
+def test_tree_sum_runs_the_contraction_plan_once_per_map_and_cap(monkeypatch, n, d, D):
+    calls = _count_contractions(monkeypatch)
+    runs = []
+    slots = Plan.slots
+
+    def counted(plan, inputs, *head):
+        runs.append(plan)
+        return slots(plan, inputs, *head)
+
+    monkeypatch.setattr(Plan, "slots", counted)
+    pmap = random_map(n, d, seed=5)
+
+    def contraction_runs(cap, methods):
+        contraction = PLANS.plans[("contract", n, d, cap, tuple(pmap.tensor._scaled[1]))]
+        counts = []
+        for method in methods:
+            runs.clear()
+            tree_sum_inverse(pmap, cap, method=method)
+            counts.append(runs.count(contraction))
+            # each call runs its own method's sum plan, and nothing on dicts
+            assert len(runs) == counts[-1] + 1
+        return counts
+
+    PLANS.clear()
+    for cap in (D, D - 1):
+        # the second sighting of a structure compiles its plans
+        for _ in range(2):
+            fresh = PolyMap(pmap.tensor)
+            tree_sum_inverse(fresh, cap)
+            tree_sum_inverse(fresh, cap, method="grouped")
+    calls[0] = 0
+    methods = ("labeled", "grouped", "labeled", "grouped", "grouped")
+    assert contraction_runs(D, methods) == [1, 0, 0, 0, 0]
+    assert contraction_runs(D - 1, ("grouped", "labeled")) == [1, 0]
+    pmap = random_map(n, d, seed=6)
+    assert contraction_runs(D, ("grouped", "labeled")) == [1, 0]
+    assert calls[0] == 0
+    PLANS.clear()
 
 
 def _sorted_shape(shape):
@@ -486,7 +531,7 @@ def test_tree_sum_budget_enforced():
 @pytest.mark.parametrize("method", ["labeled", "grouped"])
 def test_tree_sum_budget_refused_before_any_contraction(monkeypatch, method):
     # triangular-4-3 at D = 30 is over budget only at V = 5; nothing below it may run first
-    def refuse(child_vecs, rule):
+    def refuse(child_vecs, rule, addmul):
         raise AssertionError("contracted a stratum of an over-budget call")
 
     monkeypatch.setattr(trees, "_contract_children", refuse)
