@@ -51,7 +51,7 @@ def fixed_point_inverse(pmap: PolyMap, D: int) -> list[Series]:
     a flat plan on its second sighting, and later maps of it run the
     plan on H_i's numerators over K, keyed as in H_i.  A first sighting,
     or a structure whose plan would pass plan.LIMIT triples, runs the
-    recursion on dicts; the plans held stay within plan.BUDGET triples.
+    recursion on dicts; the plans held stay within plan.BUDGET bytes.
     Both routes give the same numerators.
     """
     if D < 1:

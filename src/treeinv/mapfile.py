@@ -21,7 +21,7 @@ import re
 from fractions import Fraction
 
 from treeinv.errors import MapFormatError
-from treeinv.tensormap import PolyMap, SymTensor
+from treeinv.tensormap import PolyMap, SymTensor, TensorKey
 
 
 # The token forms serialize_map writes.  int() alone would also take signs,
@@ -72,7 +72,8 @@ def parse_map(text: str) -> PolyMap:
     name: str | None = None
     n: int | None = None
     d: int | None = None
-    raw_entries: list[tuple[tuple[int, tuple[int, ...]], Fraction]] = []
+    # duplicate w lines summed in place, as SymTensor would
+    entries: dict[TensorKey, Fraction] = {}
     seen_end = False
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -84,7 +85,31 @@ def parse_map(text: str) -> PolyMap:
         fields = line.split()
         keyword = fields[0]
 
-        if keyword == "map":
+        # w lines first: they are most of a file
+        if keyword == "w":
+            if n is None or d is None:
+                raise MapFormatError(lineno, "w before n and d directives")
+            if len(fields) != d + 3:
+                raise MapFormatError(
+                    lineno, f"w takes {d + 1} indices and a coefficient, got {len(fields) - 1} fields"
+                )
+            tokens = fields[1 : d + 2]
+            # the joined tokens are ASCII digits exactly when each token matches _INDEX
+            digits = "".join(tokens)
+            try:
+                if not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
+                indices = list(map(int, tokens))
+            except ValueError:  # int() also caps the digit count
+                raise MapFormatError(lineno, f"non-integer index in {line!r}") from None
+            if min(indices) < 1 or max(indices) > n:
+                raise MapFormatError(lineno, f"index outside [1, {n}] in {line!r}")
+            value = _parse_rational(fields[d + 2], lineno)
+            key = (indices[0] - 1, tuple([j - 1 for j in sorted(indices[1:])]))
+            if key in entries:
+                value += entries[key]
+            entries[key] = value
+        elif keyword == "map":
             if name is not None:
                 raise MapFormatError(lineno, "duplicate map directive")
             if len(fields) != 2:
@@ -102,25 +127,6 @@ def parse_map(text: str) -> PolyMap:
             if d is not None:
                 raise MapFormatError(lineno, "duplicate d directive")
             d = _parse_header_int(fields, lineno, 2, MAX_D, "d takes one integer >= 2")
-        elif keyword == "w":
-            if n is None or d is None:
-                raise MapFormatError(lineno, "w before n and d directives")
-            if len(fields) != d + 3:
-                raise MapFormatError(
-                    lineno, f"w takes {d + 1} indices and a coefficient, got {len(fields) - 1} fields"
-                )
-            try:
-                if not all(_INDEX.fullmatch(tok) for tok in fields[1 : d + 2]):
-                    raise ValueError
-                indices = [int(tok) for tok in fields[1 : d + 2]]
-            except ValueError:
-                raise MapFormatError(lineno, f"non-integer index in {line!r}") from None
-            if any(not 1 <= j <= n for j in indices):
-                raise MapFormatError(lineno, f"index outside [1, {n}] in {line!r}")
-            value = _parse_rational(fields[d + 2], lineno)
-            i = indices[0] - 1
-            lower = tuple(sorted(j - 1 for j in indices[1:]))
-            raw_entries.append(((i, lower), value))
         elif keyword == "end":
             if name is None or n is None or d is None:
                 raise MapFormatError(lineno, "end before map, n, and d directives")
@@ -137,7 +143,7 @@ def parse_map(text: str) -> PolyMap:
     if not seen_end:
         raise MapFormatError(0, "missing end directive")
 
-    return PolyMap(SymTensor(n, d, raw_entries), name=name)
+    return PolyMap(SymTensor._checked(n, d, entries), name=name)
 
 
 def load_map(path: str) -> PolyMap:

@@ -10,27 +10,40 @@ Floats are confined to this module; everything upstream is exact.
 Summation orders are fixed (graded-lexicographic monomials, component
 order) so repeated runs give bit-identical reports.
 
-Every evaluation has one prepared form, read off packed Series parts
-(H is the map's memoized Series; a Poly is packed at a cap of its total
-degree first): a list of terms, each a coefficient as a double and the
-power-table indices of its factors.  v / den is the correctly rounded
-double of v/den, as float(Fraction(v, den)) is, and each degree is
-ordered by monomial through a cached per-key slot, so the terms come in
-graded-lex order.
-At each point the table holds x_i ** e at index i * base + e, computed
-once for every power some term reads; a term is its coefficient times
-its table entries in increasing variable order.
+Every evaluation reads packed Series parts (H is the map's memoized
+Series; a Poly is packed at a cap of its total degree first).  A
+coefficient is v / den, the correctly rounded double of v/den, as
+float(Fraction(v, den)) is.  Terms come in graded-lex order, and a term
+is its coefficient times x_i ** e for each factor in increasing variable
+order, each power computed once per point; a sum starts at +0.0 and adds
+its terms in that order.
+
+Each structure, (n, cap, poly._shadow of each series), has one prepared
+form: its terms sorted once, a dense degree standing for every monomial
+of it, so a coefficient that cancels on one map makes no new structure.
+From the structure's second sighting on (plan.PlanCache's policy, in
+``EVALUATORS``), its terms run as straight-line Python built with
+compile(), one statement per term, with one variant per pattern of
+coordinates that are exactly 0.0, which leaves out every term reading
+one.  Both keep the summation order, so every value is the same double.
+A first sighting, a structure past ``TERMS``, and a point where the
+compiled code could differ (a coordinate that is not finite or so large
+that a term left out could have overflowed, or a power that only the
+dense shadow reads overflowing) take the interpreted loop over the
+series' own terms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
 from treeinv.inversion import _truncated, inverse_series
-from treeinv.poly import Monomial, Poly, Series, _unpack
+from treeinv.plan import PlanCache, TooLarge, _ints_nbytes
+from treeinv.poly import Monomial, Poly, Series, _shadow, _spelled, _unpack
 from treeinv.tensormap import PolyMap, _h_series, norm_w
 
 
@@ -63,7 +76,8 @@ class _Evaluator:
 
     ``terms[k]`` lists series k's terms in graded-lex order, read off its
     packed parts; ``powers`` names, as (index, variable, exponent), every
-    table entry a term reads.
+    table entry a term reads.  This is the interpreted route, taken on a
+    structure's first sighting and wherever a compiled one could differ.
     """
 
     __slots__ = ("terms", "powers", "size")
@@ -97,6 +111,139 @@ class _Evaluator:
         return out
 
 
+# Terms past which a structure is not compiled: about 0.9 MB for its
+# slot dicts and one variant, at the 220 bytes a term takes (nbytes).
+TERMS = 1 << 12
+# The structures held, within 4 MB of nbytes in all: code, slot dicts
+# and term lists, the least recently used dropped first.
+EVALUATORS = PlanCache(TERMS, 1 << 22)
+# Partial products below this never overflow: 2^24 below the largest double.
+_SAFE = 2.0**1000
+_is_zero = (0.0).__eq__
+
+
+class _Structure:
+    """One structure's terms, sorted once, and its compiled code, one variant per pattern of zero coordinates.
+
+    The structure is (n, cap, poly._shadow of each series): a dense
+    degree stands for every monomial of it, a sparse one for its own
+    keys.  Term p reads C[p], the coefficient that bind() puts there
+    (0.0 for a key the series lacks), times its power-table entries
+    idx[p] in increasing variable order, so each term is the
+    interpreted route's product and each sum adds its terms in the
+    interpreted route's order.  ``slots[k]`` maps each key of series k
+    to its term, ``ends[k]`` is the end of series k's terms.  ``nbytes``
+    counts the term list, the slot dicts with their ints, and each
+    variant's function, code object, constants and line table.
+    """
+
+    __slots__ = ("key", "n", "base", "idx", "slots", "ends", "degree", "variants", "nbytes")
+
+    def __init__(self, key, limit: int):
+        n, cap, shadows = key
+        base = cap + 1
+        spelled = [_spelled(n, base, shadow) for shadow in shadows]
+        if sum(len(keys) for by_degree in spelled for keys in by_degree.values()) > limit:
+            raise TooLarge
+        self.key, self.n, self.base = key, n, base
+        self.idx: list[tuple[int, ...]] = []
+        self.slots: list[dict[int, int]] = []
+        self.ends: list[int] = []
+        for by_degree in spelled:
+            slots = {}
+            for keys in by_degree.values():
+                for k, (_, idx) in sorted([(k, _slot(k, n, base)) for k in keys], key=lambda ks: ks[1]):
+                    slots[k] = len(self.idx)
+                    self.idx.append(idx)
+            self.slots.append(slots)
+            self.ends.append(len(self.idx))
+        self.degree = max([k for shadow in shadows for k, _ in shadow], default=0)
+        self.variants: dict[tuple[bool, ...], object] = {}
+        self.nbytes = sys.getsizeof(self.idx) + sum(map(_ints_nbytes, self.slots))
+
+    def bind(self, ss: list[Series]):
+        """An evaluator of ss, which has this structure."""
+        C = [0.0] * len(self.idx)
+        for s, slots in zip(ss, self.slots):
+            den = s.den
+            for comp in s.comps:
+                for k, v in comp.items():
+                    C[slots[k]] = v / den
+        # with every |x_i| <= safe, each partial product of a term stays within _SAFE
+        top = max(map(abs, C), default=0.0)
+        if top > _SAFE:
+            safe = -1.0
+        elif top == 0.0 or self.degree == 0:
+            safe = math.inf
+        else:
+            safe = (_SAFE / top) ** (1.0 / self.degree)
+        interpreted = None
+
+        def evaluate(point) -> list[float]:
+            nonlocal interpreted
+            # false for a coordinate that is inf or nan, or one so large
+            # that a term left out below could have reached inf first
+            if sum(map(abs, point)) <= safe:
+                zero = tuple(map(_is_zero, point))
+                code = self.variants.get(zero) or self._compile(zero)
+                try:
+                    return code(C, *point)
+                except OverflowError:  # perhaps a power only the dense shadow reads
+                    pass
+            if interpreted is None:
+                interpreted = _Evaluator(ss)
+            return interpreted(point)
+
+        return evaluate
+
+    def _compile(self, zero: tuple[bool, ...]):
+        """The code for points whose coordinates are 0.0 exactly where zero says.
+
+        A term that reads such a coordinate is ±0.0 there, unless its
+        product met an inf first (bind's bound rules that out), and a sum
+        that starts at +0.0 is never -0.0, so adding ±0.0 changes nothing:
+        the term is left out.
+        """
+        base, names = self.base, {}
+        keep = [not any(zero[j // base] for j in idx) for idx in self.idx]
+        lines = [f"def f(C, {', '.join(f'x{i}' for i in range(self.n))}):"]
+        for j in sorted({j for idx, kept in zip(self.idx, keep) if kept for j in idx}):
+            i, e = divmod(j, base)
+            names[j] = f"x{i}" if e == 1 else f"x{i}_{e}"
+            if e > 1:
+                lines.append(f" {names[j]} = x{i} ** {e}")
+        start = 0
+        for k, end in enumerate(self.ends):
+            lines.append(f" t{k} = 0.0")
+            lines += [f" t{k} += C[{p}]" + "".join([f" * {names[j]}" for j in self.idx[p]])
+                      for p in range(start, end) if keep[p]]
+            start = end
+        lines.append(f" return [{', '.join(f't{k}' for k in range(len(self.ends)))}]")
+        namespace: dict = {}
+        exec(compile("\n".join(lines), "<treeinv.numeric>", "exec"), namespace)
+        code = self.variants[zero] = namespace["f"]
+        grown = sys.getsizeof(code) + sys.getsizeof(namespace) + _code_nbytes(code.__code__) + sys.getsizeof(zero)
+        self.nbytes += grown
+        EVALUATORS.grew(self.key, self, grown)
+        return code
+
+
+def _code_nbytes(code) -> int:
+    """A code object's bytes: itself (from Python 3.11 on its bytecode too), its constants and its line table."""
+    held = sys.getsizeof(code) + sys.getsizeof(code.co_consts) + sys.getsizeof(code.co_linetable)
+    if sys.version_info < (3, 11):
+        held += sys.getsizeof(code.co_code)
+    return held + sum(map(sys.getsizeof, code.co_consts))
+
+
+def _evaluator(ss: list[Series]):
+    """Evaluator of ss in doubles: compiled from the structure's second sighting on, else interpreted."""
+    n, cap = ss[0].n, ss[0].cap
+    key = (n, cap, tuple([_shadow(n, s.comps) for s in ss]))
+    structure = EVALUATORS.get(key, lambda limit: _Structure(key, limit))
+    return _Evaluator(ss) if structure is None else structure.bind(ss)
+
+
 def eval_poly_numeric(p: Poly, point) -> float:
     """Double-precision value at point, summed in graded-lex order."""
     return eval_series_numeric(Series(p, max(0, p.total_degree())), point)
@@ -106,6 +253,9 @@ def eval_series_numeric(s: Series, point) -> float:
     """Double-precision value of the truncated series at point."""
     if len(point) != s.n:
         raise ValueError(f"point has {len(point)} coordinates, expected {s.n}")
+    if all(type(c) is float for c in point):
+        return _evaluator([s])(point)[0]
+    # any other coordinate (an int's powers are exact ints) takes the interpreted loop
     return _Evaluator([s])(point)[0]
 
 
@@ -214,9 +364,9 @@ def theorem1_check(
         raise ValueError("no sample points to check")
     if G is None:
         G = inverse_series(pmap, D)
-    # prepared once per call; each point sums in the same order as eval_poly_numeric
-    G_at = _Evaluator(G)
-    H_at = _Evaluator(_h_series(pmap))
+    # each point sums in the same order as eval_poly_numeric
+    G_at = _evaluator(G)
+    H_at = _evaluator(_h_series(pmap))
     samples: list[SampleCheck] = []
     for point, r in checked:
         g_num = G_at(point)

@@ -24,25 +24,27 @@ The tree sums use this: one contraction plan per structure, whose slot
 list a map keeps, and one sum plan per method that continues it.
 
 ``PLANS`` holds the plans of the process, keyed by structure (the
-callers say what that is), under one policy with no setting:
+callers say what that is), under one policy with no setting, which
+``PlanCache`` also applies to the float evaluators of treeinv.numeric:
 
 - a structure is compiled on its second sighting; its first sighting
   takes the dict route, so a one-shot call pays nothing for a plan;
 - a compile that passes ``LIMIT`` triples is abandoned, and its
   structure is remembered as too large and never compiled again;
-- the plans held stay within ``BUDGET`` triples in all, the least
-  recently used going first.
+- the plans held stay within ``BUDGET`` bytes in all (``nbytes``), the
+  least recently used going first.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from collections import OrderedDict
 
 # Triples past which a compile is abandoned: about 0.8 MB of arrays for one plan.
 LIMIT = 1 << 16
-# Triples the cache holds in all, about 3 MB of arrays.
-BUDGET = 1 << 18
+# Bytes the cache holds in all, about 4 MB: a few plans at LIMIT, with their dicts.
+BUDGET = 1 << 22
 # Structures remembered as seen once or as too large; the oldest go first.
 MARKS = 1 << 11
 
@@ -116,6 +118,19 @@ class Recorder:
                 raise TooLarge
 
 
+def _ints_nbytes(container) -> int:
+    """sys.getsizeof of a dict or tuple and of each item it holds, a dict's keys and values alike.
+
+    The items are ints or tuples of them (a tuple counts as its own
+    header).  One shared with another container counts in each, and so
+    does a small int (below 257), which the interpreter shares.
+    """
+    held = sys.getsizeof(container) + sum(map(sys.getsizeof, container))
+    if isinstance(container, dict):
+        held += sum(map(sys.getsizeof, container.values()))
+    return held
+
+
 class Plan:
     """Recorded triples and where the outputs lie, for one structure.
 
@@ -125,7 +140,7 @@ class Plan:
     Recorder.split), or slot 0 alone.
     """
 
-    __slots__ = ("size", "base", "inputs", "out", "a", "b", "outputs")
+    __slots__ = ("size", "base", "inputs", "out", "a", "b", "outputs", "nbytes")
 
     def __init__(self, rec: Recorder, outputs):
         self.size, self.base, self.inputs = rec.size, rec.base, rec.inputs
@@ -133,22 +148,21 @@ class Plan:
         self.outputs = [
             [(tuple(d), array("i", [s if s >= 0 else ~s for s in d.values()])) for d in row] for row in outputs
         ]
+        self.nbytes = self._held()
 
     @property
     def triples(self) -> int:
         return len(self.out)
 
-    @property
-    def nbytes(self) -> int:
-        """Bytes of the plan's int32 arrays.
+    def _held(self) -> int:
+        """Bytes the plan holds: its arrays, its key->slot dicts and its output key tuples.
 
-        Left out: the key->slot dicts of ``inputs``, the key tuples of
-        ``outputs`` and the objects they hold, and the array and list
-        headers.  PlanCache.nbytes is the sum of these counts, so it
-        understates what the plans hold.
+        The ints the dicts and tuples hold count as well (see _ints_nbytes).
+        Left out: the lists that hold the containers.
         """
         arrays = [self.out, self.a, self.b] + [s for row in self.outputs for _, s in row]
-        return sum(x.itemsize * len(x) for x in arrays)
+        keys = [keys for row in self.outputs for keys, _ in row]
+        return sum(map(sys.getsizeof, arrays)) + sum(map(_ints_nbytes, self.inputs + keys))
 
     def slots(self, inputs, head=(1,)) -> list[int]:
         """The slot vector after the triples, for one iterable of (key, numerator) per input.
@@ -176,28 +190,33 @@ class Plan:
 
 
 class PlanCache:
-    """Plans by structure key, compiled on second sighting, within LIMIT and BUDGET.
+    """Entries by structure key, compiled on second sighting, within a compile limit and a byte budget.
 
-    ``marks`` remembers, by the hash of its key, each structure seen once
-    (False) or found too large (True); a hash collision costs a compile
-    or a dict route, never a wrong plan.
+    An entry is a Plan or anything else with an ``nbytes``: what it
+    holds, in bytes.  ``nbytes`` is their sum, kept within ``budget``
+    by dropping the least recently used; an entry that grows after it
+    is stored says so through ``grew``.  ``limit`` is handed to each
+    compile, in whatever unit the entry counts its size (triples for a
+    Plan).  ``marks`` remembers, by the hash of its key, each structure
+    seen once (False) or found too large (True); a hash collision costs
+    a compile or a dict route, never a wrong entry.
     """
 
     def __init__(self, limit: int = LIMIT, budget: int = BUDGET):
         self.limit, self.budget = limit, budget
         self.plans: OrderedDict = OrderedDict()
         self.marks: OrderedDict = OrderedDict()
-        self.triples = 0
+        self.nbytes = 0
 
     def clear(self) -> None:
         self.plans.clear()
         self.marks.clear()
-        self.triples = 0
+        self.nbytes = 0
 
-    def get(self, key, compile) -> Plan | None:
-        """The plan for key, or None where the caller takes the dict route.
+    def get(self, key, compile):
+        """The entry for key, or None where the caller takes the dict route.
 
-        compile(limit) records the plan, raising TooLarge past limit.
+        compile(limit) builds the entry, raising TooLarge past limit.
         """
         plan = self.plans.get(key)
         if plan is not None:
@@ -215,19 +234,24 @@ class PlanCache:
                 self._mark(h, True)
                 return None
             self.plans[key] = plan
-            self.triples += plan.triples
-            while self.triples > self.budget:
-                self.triples -= self.plans.popitem(last=False)[1].triples
+            self.nbytes += plan.nbytes
+            self._evict()
         return plan
+
+    def grew(self, key, entry, nbytes: int) -> None:
+        """Count nbytes more held by entry, stored under key; nothing if it is no longer stored."""
+        if self.plans.get(key) is entry:
+            self.nbytes += nbytes
+            self._evict()
+
+    def _evict(self) -> None:
+        while self.nbytes > self.budget:
+            self.nbytes -= self.plans.popitem(last=False)[1].nbytes
 
     def _mark(self, h: int, too_large: bool) -> None:
         self.marks[h] = too_large
         if len(self.marks) > MARKS:
             self.marks.popitem(last=False)
-
-    @property
-    def nbytes(self) -> int:
-        return sum(p.nbytes for p in self.plans.values())
 
 
 PLANS = PlanCache()

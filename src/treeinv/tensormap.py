@@ -68,7 +68,22 @@ class SymTensor:
                 if key in clean:
                     value += clean[key]
                 clean[key] = value
-            clean = {key: value for key, value in clean.items() if value}
+        self._fill(n, d, clean)
+
+    @classmethod
+    def _checked(cls, n: int, d: int, clean: dict[TensorKey, Fraction]) -> SymTensor:
+        """The tensor of entries already checked as __init__ checks them, and summed.
+
+        clean maps (i, sorted lower tuple of length d), every index an
+        int in [0, n), to a Fraction; n >= 1 and d >= 2.  Zeros are
+        pruned here.
+        """
+        tensor = object.__new__(cls)
+        tensor._fill(n, d, clean)
+        return tensor
+
+    def _fill(self, n: int, d: int, clean: dict[TensorKey, Fraction]) -> None:
+        clean = {key: value for key, value in clean.items() if value}
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "entries", MappingProxyType(clean))

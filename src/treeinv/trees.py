@@ -524,22 +524,38 @@ def _recorded_amplitudes(rec: Recorder, n: int, d: int, D: int, keys) -> dict:
     return memo
 
 
+def _shapes_up_to(d: int, D: int) -> list[Shape]:
+    """Every rooted shape up to D, stratum by stratum: the shapes the contraction memo holds."""
+    return [s for V in range((D - 1) // (d - 1) + 1) for s in _shapes_cached(V, d)]
+
+
 def _contraction_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
-    """_recorded_amplitudes as a plan; its run is the slot vector the sum plans continue."""
+    """_recorded_amplitudes as a plan; its run is the slot vector the sum plans continue.
+
+    Its outputs, one row per shape of _shapes_up_to, are each shape's
+    Vector of slots, which a sum plan records from; a shape the
+    recording lacks raises KeyError.
+    """
     rec = Recorder(limit)
-    _recorded_amplitudes(rec, n, d, D, keys)
-    return Plan(rec, [])
+    amps = _recorded_amplitudes(rec, n, d, D, keys)
+    return Plan(rec, [amps[s] for s in _shapes_up_to(d, D)])
 
 
 def _sum_plan(n: int, d: int, D: int, keys, method: str, limit: int) -> Plan:
     """One method's weighted sums as a plan that continues _contraction_plan's slots.
 
-    The contraction is recorded again, so the slots of each shape are
-    the contraction plan's; a shape it lacks raises KeyError.  The input
-    is the weights, keyed by their place in _stratum_weights.
+    The slots of each shape are read off the contraction plan; only
+    where it is not held (never compiled, too large or dropped) is the
+    contraction recorded again.  The input is the weights, keyed by
+    their place in _stratum_weights.
     """
     rec = Recorder(limit)
-    amps = _recorded_amplitudes(rec, n, d, D, keys)
+    contraction = PLANS.plans.get(("contract", n, d, D, keys))
+    if contraction is None:
+        amps = _recorded_amplitudes(rec, n, d, D, keys)
+    else:
+        rec.size = contraction.size
+        amps = {s: [dict(zip(*out)) for out in row] for s, row in zip(_shapes_up_to(d, D), contraction.outputs)}
     rec.split()
     triples = _stratum_weights(d, D, method)
     weights = rec.input(range(len(triples))).values()

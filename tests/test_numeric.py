@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from fractions import Fraction
 from math import factorial
 
@@ -285,3 +286,139 @@ def test_eval_reads_only_the_powers_its_terms_use():
     p = Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)})
     assert eval_poly_numeric(p, [1.0, 1e200]) == 1e200 + 1.0
     assert eval_series_numeric(Series(p, 4), [1.0, 1e200]) == 1e200 + 1.0
+
+
+# -- the compiled evaluator ----------------------------------------------------
+
+
+def _bits(values) -> list[bytes]:
+    """Each double's bytes, so that -0.0 differs from 0.0 and nan equals itself."""
+    return [struct.pack("<d", v) for v in values]
+
+
+def _routes(ss: list[Series], points) -> None:
+    """ss at points on a first sighting, on the compiling call and warm: each equal, bit for bit,
+    to the interpreted evaluator and to the evaluator that sorts at every point."""
+    numeric.EVALUATORS.clear()
+    for sighting in ("first", "compiling", "warm"):
+        at = numeric._evaluator(ss)
+        assert (sighting == "first") == (not numeric.EVALUATORS.plans)
+        for point in points:
+            want = [_eval_sorting_per_point(s.body, point) for s in ss]
+            assert _bits(at(point)) == _bits(numeric._Evaluator(ss)(point)) == _bits(want), (sighting, point)
+    numeric.EVALUATORS.clear()
+
+
+def _g_and_h(pmap: PolyMap, D: int):
+    return [fixed_point_inverse(pmap, D), list(numeric._h_series(pmap))]
+
+
+@pytest.mark.parametrize("pmap", catalog(), ids=lambda p: p.name)
+def test_compiled_evaluator_is_bit_identical_on_the_catalog(pmap):
+    points = default_sample_points(pmap, seed=5)
+    G, H = _g_and_h(pmap, 12 if pmap.d == 2 else 13)
+    _routes(G, points)
+    # H read at G's values, as theorem1_check reads it
+    _routes(H, [numeric._Evaluator(G)(point) for point in points])
+
+
+@pytest.mark.parametrize("n, d, D", [(4, 3, 5), (3, 2, 6)])
+@pytest.mark.parametrize("seed", [31, 32])
+def test_compiled_evaluator_is_bit_identical_on_scaled_dense_maps(n, d, D, seed):
+    pmap = _scaled_random_map(n, d, seed, 10 ** (3 * (d - 1)))
+    points = default_sample_points(pmap, seed=seed)
+    # axis points (every coordinate but one exactly 0.0), and one zero of three
+    r = 0.5 * convergence_radius(pmap)
+    points += [(0.0,) * n, (r, -0.0) + (0.0,) * (n - 2)]
+    if n == 3:
+        points.append((0.3 * r, 0.0, -0.6 * r))
+    G, H = _g_and_h(pmap, D)
+    _routes(G, points)
+    _routes(H, [numeric._Evaluator(G)(point) for point in points])
+
+
+def test_compiled_evaluator_serves_a_G_missing_keys_its_dense_shadow_holds():
+    pmap = _scaled_random_map(3, 2, 33, 1000)
+    G = fixed_point_inverse(pmap, 6)
+    # drop a third of G_0's degree-4 keys: still at least half of the degree, so dense
+    comps = [dict(c) for c in G[0].comps]
+    for k in list(comps[4])[::3]:
+        del comps[4][k]
+    sparse = [Series._reduced(3, 6, G[0].den, comps), *G[1:]]
+    assert numeric._shadow(3, sparse[0].comps) == numeric._shadow(3, G[0].comps)
+    points = default_sample_points(pmap, seed=1)
+    numeric.EVALUATORS.clear()
+    numeric._evaluator(G)
+    # sparse is the structure's second sighting, so it compiles and reads 0.0 for each missing key
+    for _ in range(2):
+        at = numeric._evaluator(sparse)
+        assert numeric.EVALUATORS.plans
+        for point in points:
+            assert _bits(at(point)) == _bits(numeric._Evaluator(sparse)(point))
+    numeric.EVALUATORS.clear()
+
+
+def test_a_power_only_the_dense_shadow_reads_may_overflow():
+    # x1^2 would overflow at 1e200.  In x0^2 + x1 nothing reads it; in
+    # 1e-100 (x0^2 + x0 x1) only the dense shadow of degree 2 does, at a
+    # point small enough for the compiled route to be tried
+    tiny = Fraction(1, 10**100)
+    cases = [
+        (Poly(2, {(2, 0): Fraction(1), (0, 1): Fraction(1)}), 1e200 + 1.0),
+        (Poly(2, {(2, 0): tiny, (1, 1): tiny}), float(tiny) * 1e200 + float(tiny)),
+    ]
+    numeric.EVALUATORS.clear()
+    for p, want in cases:
+        for _ in range(3):
+            assert eval_poly_numeric(p, [1.0, 1e200]) == want
+            assert eval_series_numeric(Series(p, 4), [1.0, 1e200]) == want
+    assert numeric.EVALUATORS.plans
+    numeric.EVALUATORS.clear()
+
+
+def test_a_term_that_meets_its_zero_after_inf_stays_nan():
+    # 10^300 x0^2 x1 at (1e10, 0.0): 10^300 * 1e20 overflows before x1 = 0.0, giving nan
+    p = Poly(2, {(2, 1): Fraction(10**300), (1, 0): Fraction(1)})
+    s = Series(p, 3)
+    assert math.isnan(_eval_sorting_per_point(p, (1e10, 0.0)))
+    _routes([s], [(1e10, 0.0), (0.5, 0.0), (0.0, 0.5)])
+    numeric.EVALUATORS.clear()
+    for _ in range(3):
+        assert math.isnan(eval_series_numeric(s, [1e10, 0.0]))
+    numeric.EVALUATORS.clear()
+
+
+def test_a_second_structure_with_the_same_shadow_compiles_nothing(monkeypatch):
+    built, compiled = [], []
+    init, compile_variant = numeric._Structure.__init__, numeric._Structure._compile
+    monkeypatch.setattr(numeric._Structure, "__init__", lambda self, *args: built.append(1) or init(self, *args))
+    monkeypatch.setattr(numeric._Structure, "_compile", lambda self, zero: compiled.append(zero) or compile_variant(self, zero))
+    first, second = (_scaled_random_map(4, 3, seed, 1000) for seed in (41, 42))
+    numeric.EVALUATORS.clear()
+    for pmap in (first, first):
+        theorem1_check(pmap, 5, default_sample_points(pmap), tol=1e-6)
+    # G and H, each with its variants: one per axis and one for points off the axes
+    assert len(built) == 2 and len(compiled) == 4 + 1 + 1
+    seen = (len(built), len(compiled))
+    report = theorem1_check(second, 5, default_sample_points(second), tol=1e-6)
+    assert (len(built), len(compiled)) == seen
+    assert report == _per_point_report(second, 5, default_sample_points(second), 1e-6)
+    numeric.EVALUATORS.clear()
+
+
+def test_evaluators_are_counted_and_kept_within_their_budget(monkeypatch):
+    cache = numeric.PlanCache(numeric.TERMS, 60_000)
+    monkeypatch.setattr(numeric, "EVALUATORS", cache)
+    for seed in (51, 52, 53):
+        pmap = _scaled_random_map(4, 3, seed, 1000)
+        for _ in range(2):
+            theorem1_check(pmap, 5 + seed % 3, default_sample_points(pmap), tol=1e-6)
+        assert cache.nbytes == sum(s.nbytes for s in cache.plans.values()) <= cache.budget
+        for s in cache.plans.values():
+            assert s.nbytes > 150 * len(s.idx)
+    # a structure past TERMS is never compiled
+    monkeypatch.setattr(cache, "limit", 10)
+    cache.clear()
+    for _ in range(3):
+        numeric._evaluator([Series(_half_square_series(20).body * Poly.variable(1, 0), 20)] * 11)
+    assert not cache.plans and list(cache.marks.values()) == [True]

@@ -9,6 +9,7 @@ copy of its map, so nothing comes from an earlier call's memo.
 
 from __future__ import annotations
 
+import sys
 from array import array
 from fractions import Fraction
 
@@ -203,6 +204,29 @@ def test_a_tree_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(mon
     PLANS.clear()
 
 
+def test_a_tree_structure_records_its_contraction_once_while_both_methods_compile(monkeypatch, counts):
+    recorded = []
+    record = trees._recorded_amplitudes
+    monkeypatch.setattr(trees, "_recorded_amplitudes", lambda *args: recorded.append(args[1:]) or record(*args))
+    pmap, D = random_map(2, 3, seed=7), 7
+    PLANS.clear()
+    for _ in range(3):
+        fresh = _fresh(pmap)
+        assert tree_sum_inverse(fresh, D) == tree_sum_inverse(fresh, D, method="grouped")
+    # the contraction and both sums compiled on the second sighting; the sums read the contraction's slots
+    assert counts["compiled"] == 3
+    assert recorded == [(2, 3, D, tuple(pmap.tensor._scaled[1]))]
+    # with the contraction plan dropped, a sum plan records it again, and is the same plan
+    key = recorded[0]
+    held = PLANS.plans[("grouped", *key)]
+    del PLANS.plans[("contract", *key)]
+    again = trees._sum_plan(*key, "grouped", plan.LIMIT)
+    assert len(recorded) == 2
+    assert (again.size, again.base, again.inputs, again.out, again.a, again.b, again.outputs) == (
+        held.size, held.base, held.inputs, held.out, held.a, held.b, held.outputs
+    )
+
+
 @pytest.mark.parametrize("method", ["labeled", "grouped"])
 def test_tree_sum_budget_refused_before_any_plan(monkeypatch, method, counts):
     # random-2-2 at D = 6 is over a budget of 10^5 only at V = 5, the last stratum
@@ -323,14 +347,15 @@ def test_a_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(monkeypa
     PLANS.clear()
 
 
-def test_stored_triples_stay_within_the_budget():
-    cache = PlanCache(limit=5_000, budget=20_000)
+def test_stored_plans_stay_within_the_budget():
+    # the 27 plans below hold about 424 KB in all
+    cache = PlanCache(limit=5_000, budget=300_000)
     structures = [(n, d, D) for n, d in ((1, 2), (2, 2), (2, 3), (3, 2)) for D in range(4, 12)]
     for n, d, D in structures:
         keys = [sorted(h.comps[d]) for h in inversion._h_series(random_map(n, d, seed=3))]
         for _ in range(2):
             cache.get((n, d, D), lambda limit: inversion._fixed_point_plan(n, d, D, keys, limit))
-        assert cache.triples == sum(p.triples for p in cache.plans.values()) <= cache.budget
+        assert cache.nbytes == sum(p.nbytes for p in cache.plans.values()) <= cache.budget
     too_large = [s for s in structures if cache.marks.get(hash(s))]
     assert too_large and 0 < len(cache.plans) < len(structures) - len(too_large)
     # the plans kept are the most recently used
@@ -346,7 +371,7 @@ def test_first_sightings_and_refusals_are_remembered_within_bounds():
         # the second sighting compiles past the limit
         assert cache.get(key, lambda limit: inversion._fixed_point_plan(2, 2, 9, keys, limit)) is None
     assert len(cache.marks) == plan.MARKS and all(cache.marks.values())
-    assert not cache.plans and cache.triples == 0
+    assert not cache.plans and cache.nbytes == 0
 
 
 def test_plans_are_stored_as_compact_arrays():
@@ -359,8 +384,10 @@ def test_plans_are_stored_as_compact_arrays():
     for p in PLANS.plans.values():
         arrays = [p.out, p.a, p.b] + [slots for row in p.outputs for _, slots in row]
         assert all(type(x) is array and x.itemsize == 4 for x in arrays)
-        assert p.nbytes == sum(len(x) for x in arrays) * 4
-    assert PLANS.nbytes < 200_000
+        # nbytes counts the arrays, the key->slot dicts and the output key tuples
+        containers = arrays + p.inputs + [keys for row in p.outputs for keys, _ in row]
+        assert p.nbytes >= sum(map(sys.getsizeof, containers)) > sum(len(x) for x in arrays) * 4
+    assert PLANS.nbytes == sum(p.nbytes for p in PLANS.plans.values()) < 200_000
     PLANS.clear()
 
 
