@@ -51,14 +51,23 @@ def convergence_radius(pmap: PolyMap) -> float:
     """(d! / (2^d ||w||))^(1/(d-1)); infinity for the zero tensor.
 
     The exponent 1/(d-1) comes from solving the convergence condition
-    2^d ||w|| ||y||^(d-1) / d! < 1 for ||y||.
+    2^d ||w|| ||y||^(d-1) / d! < 1 for ||y||.  A map whose ||w|| or
+    radius a double cannot hold raises ValueError.
     """
     w = norm_w(pmap)
     if w == 0:
         return math.inf
+    try:
+        w_float = float(w)
+    except OverflowError:
+        w_float = math.inf
+    if not 0.0 < w_float < math.inf:
+        raise ValueError("||w|| is outside the range of a double")
     d = pmap.d
-    base = math.factorial(d) / (2**d * float(w))
-    return base ** (1.0 / (d - 1))
+    radius = (math.factorial(d) / (2**d * w_float)) ** (1.0 / (d - 1))
+    if not 0.0 < radius < math.inf:
+        raise ValueError("the convergence radius is outside the range of a double")
+    return radius
 
 
 Terms = list[tuple[float, tuple[int, ...]]]
@@ -241,7 +250,10 @@ def _evaluator(ss: list[Series]):
     n, cap = ss[0].n, ss[0].cap
     key = (n, cap, tuple([_shadow(n, s.comps) for s in ss]))
     structure = EVALUATORS.get(key, lambda limit: _Structure(key, limit))
-    return _Evaluator(ss) if structure is None else structure.bind(ss)
+    try:
+        return _Evaluator(ss) if structure is None else structure.bind(ss)
+    except OverflowError:
+        raise ValueError("a series coefficient is outside the range of a double") from None
 
 
 def eval_poly_numeric(p: Poly, point) -> float:
@@ -353,7 +365,7 @@ def theorem1_check(
             raise ValueError(f"point {point} has wrong dimension, expected {n}")
         if not all(map(math.isfinite, point)):
             raise ValueError(f"point {point} has a coordinate that is not finite")
-        r = max(abs(c) for c in point)
+        r = max(map(abs, point))
         if r > 0.9 * R:
             raise ValueError(
                 f"point {point} has sup norm {r:.6g}, outside 0.9 R = {0.9 * R:.6g}; "
@@ -378,7 +390,7 @@ def theorem1_check(
             bound_ok = True
         else:
             bound = r / (1.0 - r / R)
-            bound_ok = max(abs(v) for v in g_num) <= bound + tol
+            bound_ok = max(map(abs, g_num)) <= bound + tol
         samples.append(
             SampleCheck(point=point, values=tuple(g_num), residual=residual, bound_ok=bound_ok)
         )

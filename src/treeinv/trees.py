@@ -22,31 +22,28 @@ Two sums are provided and must agree.  They differ only in where their
   shape's automorphism count, which is exactly the labeled
   multiplicity.  Its weighted shapes are cached per stratum, separately.
 
-Both contract nested shapes through one walk, on packed int numerators
-(poly.py): with L the lcm of the tensor's denominators, a subtree with
-V internal vertices has amplitudes over L^V, so a stratum's weighted
-sum is over V! N! L^V, fixed by the stratum, and no sum takes an lcm;
-its weights are scaled to put every stratum over the last one's.
-Each distinct subtree is contracted once per map and cap, and the
-map's memo keeps the result for every stratum, both methods and every
-later call at that cap.  On a structure's first sighting (n, d, the cap
-and the tensor's keys), or past plan.LIMIT, that is a memo of Vectors
-keyed by nested shape (children in tuple order in both methods), which
-gains entries but never changes one.  From the second sighting on, the
-plan cache (plan.py) holds the same walk over every rooted shape up to
-the cap as a contraction plan whose input is the tensor's ints, and
-the map's memo keeps the slot vector of its run instead.  Each
-method's weighted sums are a plan that continues those slots, with the
-method's weights as its input, so a grouped call after a labeled one
-on the same map runs only its own sums; while a method has no sum
-plan, it contracts afresh on dicts.  Sharing amplitudes does not
-weaken labeled == grouped, which checks the (weight, shape) pairs: the
-labeled sum reads its shapes only from the labeled walk, the grouped
-sum only from the generated shapes and their automorphism counts.  A census shape that the contraction plan
-lacks raises KeyError when the labeled sum plan is recorded; it is
-never dropped.  amplitude and amplitude_vector contract the nested
-shape of the given tree afresh, outside the memo, and unpack the
-result to Poly once.
+Both contract nested shapes through one walk (_amplitudes), on packed
+int numerators (poly.py): with L the lcm of the tensor's denominators,
+a subtree with V internal vertices has amplitudes over L^V, so a
+stratum's weighted sum is over V! N! L^V, fixed by the stratum, and no
+sum takes an lcm; its weights are scaled to put every stratum over the
+last one's.  The walk runs once per map and cap, for both methods and
+every later call at that cap.  On a structure's first sighting (n, d,
+the cap and the tensor's keys), or past plan.LIMIT, it runs on
+numerators, and the map's memo keeps every shape's Vector, keyed by
+nested shape (children in tuple order in both methods).  From the
+second sighting on, it is the contraction plan of the structure's one
+plan-cache entry (plan.py), and the memo keeps the entry and its run's
+slot vector, which each method's sum plan continues, with the method's
+weights as its input, recorded when the method first asks; so a
+grouped call after a labeled one on the same map runs only its own
+sums.  Sharing amplitudes does not weaken labeled == grouped, which
+checks the (weight, shape) pairs: the labeled sum reads its shapes only
+from the labeled walk, the grouped sum only from the generated shapes
+and their automorphism counts.  A census shape the walk lacks raises
+KeyError; it is never dropped.  amplitude and amplitude_vector contract
+the nested shape of the given tree afresh, outside the memo, and unpack
+the result to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
@@ -55,7 +52,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
+from math import factorial, inf
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
@@ -495,6 +492,15 @@ def _amplitude_vector_from_shape(shape: Shape, groups, memo: dict, addmul) -> Ve
     return got
 
 
+def _amplitudes(groups, leaf: Vector, d: int, D: int, addmul) -> dict:
+    """Every rooted shape up to D mapped to its Vector, on numerators or on slots; leaf is the Vector of ()."""
+    memo = {(): leaf}
+    for V in range((D - 1) // (d - 1) + 1):
+        for s in _shapes_cached(V, d):
+            _amplitude_vector_from_shape(s, groups, memo, addmul)
+    return memo
+
+
 def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul) -> list[list[dict]]:
     """For each root index, the parts by degree of the sum of weight * amps[shape] over (V, _, shape) of triples.
 
@@ -510,56 +516,43 @@ def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul)
     return rows
 
 
-def _recorded_amplitudes(rec: Recorder, n: int, d: int, D: int, keys) -> dict:
-    """The contraction of every rooted shape up to D, recorded in rec: each shape's Vector of slots.
+class _TreePlans:
+    """One tree structure's plans, keyed ("trees", n, d, D, the tensor's keys), and their nbytes.
 
-    The recording's input is the tensor's ints, keyed by keys.
+    The contraction runs _amplitudes on slots, from the tensor's ints; its
+    rows are the Vectors of ``shapes``.  Each method's sum plan continues
+    its slots, from the method's weights, and is recorded from its outputs
+    on first use: one triple per output key at most, so with no limit.
     """
-    groups = _vertex_rule(rec.input(keys))
-    # slot 0 holds the 1 of each variable
-    memo = {(): [{k: 0 for k in x} for x in _variables(n, D + 1)]}
-    for V in range((D - 1) // (d - 1) + 1):
-        for s in _shapes_cached(V, d):
-            _amplitude_vector_from_shape(s, groups, memo, rec.addmul)
-    return memo
 
+    __slots__ = ("key", "shapes", "contraction", "sums", "nbytes")
 
-def _shapes_up_to(d: int, D: int) -> list[Shape]:
-    """Every rooted shape up to D, stratum by stratum: the shapes the contraction memo holds."""
-    return [s for V in range((D - 1) // (d - 1) + 1) for s in _shapes_cached(V, d)]
+    def __init__(self, key, limit: int):
+        _, n, d, D, keys = key
+        rec = Recorder(limit)
+        # slot 0 holds the 1 of each variable
+        leaf = [{k: 0 for k in x} for x in _variables(n, D + 1)]
+        amps = _amplitudes(_vertex_rule(rec.input(keys)), leaf, d, D, rec.addmul)
+        self.key, self.shapes = key, tuple(amps)
+        self.contraction = Plan(rec, amps.values())
+        self.sums: dict[str, Plan] = {}
+        self.nbytes = self.contraction.nbytes
 
-
-def _contraction_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
-    """_recorded_amplitudes as a plan; its run is the slot vector the sum plans continue.
-
-    Its outputs, one row per shape of _shapes_up_to, are each shape's
-    Vector of slots, which a sum plan records from; a shape the
-    recording lacks raises KeyError.
-    """
-    rec = Recorder(limit)
-    amps = _recorded_amplitudes(rec, n, d, D, keys)
-    return Plan(rec, [amps[s] for s in _shapes_up_to(d, D)])
-
-
-def _sum_plan(n: int, d: int, D: int, keys, method: str, limit: int) -> Plan:
-    """One method's weighted sums as a plan that continues _contraction_plan's slots.
-
-    The slots of each shape are read off the contraction plan; only
-    where it is not held (never compiled, too large or dropped) is the
-    contraction recorded again.  The input is the weights, keyed by
-    their place in _stratum_weights.
-    """
-    rec = Recorder(limit)
-    contraction = PLANS.plans.get(("contract", n, d, D, keys))
-    if contraction is None:
-        amps = _recorded_amplitudes(rec, n, d, D, keys)
-    else:
-        rec.size = contraction.size
-        amps = {s: [dict(zip(*out)) for out in row] for s, row in zip(_shapes_up_to(d, D), contraction.outputs)}
-    rec.split()
-    triples = _stratum_weights(d, D, method)
-    weights = rec.input(range(len(triples))).values()
-    return Plan(rec, _weighted_sums(n, d, D, triples, weights, amps, rec.addmul))
+    def sum_plan(self, method: str) -> Plan:
+        """The method's sum plan, recorded on its first use."""
+        plan = self.sums.get(method)
+        if plan is None:
+            _, n, d, D, _ = self.key
+            rec = Recorder(inf)
+            rec.size = self.contraction.size
+            rec.split()
+            amps = {s: [dict(zip(*out)) for out in row] for s, row in zip(self.shapes, self.contraction.outputs)}
+            triples = _stratum_weights(d, D, method)
+            weights = rec.input(range(len(triples))).values()
+            plan = self.sums[method] = Plan(rec, _weighted_sums(n, d, D, triples, weights, amps, rec.addmul))
+            self.nbytes += plan.nbytes
+            PLANS.grew(self.key, self, plan.nbytes)
+        return plan
 
 
 def tree_sum_inverse(
@@ -594,28 +587,22 @@ def tree_sum_inverse(
     triples = _stratum_weights(d, D, method)
     powers = [L**k for k in range(top + 1)]
     weights = [w * powers[top - V] for V, w, _ in triples]
-    # the tensor's keys in their own order, so a plan's outputs keep the dict route's order
-    keys = tuple(scaled)
     # one contraction per map and cap, for every stratum of both methods
-    amps = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, keys, scaled))
-    plan = PLANS.get((method, n, d, D, keys), lambda limit: _sum_plan(n, d, D, keys, method, limit))
-    if plan is not None and isinstance(amps, list):
-        rows = plan.run([enumerate(weights)], amps)
+    amps = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, scaled))
+    if type(amps) is tuple:
+        entry, slots = amps
+        rows = entry.sum_plan(method).run([enumerate(weights)], slots)
     else:
-        if isinstance(amps, list):
-            # the slot vector serves only a sum plan, and this method has none
-            amps = {(): _variables(n, D + 1)}
-        groups = _vertex_rule(scaled)
-        for _, _, s in triples:
-            _amplitude_vector_from_shape(s, groups, amps, _addmul)
         rows = _weighted_sums(n, d, D, triples, weights, amps, _addmul)
     den = _labelings(top, d) * powers[top]
     return [Series._reduced(n, D, den, comps) for comps in rows]
 
 
-def _contracted(n: int, d: int, D: int, keys, scaled) -> dict | list[int]:
-    """The contraction plan's slot vector, or on the dict route a memo of Vectors by shape to fill."""
-    plan = PLANS.get(("contract", n, d, D, keys), lambda limit: _contraction_plan(n, d, D, keys, limit))
-    if plan is None:
-        return {(): _variables(n, D + 1)}
-    return plan.slots([scaled.items()])
+def _contracted(n: int, d: int, D: int, scaled) -> dict | tuple:
+    """The map's contraction at cap D: every shape's Vector, or on the plan route the structure's _TreePlans and its contraction's slot vector."""
+    # the tensor's keys in their own order, so a plan's outputs keep the dict route's order
+    key = ("trees", n, d, D, tuple(scaled))
+    entry = PLANS.get(key, lambda limit: _TreePlans(key, limit))
+    if entry is None:
+        return _amplitudes(_vertex_rule(scaled), _variables(n, D + 1), d, D, _addmul)
+    return entry, entry.contraction.slots([scaled.items()])

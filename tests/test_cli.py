@@ -298,6 +298,25 @@ def test_verify_theorem1_refuses_what_it_cannot_judge(capsys, tmp_path, flags, m
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "w, flags, quantity",
+    [
+        ("1" + "0" * 400, [], "||w||"),
+        ("1/1" + "0" * 400, [], "||w||"),
+        ("1/1" + "0" * 310, [], "radius"),
+        ("1" + "0" * 200, ["--degree", "3"], "series coefficient"),
+    ],
+    ids=["w=1e400", "w=1e-400", "w=1e-310", "w=1e200"],
+)
+def test_verify_theorem1_refuses_a_map_outside_the_range_of_a_double(capsys, tmp_path, w, flags, quantity):
+    path = tmp_path / "w.map"
+    path.write_text(f"map w\nn 1\nd 2\nw 1 1 1 {w}\nend\n")
+    assert cli.run(["verify-theorem1", "--map", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1 and quantity in captured.err
+
+
 def test_catalog_name_round_trip_through_check(tmp_path, capsys):
     for name in catalog_names():
         assert cli.run(["catalog", "--name", name]) == 0

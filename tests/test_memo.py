@@ -16,7 +16,7 @@ from treeinv.inversion import (
 )
 from treeinv.jacobian import analyze, symmetrized_chain_tensor, symmetrized_loop_tensor
 from treeinv.numeric import default_sample_points, theorem1_check
-from treeinv.plan import LIMIT, PLANS, Recorder
+from treeinv.plan import PLANS
 from treeinv.partition import (
     check_self_normalization,
     log_z_series,
@@ -196,12 +196,11 @@ def test_corrupted_slot_is_carried_by_both_sums_and_refused_by_verify():
     _warm_tree_plans(pmap, D)
     want = tree_sum_inverse(pmap, D)
     assert inversion.verify_inverse(pmap, want, D)
-    slots = pmap._memo[("amplitudes", D)]
-    assert type(slots) is list
+    entry, slots = pmap._memo[("amplitudes", D)]
+    assert type(entry) is trees._TreePlans and type(slots) is list
     # the one-vertex subtree's amplitude at root index 0, at the slots the
     # contraction plan records it in
-    amps = trees._recorded_amplitudes(Recorder(LIMIT), 2, 2, D, tuple(pmap.tensor._scaled[1]))
-    at = [s if s >= 0 else ~s for s in amps[((), ())][0].values()]
+    _, at = entry.contraction.outputs[entry.shapes.index(((), ()))][0]
     assert any(slots[s] for s in at)
     for s in at:
         slots[s] *= 2
@@ -218,7 +217,7 @@ def test_a_wrong_weight_in_one_sum_plan_breaks_labeled_equals_grouped(monkeypatc
     D = 5
     _warm_tree_plans(pmap, D)
     want = tree_sum_inverse(pmap, D)
-    grouped = PLANS.plans[("grouped", 2, 2, D, tuple(pmap.tensor._scaled[1]))]
+    grouped = PLANS.plans[("trees", 2, 2, D, tuple(pmap.tensor._scaled[1]))].sums["grouped"]
     (weights,) = grouped.inputs
     # the first and the last shape of the grouped sum trade weights
     triples = trees._stratum_weights(2, D, "grouped")

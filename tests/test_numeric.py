@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import struct
 from fractions import Fraction
 from math import factorial
@@ -279,6 +280,55 @@ def test_eval_poly_numeric_matches_sorting_per_point_evaluator():
             assert eval_poly_numeric(p, point) == _eval_sorting_per_point(p, point)
             s = Series(p, 7)
             assert eval_series_numeric(s, point) == _eval_sorting_per_point(s.body, point)
+
+
+def test_eval_series_numeric_at_int_and_fraction_coordinates_matches_sorting_per_point():
+    # any coordinate that is not a float takes the interpreted loop, and no structure is seen
+    numeric.EVALUATORS.clear()
+    rng = random.Random(29)
+    cases = 0
+    for n in range(1, 5):
+        for _ in range(45):
+            terms = {}
+            for _ in range(rng.randint(0, 12)):
+                mono = tuple(rng.randint(0, 4) for _ in range(n))
+                terms[mono] = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4))
+            s = Series(Poly(n, terms), 7)
+            ints = [rng.randint(-3, 3) for _ in range(n)]
+            fractions = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+            mixed = [rng.uniform(-1.5, 1.5) if i % 2 else Fraction(rng.randint(-9, 9), 7) for i in range(n)]
+            for point in (ints, fractions, mixed):
+                assert _bits([eval_series_numeric(s, point)]) == _bits([_eval_sorting_per_point(s.body, point)])
+                cases += 1
+    assert cases == 540
+    assert not numeric.EVALUATORS.plans and not numeric.EVALUATORS.marks
+
+
+# w_{1;1,1} of univariate_map(2, w) and the quantity a double cannot hold:
+# ||w|| itself, the radius 1 / (2 ||w||), or G's degree-3 coefficient 2 w^2
+OUT_OF_RANGE = [
+    (10**400, "||w||"),
+    (Fraction(1, 10**400), "||w||"),
+    (Fraction(1, 10**310), "radius"),
+    (10**200, "series coefficient"),
+]
+
+
+@pytest.mark.parametrize("w, quantity", OUT_OF_RANGE, ids=["w=1e400", "w=1e-400", "w=1e-310", "w=1e200"])
+def test_a_map_outside_the_range_of_a_double_is_refused_before_any_point(monkeypatch, w, quantity):
+    evaluated = []
+    call = numeric._Evaluator.__call__
+    monkeypatch.setattr(numeric._Evaluator, "__call__", lambda *args: evaluated.append(args) or call(*args))
+    numeric.EVALUATORS.clear()
+    # a first sighting and a compiled one
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape(quantity)):
+            theorem1_check(univariate_map(2, w), 3, [(0.0,)])
+    assert not evaluated
+    if quantity != "series coefficient":
+        with pytest.raises(ValueError, match=re.escape(quantity)):
+            default_sample_points(univariate_map(2, w))
+    numeric.EVALUATORS.clear()
 
 
 def test_eval_reads_only_the_powers_its_terms_use():

@@ -187,9 +187,8 @@ def test_tree_sums_agree_on_both_routes(pmap, D, counts):
 
 def test_a_tree_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(monkeypatch):
     compiled = []
-    for name in ("_contraction_plan", "_sum_plan"):
-        record = getattr(trees, name)
-        monkeypatch.setattr(trees, name, lambda *args, record=record: compiled.append(args[-1]) or record(*args))
+    record = trees._TreePlans
+    monkeypatch.setattr(trees, "_TreePlans", lambda key, limit: compiled.append(limit) or record(key, limit))
     monkeypatch.setattr(PLANS, "limit", 500)
     pmap, D = random_map(2, 2, seed=1), 6
     want = fixed_point_inverse(pmap, D)
@@ -197,34 +196,47 @@ def test_a_tree_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(mon
     for _ in range(4):
         fresh = _fresh(pmap)
         assert tree_sum_inverse(fresh, D) == tree_sum_inverse(fresh, D, method="grouped") == want
-    # the contraction and both sums were each tried once, on their second sighting
-    assert compiled == [500] * 3
+    # the structure was tried once, on its second sighting, for both methods
+    assert compiled == [500]
     assert not PLANS.plans
-    assert list(PLANS.marks.values()) == [True] * 3
+    assert list(PLANS.marks.values()) == [True]
     PLANS.clear()
 
 
 def test_a_tree_structure_records_its_contraction_once_while_both_methods_compile(monkeypatch, counts):
-    recorded = []
-    record = trees._recorded_amplitudes
-    monkeypatch.setattr(trees, "_recorded_amplitudes", lambda *args: recorded.append(args[1:]) or record(*args))
+    walks = []
+    walk = trees._amplitudes
+
+    def counted(groups, leaf, d, D, addmul):
+        walks.append("numerators" if addmul is poly._addmul else "slots")
+        return walk(groups, leaf, d, D, addmul)
+
+    monkeypatch.setattr(trees, "_amplitudes", counted)
     pmap, D = random_map(2, 3, seed=7), 7
     PLANS.clear()
     for _ in range(3):
         fresh = _fresh(pmap)
-        assert tree_sum_inverse(fresh, D) == tree_sum_inverse(fresh, D, method="grouped")
-    # the contraction and both sums compiled on the second sighting; the sums read the contraction's slots
-    assert counts["compiled"] == 3
-    assert recorded == [(2, 3, D, tuple(pmap.tensor._scaled[1]))]
-    # with the contraction plan dropped, a sum plan records it again, and is the same plan
-    key = recorded[0]
-    held = PLANS.plans[("grouped", *key)]
-    del PLANS.plans[("contract", *key)]
-    again = trees._sum_plan(*key, "grouped", plan.LIMIT)
-    assert len(recorded) == 2
-    assert (again.size, again.base, again.inputs, again.out, again.a, again.b, again.outputs) == (
-        held.size, held.base, held.inputs, held.out, held.a, held.b, held.outputs
-    )
+        want = tree_sum_inverse(fresh, D)
+        assert want == tree_sum_inverse(fresh, D, method="grouped")
+    # one walk on the first sighting's dicts and one recording on the second;
+    # the structure compiled once, and both sums read the contraction's slots
+    assert walks == ["numerators", "slots"]
+    assert counts["compiled"] == 1
+    (entry,) = PLANS.plans.values()
+    assert list(entry.sums) == ["labeled", "grouped"]
+    # with the cache cleared, a map whose memo holds the entry runs both
+    # methods on plans and records nothing
+    PLANS.clear()
+    counts.update(run=0, compiled=0)
+
+    def refuse(*args):
+        raise AssertionError("recorded a plan for a map whose memo holds its entry")
+
+    monkeypatch.setattr(trees, "Recorder", refuse)
+    for method in ("labeled", "grouped"):
+        assert _fields(tree_sum_inverse(fresh, D, method=method)) == _fields(want)
+    assert counts == {"run": 2, "compiled": 0}
+    assert walks == ["numerators", "slots"] and not PLANS.plans and not PLANS.marks
 
 
 @pytest.mark.parametrize("method", ["labeled", "grouped"])
@@ -254,16 +266,70 @@ def test_a_sum_plan_never_drops_a_shape_its_contraction_lacks(monkeypatch, metho
     PLANS.clear()
     pmap, D = random_map(2, 2, seed=1), 6
     tree_sum_inverse(_fresh(pmap), D, method=method)
-    record = trees._recorded_amplitudes
+    walk = trees._amplitudes
 
     def without_a_shape(*args):
-        amps = record(*args)
+        amps = walk(*args)
         del amps[trees._shapes_cached(5, 2)[-1]]
         return amps
 
-    monkeypatch.setattr(trees, "_recorded_amplitudes", without_a_shape)
+    monkeypatch.setattr(trees, "_amplitudes", without_a_shape)
+    # on the plan route, where the sum plan is recorded
     with pytest.raises(KeyError):
         tree_sum_inverse(_fresh(pmap), D, method=method)
+    # and on the dict route
+    PLANS.clear()
+    with pytest.raises(KeyError):
+        tree_sum_inverse(_fresh(pmap), D, method=method)
+    PLANS.clear()
+
+
+@pytest.mark.parametrize(
+    "pmap,D",
+    TREE_MAPS + [(random_map(4, 3, seed=1, name="random-4-3-seed1"), 7)],
+    ids=lambda x: x.name if isinstance(x, PolyMap) else str(x),
+)
+def test_a_sum_plan_has_no_more_triples_than_its_contraction_has_output_keys(pmap, D):
+    PLANS.clear()
+    for _ in range(2):
+        fresh = _fresh(pmap)
+        for method in ("labeled", "grouped"):
+            tree_sum_inverse(fresh, D, method=method)
+    (entry,) = PLANS.plans.values()
+    keys = sum(len(keys) for row in entry.contraction.outputs for keys, _ in row)
+    assert list(entry.sums) == ["labeled", "grouped"]
+    for sums in entry.sums.values():
+        assert sums.triples <= keys
+    PLANS.clear()
+
+
+def test_each_method_records_its_sum_plan_once_per_structure(monkeypatch, counts):
+    # each sum plan's recording splits from the contraction's slots once
+    splits = []
+    split = plan.Recorder.split
+    monkeypatch.setattr(plan.Recorder, "split", lambda rec: splits.append(rec) or split(rec))
+    D = 6
+    for seed in (7, 7, 7, 8, 9):
+        fresh = _fresh(random_map(2, 2, seed=seed))
+        for method in ("grouped", "labeled", "grouped", "labeled"):
+            tree_sum_inverse(fresh, D, method=method)
+    assert counts["compiled"] == 1 and len(splits) == 2
+    (entry,) = PLANS.plans.values()
+    assert list(entry.sums) == ["grouped", "labeled"]
+    PLANS.clear()
+
+
+def test_the_cache_counts_every_plan_of_a_tree_entry():
+    PLANS.clear()
+    for pmap, D in TREE_MAPS:
+        # the labeled sum plan is recorded with the entry, the grouped one later
+        for method in ("labeled", "labeled", "grouped"):
+            tree_sum_inverse(_fresh(pmap), D, method=method)
+            assert PLANS.nbytes == sum(e.nbytes for e in PLANS.plans.values())
+    assert len(PLANS.plans) == len({(p.n, p.d, D, tuple(p.tensor._scaled[1])) for p, D in TREE_MAPS})
+    for entry in PLANS.plans.values():
+        assert list(entry.sums) == ["labeled", "grouped"]
+        assert entry.nbytes == entry.contraction.nbytes + sum(p.nbytes for p in entry.sums.values())
     PLANS.clear()
 
 

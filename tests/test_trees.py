@@ -482,7 +482,7 @@ def test_tree_sum_runs_the_contraction_plan_once_per_map_and_cap(monkeypatch, n,
     pmap = random_map(n, d, seed=5)
 
     def contraction_runs(cap, methods):
-        contraction = PLANS.plans[("contract", n, d, cap, tuple(pmap.tensor._scaled[1]))]
+        contraction = PLANS.plans[("trees", n, d, cap, tuple(pmap.tensor._scaled[1]))].contraction
         counts = []
         for method in methods:
             runs.clear()
