@@ -64,7 +64,11 @@ def convergence_radius(pmap: PolyMap) -> float:
     if not 0.0 < w_float < math.inf:
         raise ValueError("||w|| is outside the range of a double")
     d = pmap.d
-    radius = (math.factorial(d) / (2**d * w_float)) ** (1.0 / (d - 1))
+    try:
+        radius = (math.factorial(d) / (2**d * w_float)) ** (1.0 / (d - 1))
+    except OverflowError:
+        # d! leaves the range of a double past d = 170; math.log takes ints of any size
+        radius = math.exp((math.log(math.factorial(d)) - math.log(2**d) - math.log(w_float)) / (d - 1))
     if not 0.0 < radius < math.inf:
         raise ValueError("the convergence radius is outside the range of a double")
     return radius
@@ -250,8 +254,13 @@ def _evaluator(ss: list[Series]):
     n, cap = ss[0].n, ss[0].cap
     key = (n, cap, tuple([_shadow(n, s.comps) for s in ss]))
     structure = EVALUATORS.get(key, lambda limit: _Structure(key, limit))
+    return _bound(_Evaluator if structure is None else structure.bind, ss)
+
+
+def _bound(build, ss: list[Series]):
+    """build(ss), with a series coefficient that a double cannot hold refused by ValueError."""
     try:
-        return _Evaluator(ss) if structure is None else structure.bind(ss)
+        return build(ss)
     except OverflowError:
         raise ValueError("a series coefficient is outside the range of a double") from None
 
@@ -268,7 +277,7 @@ def eval_series_numeric(s: Series, point) -> float:
     if all(type(c) is float for c in point):
         return _evaluator([s])(point)[0]
     # any other coordinate (an int's powers are exact ints) takes the interpreted loop
-    return _Evaluator([s])(point)[0]
+    return _bound(_Evaluator, [s])(point)[0]
 
 
 @dataclass

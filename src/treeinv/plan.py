@@ -1,27 +1,21 @@
 """Flat multiply-accumulate plans for the graded kernels, compiled once per structure.
 
 The fixed point G = y + H(G), the series composition f(g_1, ..., g_n)
-and the tree sums (the contraction of every subtree up to a cap, then
-each method's weighted sums) do the same key arithmetic for every map
-of one structure: which packed keys meet, and which numerator each pair
-product adds into, depend only on the key sets, never on the
-numerators.  A plan records that work once, as slot triples
-(out, a, b), by running the kernel's own recursion over dicts that map
-each packed key to a slot instead of a numerator (``Recorder.addmul``
-mirrors ``poly._addmul``); slot 0 holds 1, and ``Recorder.input`` gives
-each key of an input a slot.  A later call with the same structure
-hands ``Plan.run`` the (key, numerator) items of each input, which it
-puts at their slots in a flat list of ints before one loop,
-``v[out] += v[a] * v[b]``, over three int32 arrays; the outputs are
-gathered back into dicts of packed keys.  The arithmetic is the dict
-route's, exact, so the results are equal.
-
-A plan may continue another: after ``Recorder.split`` the triples and
-inputs recorded are the new plan's own, and its slots start where the
-other's end.  ``Plan.slots`` gives the flat list itself, and a run of
-the continuing plan is handed that list as its head, which it copies.
-The tree sums use this: one contraction plan per structure, whose slot
-list a map keeps, and one sum plan per method that continues it.
+and the tree sums' contraction of every subtree up to a cap do the
+same key arithmetic for every map of one structure: which packed keys
+meet, and which numerator each pair product adds into, depend only on
+the key sets, never on the numerators.  A plan records that work once,
+as slot triples (out, a, b), by running the kernel's own recursion
+over dicts that map each packed key to a slot instead of a numerator
+(``Recorder.addmul`` mirrors ``poly._addmul``); slot 0 holds 1, and
+``Recorder.input`` gives each key of an input a slot.  A later call
+with the same structure hands ``Plan.run`` the (key, numerator) items
+of each input, which it puts at their slots in a flat list of ints
+before one loop, ``v[out] += v[a] * v[b]``, over three int32 arrays;
+the outputs are gathered back into dicts of packed keys, or read from
+that list (``Plan.slots``) where the outputs' (keys, slots) pairs
+locate them.  The arithmetic is the dict route's, exact, so the
+results are equal.
 
 ``PLANS`` holds the plans of the process, keyed by structure (the
 callers say what that is), under one policy with no setting, which
@@ -56,23 +50,13 @@ class TooLarge(Exception):
 class Recorder:
     """Slots for a recursion run over dicts of packed keys mapped to slots; slot 0 holds 1."""
 
-    __slots__ = ("size", "base", "inputs", "out", "a", "b", "limit")
+    __slots__ = ("size", "inputs", "out", "a", "b", "limit")
 
     def __init__(self, limit: int):
-        self.size = self.base = 1
+        self.size = 1
         self.inputs: list[dict] = []
         self.out, self.a, self.b = array("i"), array("i"), array("i")
         self.limit = limit
-
-    def split(self) -> None:
-        """Start a plan that continues the slots recorded so far, with triples and inputs of its own.
-
-        The triples recorded so far are dropped: they belong to the plan
-        whose slot vector a run of the new one is handed.
-        """
-        self.base = self.size
-        self.inputs = []
-        self.out, self.a, self.b = array("i"), array("i"), array("i")
 
     def input(self, keys) -> dict:
         """A fresh slot for each key of the next input, in order; a repeated key raises ValueError."""
@@ -135,15 +119,13 @@ class Plan:
     """Recorded triples and where the outputs lie, for one structure.
 
     ``inputs[i]`` maps each key of input i to its slot, and
-    ``outputs[r][k]`` is (keys, slots) for output dict k of row r.  The
-    slots below ``base`` are those of the plan this one continues (see
-    Recorder.split), or slot 0 alone.
+    ``outputs[r][k]`` is (keys, slots) for output dict k of row r.
     """
 
-    __slots__ = ("size", "base", "inputs", "out", "a", "b", "outputs", "nbytes")
+    __slots__ = ("size", "inputs", "out", "a", "b", "outputs", "nbytes")
 
     def __init__(self, rec: Recorder, outputs):
-        self.size, self.base, self.inputs = rec.size, rec.base, rec.inputs
+        self.size, self.inputs = rec.size, rec.inputs
         self.out, self.a, self.b = rec.out, rec.a, rec.b
         self.outputs = [
             [(tuple(d), array("i", [s if s >= 0 else ~s for s in d.values()])) for d in row] for row in outputs
@@ -164,18 +146,14 @@ class Plan:
         keys = [keys for row in self.outputs for keys, _ in row]
         return sum(map(sys.getsizeof, arrays)) + sum(map(_ints_nbytes, self.inputs + keys))
 
-    def slots(self, inputs, head=(1,)) -> list[int]:
+    def slots(self, inputs) -> list[int]:
         """The slot vector after the triples, for one iterable of (key, numerator) per input.
 
-        head fills the slots below ``base``: the slot vector of the plan
-        this one continues, which is copied, never changed, or slot 0's 1.
         A key that an input lacks reads as 0; one the plan lacks raises
-        KeyError, and a head of another length ValueError.
+        KeyError.
         """
-        if len(head) != self.base:
-            raise ValueError(f"a head of {len(head)} slots for a plan that continues {self.base}")
         v = [0] * self.size
-        v[: self.base] = head
+        v[0] = 1
         for placed, items in zip(self.inputs, inputs, strict=True):
             for k, x in items:
                 v[placed[k]] = x
@@ -183,9 +161,9 @@ class Plan:
             v[o] += v[a] * v[b]
         return v
 
-    def run(self, inputs, head=(1,)) -> list[list[dict[int, int]]]:
-        """The outputs of slots(inputs, head), as dicts of packed keys mapped to numerators."""
-        at = self.slots(inputs, head).__getitem__
+    def run(self, inputs) -> list[list[dict[int, int]]]:
+        """The outputs of slots(inputs), as dicts of packed keys mapped to numerators."""
+        at = self.slots(inputs).__getitem__
         return [[dict(zip(keys, map(at, slots))) for keys, slots in row] for row in self.outputs]
 
 

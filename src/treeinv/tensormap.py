@@ -144,9 +144,9 @@ class PolyMap:
         With serves, a memoized value for which serves(value) is false is
         replaced by a fresh build().  For the package's own modules.  No
         part of a memoized value ever changes, though the packed powers
-        of M gain entries as they are read, and the tree sums' plan entry
-        gains a sum plan per method; their memo is complete when built,
-        every shape's Vector or that entry and its contraction's slots.
+        of M gain entries as they are read.  The tree sums' memo is
+        complete when built: every shape's Vector, or on the plan route
+        where each shape lies in one run's slot list, and that list.
         """
         memo = self._memo
         if key not in memo or (serves is not None and not serves(memo[key])):

@@ -30,29 +30,32 @@ sum takes an lcm; its weights are scaled to put every stratum over the
 last one's.  The walk runs once per map and cap, for both methods and
 every later call at that cap.  On a structure's first sighting (n, d,
 the cap and the tensor's keys), or past plan.LIMIT, it runs on
-numerators, and the map's memo keeps every shape's Vector, keyed by
-nested shape (children in tuple order in both methods).  From the
-second sighting on, it is the contraction plan of the structure's one
-plan-cache entry (plan.py), and the memo keeps the entry and its run's
-slot vector, which each method's sum plan continues, with the method's
-weights as its input, recorded when the method first asks; so a
-grouped call after a labeled one on the same map runs only its own
-sums.  Sharing amplitudes does not weaken labeled == grouped, which
-checks the (weight, shape) pairs: the labeled sum reads its shapes only
-from the labeled walk, the grouped sum only from the generated shapes
-and their automorphism counts.  A census shape the walk lacks raises
-KeyError; it is never dropped.  amplitude and amplitude_vector contract
-the nested shape of the given tree afresh, outside the memo, and unpack
-the result to Poly once.
+numerators, into every shape's Vector, keyed by nested shape
+(children in tuple order in both methods).  From the second sighting
+on, it is one run of the contraction plan of the structure's plan-cache
+entry (plan.py), whose slot list holds those Vectors; the entry, fixed
+when built, maps each shape to its (keys, slots) pairs.  Either way the
+map's memo keeps (amps, addmul), and each method's weighted sums read
+amps[shape] through addmul: poly._addmul on Vectors, _addmul_slots on
+the slot list.  So a grouped call after a labeled one on the same map
+runs only its own sums, and both routes take one code path.  Sharing
+amplitudes does not weaken labeled == grouped, which checks the
+(weight, shape) pairs: the labeled sum reads its shapes only from the
+labeled walk, the grouped sum only from the generated shapes and their
+automorphism counts.  A census shape the walk lacks raises KeyError; it
+is never dropped.  amplitude and amplitude_vector contract the nested
+shape of the given tree afresh, outside the memo, and unpack the result
+to Poly once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
-from math import factorial, inf
+from functools import lru_cache, partial
+from math import factorial
 from typing import Iterator
 
 from treeinv._combinat import distinct_permutations
@@ -504,9 +507,9 @@ def _amplitudes(groups, leaf: Vector, d: int, D: int, addmul) -> dict:
 def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul) -> list[list[dict]]:
     """For each root index, the parts by degree of the sum of weight * amps[shape] over (V, _, shape) of triples.
 
-    Stratum V fills degree N = (d-1)V + 1 alone.  The dicts hold whatever
-    addmul multiplies: numerators with poly._addmul, slots with a plan's
-    Recorder.addmul.
+    Stratum V fills degree N = (d-1)V + 1 alone.  amps[shape] holds
+    whatever addmul multiplies by {0: weight}: the shape's Vector with
+    poly._addmul, or its (keys, slots) pairs with _addmul_slots.
     """
     rows = [[{} for _ in range(D + 1)] for _ in range(n)]
     for (V, _, s), w in zip(triples, weights):
@@ -517,15 +520,15 @@ def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul)
 
 
 class _TreePlans:
-    """One tree structure's plans, keyed ("trees", n, d, D, the tensor's keys), and their nbytes.
+    """One tree structure's plan-cache entry, keyed ("trees", n, d, D, the tensor's keys), fixed when built.
 
-    The contraction runs _amplitudes on slots, from the tensor's ints; its
-    rows are the Vectors of ``shapes``.  Each method's sum plan continues
-    its slots, from the method's weights, and is recorded from its outputs
-    on first use: one triple per output key at most, so with no limit.
+    ``contraction`` runs _amplitudes on slots, from the tensor's ints;
+    ``amps`` maps each shape to its row of the plan's outputs, the
+    (keys, slots) pair of its Vector at each root index.  ``nbytes``
+    counts both (the shapes are _shapes_cached's).
     """
 
-    __slots__ = ("key", "shapes", "contraction", "sums", "nbytes")
+    __slots__ = ("contraction", "amps", "nbytes")
 
     def __init__(self, key, limit: int):
         _, n, d, D, keys = key
@@ -533,26 +536,18 @@ class _TreePlans:
         # slot 0 holds the 1 of each variable
         leaf = [{k: 0 for k in x} for x in _variables(n, D + 1)]
         amps = _amplitudes(_vertex_rule(rec.input(keys)), leaf, d, D, rec.addmul)
-        self.key, self.shapes = key, tuple(amps)
         self.contraction = Plan(rec, amps.values())
-        self.sums: dict[str, Plan] = {}
-        self.nbytes = self.contraction.nbytes
+        self.amps = dict(zip(amps, self.contraction.outputs))
+        self.nbytes = self.contraction.nbytes + sys.getsizeof(self.amps)
 
-    def sum_plan(self, method: str) -> Plan:
-        """The method's sum plan, recorded on its first use."""
-        plan = self.sums.get(method)
-        if plan is None:
-            _, n, d, D, _ = self.key
-            rec = Recorder(inf)
-            rec.size = self.contraction.size
-            rec.split()
-            amps = {s: [dict(zip(*out)) for out in row] for s, row in zip(self.shapes, self.contraction.outputs)}
-            triples = _stratum_weights(d, D, method)
-            weights = rec.input(range(len(triples))).values()
-            plan = self.sums[method] = Plan(rec, _weighted_sums(n, d, D, triples, weights, amps, rec.addmul))
-            self.nbytes += plan.nbytes
-            PLANS.grew(self.key, self, plan.nbytes)
-        return plan
+
+def _addmul_slots(v: list[int], acc: dict[int, int], a: dict[int, int], b) -> None:
+    """acc += a * b, as poly._addmul computes it, with b a (keys, slots) pair read from the slot list v."""
+    get = acc.get
+    for ka, va in a.items():
+        for kb, s in zip(*b):
+            k = ka + kb
+            acc[k] = get(k, 0) + va * v[s]
 
 
 def tree_sum_inverse(
@@ -588,21 +583,21 @@ def tree_sum_inverse(
     powers = [L**k for k in range(top + 1)]
     weights = [w * powers[top - V] for V, w, _ in triples]
     # one contraction per map and cap, for every stratum of both methods
-    amps = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, scaled))
-    if type(amps) is tuple:
-        entry, slots = amps
-        rows = entry.sum_plan(method).run([enumerate(weights)], slots)
-    else:
-        rows = _weighted_sums(n, d, D, triples, weights, amps, _addmul)
+    amps, addmul = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, scaled))
+    rows = _weighted_sums(n, d, D, triples, weights, amps, addmul)
     den = _labelings(top, d) * powers[top]
     return [Series._reduced(n, D, den, comps) for comps in rows]
 
 
-def _contracted(n: int, d: int, D: int, scaled) -> dict | tuple:
-    """The map's contraction at cap D: every shape's Vector, or on the plan route the structure's _TreePlans and its contraction's slot vector."""
+def _contracted(n: int, d: int, D: int, scaled) -> tuple:
+    """The map's contraction at cap D, as (amps, addmul) for _weighted_sums.
+
+    On the dict route, every shape's Vector and poly._addmul; on the plan
+    route, the entry's amps and _addmul_slots on one run's slot list.
+    """
     # the tensor's keys in their own order, so a plan's outputs keep the dict route's order
     key = ("trees", n, d, D, tuple(scaled))
     entry = PLANS.get(key, lambda limit: _TreePlans(key, limit))
     if entry is None:
-        return _amplitudes(_vertex_rule(scaled), _variables(n, D + 1), d, D, _addmul)
-    return entry, entry.contraction.slots([scaled.items()])
+        return _amplitudes(_vertex_rule(scaled), _variables(n, D + 1), d, D, _addmul), _addmul
+    return entry.amps, partial(_addmul_slots, entry.contraction.slots([scaled.items()]))

@@ -170,10 +170,11 @@ def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
     D = 5
     assert inversion.verify_inverse(pmap, tree_sum_inverse(pmap, D), D)
     # a wrong amplitude for the one-vertex subtree, at root index 0
-    memo = pmap._memo[("amplitudes", D)]
-    vec = memo[((), ())]
+    amps, addmul = pmap._memo[("amplitudes", D)]
+    assert addmul is trees._addmul
+    vec = amps[((), ())]
     assert vec[0]
-    memo[((), ())] = [{k: 2 * v for k, v in vec[0].items()}] + vec[1:]
+    amps[((), ())] = [{k: 2 * v for k, v in vec[0].items()}] + vec[1:]
     labeled = tree_sum_inverse(pmap, D, method="labeled")
     grouped = tree_sum_inverse(pmap, D, method="grouped")
     # both sums read the shared memo, so only substitution sees the fault
@@ -182,7 +183,7 @@ def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
 
 
 def _warm_tree_plans(pmap, D: int) -> None:
-    """Compile the contraction plan and both sum plans of pmap's structure, on copies of pmap."""
+    """Compile the contraction plan of pmap's structure, on copies of pmap, and run both methods on it."""
     PLANS.clear()
     for _ in range(2):
         fresh = type(pmap)(pmap.tensor)
@@ -196,17 +197,19 @@ def test_corrupted_slot_is_carried_by_both_sums_and_refused_by_verify():
     _warm_tree_plans(pmap, D)
     want = tree_sum_inverse(pmap, D)
     assert inversion.verify_inverse(pmap, want, D)
-    entry, slots = pmap._memo[("amplitudes", D)]
-    assert type(entry) is trees._TreePlans and type(slots) is list
+    amps, addmul = pmap._memo[("amplitudes", D)]
+    (slots,) = addmul.args
+    assert addmul.func is trees._addmul_slots and type(slots) is list
+    assert amps is PLANS.plans[("trees", 2, 2, D, tuple(pmap.tensor._scaled[1]))].amps
     # the one-vertex subtree's amplitude at root index 0, at the slots the
     # contraction plan records it in
-    _, at = entry.contraction.outputs[entry.shapes.index(((), ()))][0]
+    _, at = amps[((), ())][0]
     assert any(slots[s] for s in at)
     for s in at:
         slots[s] *= 2
     labeled = tree_sum_inverse(pmap, D, method="labeled")
     grouped = tree_sum_inverse(pmap, D, method="grouped")
-    # both sums read the shared slot vector, so only substitution sees the fault
+    # both sums read the shared slot list, so only substitution sees the fault
     assert labeled == grouped != want
     assert not inversion.verify_inverse(pmap, labeled, D)
     PLANS.clear()
@@ -217,15 +220,21 @@ def test_a_wrong_weight_in_one_sum_plan_breaks_labeled_equals_grouped(monkeypatc
     D = 5
     _warm_tree_plans(pmap, D)
     want = tree_sum_inverse(pmap, D)
-    grouped = PLANS.plans[("trees", 2, 2, D, tuple(pmap.tensor._scaled[1]))].sums["grouped"]
-    (weights,) = grouped.inputs
     # the first and the last shape of the grouped sum trade weights
-    triples = trees._stratum_weights(2, D, "grouped")
-    assert triples[0][:2] != triples[-1][:2]
-    last = len(weights) - 1
-    monkeypatch.setattr(grouped, "inputs", [{**weights, 0: weights[last], last: weights[0]}])
+    weights = trees._stratum_weights
+    (V0, w0, s0), *middle, (V1, w1, s1) = weights(2, D, "grouped")
+    assert w0 != w1
+
+    def traded(d, cap, method):
+        if method == "grouped":
+            return ((V0, w1, s0), *middle, (V1, w0, s1))
+        return weights(d, cap, method)
+
+    monkeypatch.setattr(trees, "_stratum_weights", traded)
     fresh = type(pmap)(pmap.tensor)
     labeled = tree_sum_inverse(fresh, D, method="labeled")
+    # on the plan route, so both methods read one run's slots
+    assert fresh._memo[("amplitudes", D)][1].func is trees._addmul_slots
     assert labeled == want
     assert tree_sum_inverse(fresh, D, method="grouped") != labeled
     PLANS.clear()
@@ -239,7 +248,8 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
     D = 3 * (d - 1) + 1
     tree_sum_inverse(pmap, D, method="grouped")
     tree_sum_inverse(pmap, D, method="labeled")
-    memo = pmap._memo[("amplitudes", D)]
+    memo, addmul = pmap._memo[("amplitudes", D)]
+    assert addmul is trees._addmul
     L, _ = pmap.tensor._scaled
     for V in range(4):
         # one labeled tree of each census shape; the memo packs in base D + 1,
@@ -252,6 +262,16 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
                 got = [_from_nums(n, D + 1, L**V, nums) for nums in memo[shape]]
                 assert got == amplitude_vector(tree, pmap), (V, shape)
         assert not shapes
+    # on the plan route, each shape's (keys, slots) pairs read one run's
+    # slot list as the same Vector
+    _warm_tree_plans(pmap, D)
+    fresh = type(pmap)(pmap.tensor)
+    tree_sum_inverse(fresh, D)
+    amps, addmul = fresh._memo[("amplitudes", D)]
+    assert addmul.func is trees._addmul_slots
+    (slots,) = addmul.args
+    assert {s: [dict(zip(keys, [slots[i] for i in at])) for keys, at in row] for s, row in amps.items()} == memo
+    PLANS.clear()
 
 
 def test_int_form_is_made_once_and_read_unchanged():

@@ -38,6 +38,23 @@ def test_radius_pinned_values():
     assert convergence_radius(get_fixture("univar-3")) == pytest.approx(math.sqrt(6 / 48))
 
 
+def test_radius_past_the_factorials_a_double_holds():
+    # 200! leaves the range of a double, the radius (200! / 2^200)^(1/199) does not
+    def radius(d: int, w=1) -> float:
+        return convergence_radius(PolyMap(SymTensor(1, d, {(0, (0,) * d): w})))
+
+    assert radius(200) == pytest.approx(38.138293253282, rel=1e-12)
+    points = default_sample_points(PolyMap(SymTensor(1, 200, {(0, (0,) * 200): 1})))
+    assert points and all(0 < abs(x) < radius(200) for (x,) in points)
+    # up to d = 170 the radius is the direct expression's, bit for bit
+    assert radius(170).hex() == "0x1.04a1114855bb6p+5"
+    assert radius(170, Fraction(3, 7)).hex() == "0x1.05f06b8518e2dp+5"
+    assert radius(5, Fraction(2, 3)).hex() == "0x1.8a3fbe42b030cp+0"
+    # past d = 170, a ||w|| a double cannot hold is still refused
+    with pytest.raises(ValueError, match=re.escape("||w||")):
+        radius(200, 10**400)
+
+
 def test_radius_quadratic_scaling():
     # d=2: radius = 1/‖w‖ up to the constant 2!/2² = 1/2
     assert convergence_radius(univariate_map(2, 4)) == pytest.approx(0.125)
@@ -302,6 +319,20 @@ def test_eval_series_numeric_at_int_and_fraction_coordinates_matches_sorting_per
                 cases += 1
     assert cases == 540
     assert not numeric.EVALUATORS.plans and not numeric.EVALUATORS.marks
+
+
+def test_a_coefficient_outside_the_range_of_a_double_is_refused_at_every_coordinate_type():
+    s = Series(Poly(1, {(1,): Fraction(10**400)}), 2)
+    numeric.EVALUATORS.clear()
+    for point in ([1], [Fraction(1)]):
+        with pytest.raises(ValueError, match="series coefficient"):
+            eval_series_numeric(s, point)
+    assert not numeric.EVALUATORS.plans and not numeric.EVALUATORS.marks
+    # a first sighting and a compiled one
+    for _ in range(2):
+        with pytest.raises(ValueError, match="series coefficient"):
+            eval_series_numeric(s, [1.0])
+    numeric.EVALUATORS.clear()
 
 
 # w_{1;1,1} of univariate_map(2, w) and the quantity a double cannot hold:

@@ -9,6 +9,7 @@ copy of its map, so nothing comes from an earlier call's memo.
 
 from __future__ import annotations
 
+import operator
 import sys
 from array import array
 from fractions import Fraction
@@ -57,13 +58,17 @@ def _fields(value):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Plans run and compiled since the last reset, through the module-level cache."""
-    seen = {"run": 0, "compiled": 0}
-    run, get = plan.Plan.run, PLANS.get
+    """Plans run and compiled since the last reset, through the module-level cache.
 
-    def counted_run(self, *args):
+    A run is a call of Plan.slots, which Plan.run makes once, so the tree
+    sums' runs of their contraction count too.
+    """
+    seen = {"run": 0, "compiled": 0}
+    slots, get = plan.Plan.slots, PLANS.get
+
+    def counted_slots(self, *args):
         seen["run"] += 1
-        return run(self, *args)
+        return slots(self, *args)
 
     def counted_get(key, compile):
         def counted_compile(limit):
@@ -72,7 +77,7 @@ def counts(monkeypatch):
 
         return get(key, counted_compile)
 
-    monkeypatch.setattr(plan.Plan, "run", counted_run)
+    monkeypatch.setattr(plan.Plan, "slots", counted_slots)
     monkeypatch.setattr(PLANS, "get", counted_get)
     PLANS.clear()
     yield seen
@@ -175,13 +180,13 @@ def test_tree_sums_agree_on_both_routes(pmap, D, counts):
     labeled = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="labeled"))
     grouped = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="grouped"))
     assert labeled == grouped == want
-    # with both sum plans warm, the grouped call reads the labeled call's slot vector
+    # with the entry warm, the grouped call reads the labeled call's slot list
     tree_sum_inverse(_fresh(pmap), D, method="labeled")
     tree_sum_inverse(_fresh(pmap), D, method="labeled")
     fresh = _fresh(pmap)
     counts.update(run=0, compiled=0)
     both = [tree_sum_inverse(fresh, D, method=m) for m in ("labeled", "grouped")]
-    assert counts == {"run": 2, "compiled": 0}
+    assert counts == {"run": 1, "compiled": 0}
     assert _fields(both) == _fields([labeled, grouped])
 
 
@@ -223,9 +228,10 @@ def test_a_tree_structure_records_its_contraction_once_while_both_methods_compil
     assert walks == ["numerators", "slots"]
     assert counts["compiled"] == 1
     (entry,) = PLANS.plans.values()
-    assert list(entry.sums) == ["labeled", "grouped"]
-    # with the cache cleared, a map whose memo holds the entry runs both
-    # methods on plans and records nothing
+    amps, addmul = fresh._memo[("amplitudes", D)]
+    assert amps is entry.amps and addmul.func is trees._addmul_slots
+    # with the cache cleared, a map whose memo holds the entry's slot list
+    # runs both methods on it, and runs and records no plan
     PLANS.clear()
     counts.update(run=0, compiled=0)
 
@@ -235,7 +241,7 @@ def test_a_tree_structure_records_its_contraction_once_while_both_methods_compil
     monkeypatch.setattr(trees, "Recorder", refuse)
     for method in ("labeled", "grouped"):
         assert _fields(tree_sum_inverse(fresh, D, method=method)) == _fields(want)
-    assert counts == {"run": 2, "compiled": 0}
+    assert counts == {"run": 0, "compiled": 0}
     assert walks == ["numerators", "slots"] and not PLANS.plans and not PLANS.marks
 
 
@@ -274,7 +280,7 @@ def test_a_sum_plan_never_drops_a_shape_its_contraction_lacks(monkeypatch, metho
         return amps
 
     monkeypatch.setattr(trees, "_amplitudes", without_a_shape)
-    # on the plan route, where the sum plan is recorded
+    # on the plan route, where the entry is built
     with pytest.raises(KeyError):
         tree_sum_inverse(_fresh(pmap), D, method=method)
     # and on the dict route
@@ -284,71 +290,53 @@ def test_a_sum_plan_never_drops_a_shape_its_contraction_lacks(monkeypatch, metho
     PLANS.clear()
 
 
-@pytest.mark.parametrize(
-    "pmap,D",
-    TREE_MAPS + [(random_map(4, 3, seed=1, name="random-4-3-seed1"), 7)],
-    ids=lambda x: x.name if isinstance(x, PolyMap) else str(x),
-)
-def test_a_sum_plan_has_no_more_triples_than_its_contraction_has_output_keys(pmap, D):
-    PLANS.clear()
-    for _ in range(2):
-        fresh = _fresh(pmap)
-        for method in ("labeled", "grouped"):
-            tree_sum_inverse(fresh, D, method=method)
-    (entry,) = PLANS.plans.values()
-    keys = sum(len(keys) for row in entry.contraction.outputs for keys, _ in row)
-    assert list(entry.sums) == ["labeled", "grouped"]
-    for sums in entry.sums.values():
-        assert sums.triples <= keys
-    PLANS.clear()
-
-
-def test_each_method_records_its_sum_plan_once_per_structure(monkeypatch, counts):
-    # each sum plan's recording splits from the contraction's slots once
-    splits = []
-    split = plan.Recorder.split
-    monkeypatch.setattr(plan.Recorder, "split", lambda rec: splits.append(rec) or split(rec))
-    D = 6
-    for seed in (7, 7, 7, 8, 9):
-        fresh = _fresh(random_map(2, 2, seed=seed))
-        for method in ("grouped", "labeled", "grouped", "labeled"):
-            tree_sum_inverse(fresh, D, method=method)
-    assert counts["compiled"] == 1 and len(splits) == 2
-    (entry,) = PLANS.plans.values()
-    assert list(entry.sums) == ["grouped", "labeled"]
-    PLANS.clear()
-
-
 def test_the_cache_counts_every_plan_of_a_tree_entry():
     PLANS.clear()
     for pmap, D in TREE_MAPS:
-        # the labeled sum plan is recorded with the entry, the grouped one later
         for method in ("labeled", "labeled", "grouped"):
             tree_sum_inverse(_fresh(pmap), D, method=method)
             assert PLANS.nbytes == sum(e.nbytes for e in PLANS.plans.values())
     assert len(PLANS.plans) == len({(p.n, p.d, D, tuple(p.tensor._scaled[1])) for p, D in TREE_MAPS})
     for entry in PLANS.plans.values():
-        assert list(entry.sums) == ["labeled", "grouped"]
-        assert entry.nbytes == entry.contraction.nbytes + sum(p.nbytes for p in entry.sums.values())
+        # the shapes map to the contraction's own output rows, not to copies
+        assert all(map(operator.is_, entry.amps.values(), entry.contraction.outputs))
+        assert entry.nbytes == entry.contraction.nbytes + sys.getsizeof(entry.amps)
     PLANS.clear()
 
 
-def test_a_plan_continues_only_a_head_of_the_length_it_was_recorded_after():
-    rec = plan.Recorder(10)
-    x = rec.input(["x"])["x"]
-    square: dict = {}
-    rec.addmul(square, {0: x}, {0: x})
-    rec.split()
-    y = rec.input(["y"])["y"]
-    out: dict = {}
-    rec.addmul(out, {0: y}, square)
-    p = plan.Plan(rec, [[out]])
-    assert p.base == 3 and p.triples == 1
-    head = [1, 5, 25]
-    assert p.run([[("y", 2)]], head) == [[{0: 50}]]
-    assert head == [1, 5, 25]
-    with pytest.raises(ValueError):
-        p.run([[("y", 2)]])
+def _snapshot(entry) -> tuple:
+    """A tree entry's nbytes, the bytes it holds now, and its rows by shape as lists."""
+    rows = {s: [(keys, slots.tolist()) for keys, slots in row] for s, row in entry.amps.items()}
+    return entry.nbytes, entry.contraction._held() + sys.getsizeof(entry.amps), rows
+
+
+def test_a_tree_entry_never_changes_after_it_is_stored(monkeypatch):
+    stored = []
+    build = trees._TreePlans
+
+    def recorded(key, limit):
+        entry = build(key, limit)
+        stored.append((entry, _snapshot(entry)))
+        return entry
+
+    def refuse(*args):
+        raise AssertionError("a tree entry grew after it was stored")
+
+    monkeypatch.setattr(trees, "_TreePlans", recorded)
+    monkeypatch.setattr(PLANS, "grew", refuse)
+    PLANS.clear()
+    # three sightings: on dicts, compiled and warm, each with both methods
+    for pmap, D in TREE_MAPS:
+        for _ in range(3):
+            fresh = _fresh(pmap)
+            for method in ("labeled", "grouped"):
+                tree_sum_inverse(fresh, D, method=method)
+    assert len(stored) == len(PLANS.plans)
+    assert PLANS.nbytes == sum(e.nbytes for e in PLANS.plans.values())
+    for entry, (nbytes, held, rows) in stored:
+        assert nbytes == held
+        assert _snapshot(entry) == (nbytes, held, rows)
+    PLANS.clear()
 
 
 def _monomials(n: int, k: int) -> list[tuple[int, ...]]:

@@ -474,22 +474,24 @@ def test_tree_sum_runs_the_contraction_plan_once_per_map_and_cap(monkeypatch, n,
     runs = []
     slots = Plan.slots
 
-    def counted(plan, inputs, *head):
+    def counted(plan, inputs):
         runs.append(plan)
-        return slots(plan, inputs, *head)
+        return slots(plan, inputs)
 
     monkeypatch.setattr(Plan, "slots", counted)
     pmap = random_map(n, d, seed=5)
 
     def contraction_runs(cap, methods):
-        contraction = PLANS.plans[("trees", n, d, cap, tuple(pmap.tensor._scaled[1]))].contraction
+        entry = PLANS.plans[("trees", n, d, cap, tuple(pmap.tensor._scaled[1]))]
         counts = []
         for method in methods:
             runs.clear()
             tree_sum_inverse(pmap, cap, method=method)
-            counts.append(runs.count(contraction))
-            # each call runs its own method's sum plan, and nothing on dicts
-            assert len(runs) == counts[-1] + 1
+            counts.append(runs.count(entry.contraction))
+            # each call runs no other plan, and its sums read the contraction's slots
+            assert len(runs) == counts[-1]
+            amps, addmul = pmap._memo[("amplitudes", cap)]
+            assert amps is entry.amps and addmul.func is trees._addmul_slots
         return counts
 
     PLANS.clear()
