@@ -152,8 +152,16 @@ def load_map(path: str) -> PolyMap:
 
 
 def serialize_map(pmap: PolyMap) -> str:
-    """Canonical text form: sorted w lines, coefficients always as p/q."""
-    lines = [f"map {pmap.name or 'unnamed'}", f"n {pmap.n}", f"d {pmap.d}"]
+    """Canonical text form: sorted w lines, coefficients always as p/q.
+
+    Raises ValueError for a name that would not read back as itself: one
+    with whitespace, a line break or '#', which parse_map splits, ends or
+    comments out.
+    """
+    name = pmap.name or "unnamed"
+    if "#" in name or name.split() != [name]:
+        raise ValueError(f"map name {name!r} is not one token without '#', so it would not read back")
+    lines = [f"map {name}", f"n {pmap.n}", f"d {pmap.d}"]
     for (i, lower), value in sorted(pmap.tensor.entries.items()):
         idx = " ".join(str(j + 1) for j in (i, *lower))
         lines.append(f"w {idx} {value.numerator}/{value.denominator}")
@@ -162,5 +170,7 @@ def serialize_map(pmap: PolyMap) -> str:
 
 
 def save_map(pmap: PolyMap, path: str) -> None:
+    """Write serialize_map(pmap) to path; a map it refuses leaves the file untouched."""
+    text = serialize_map(pmap)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_map(pmap))
+        fh.write(text)

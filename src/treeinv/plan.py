@@ -12,10 +12,8 @@ over dicts that map each packed key to a slot instead of a numerator
 with the same structure hands ``Plan.run`` the (key, numerator) items
 of each input, which it puts at their slots in a flat list of ints
 before one loop, ``v[out] += v[a] * v[b]``, over three int32 arrays;
-the outputs are gathered back into dicts of packed keys, or read from
-that list (``Plan.slots``) where the outputs' (keys, slots) pairs
-locate them.  The arithmetic is the dict route's, exact, so the
-results are equal.
+the outputs are gathered back into dicts of packed keys.  The
+arithmetic is the dict route's, exact, so the results are equal.
 
 ``PLANS`` holds the plans of the process, keyed by structure (the
 callers say what that is), under one policy with no setting, which
@@ -146,10 +144,11 @@ class Plan:
         keys = [keys for row in self.outputs for keys, _ in row]
         return sum(map(sys.getsizeof, arrays)) + sum(map(_ints_nbytes, self.inputs + keys))
 
-    def slots(self, inputs) -> list[int]:
-        """The slot vector after the triples, for one iterable of (key, numerator) per input.
+    def run(self, inputs) -> list[list[dict[int, int]]]:
+        """The outputs after the triples, as dicts of packed keys mapped to numerators.
 
-        A key that an input lacks reads as 0; one the plan lacks raises
+        inputs holds one iterable of (key, numerator) per input.  A key
+        that an input lacks reads as 0; one the plan lacks raises
         KeyError.
         """
         v = [0] * self.size
@@ -159,11 +158,7 @@ class Plan:
                 v[placed[k]] = x
         for o, a, b in zip(self.out, self.a, self.b):
             v[o] += v[a] * v[b]
-        return v
-
-    def run(self, inputs) -> list[list[dict[int, int]]]:
-        """The outputs of slots(inputs), as dicts of packed keys mapped to numerators."""
-        at = self.slots(inputs).__getitem__
+        at = v.__getitem__
         return [[dict(zip(keys, map(at, slots))) for keys, slots in row] for row in self.outputs]
 
 

@@ -145,8 +145,7 @@ class PolyMap:
         replaced by a fresh build().  For the package's own modules.  No
         part of a memoized value ever changes, though the packed powers
         of M gain entries as they are read.  The tree sums' memo is
-        complete when built: every shape's Vector, or on the plan route
-        where each shape lies in one run's slot list, and that list.
+        complete when built: every shape's Vector, on either route.
         """
         memo = self._memo
         if key not in memo or (serves is not None and not serves(memo[key])):

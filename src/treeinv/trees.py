@@ -28,33 +28,31 @@ a subtree with V internal vertices has amplitudes over L^V, so a
 stratum's weighted sum is over V! N! L^V, fixed by the stratum, and no
 sum takes an lcm; its weights are scaled to put every stratum over the
 last one's.  The walk runs once per map and cap, for both methods and
-every later call at that cap.  On a structure's first sighting (n, d,
-the cap and the tensor's keys), or past plan.LIMIT, it runs on
-numerators, into every shape's Vector, keyed by nested shape
-(children in tuple order in both methods).  From the second sighting
-on, it is one run of the contraction plan of the structure's plan-cache
-entry (plan.py), whose slot list holds those Vectors; the entry, fixed
-when built, maps each shape to its (keys, slots) pairs.  Either way the
-map's memo keeps (amps, addmul), and each method's weighted sums read
-amps[shape] through addmul: poly._addmul on Vectors, _addmul_slots on
-the slot list.  So a grouped call after a labeled one on the same map
-runs only its own sums, and both routes take one code path.  Sharing
-amplitudes does not weaken labeled == grouped, which checks the
-(weight, shape) pairs: the labeled sum reads its shapes only from the
-labeled walk, the grouped sum only from the generated shapes and their
-automorphism counts.  A census shape the walk lacks raises KeyError; it
-is never dropped.  amplitude and amplitude_vector contract the nested
-shape of the given tree afresh, outside the memo, and unpack the result
-to Poly once.
+every later call at that cap, and the map's memo keeps what it gives:
+every rooted shape up to the cap (children in tuple order in both
+methods) mapped to its Vector, stratum by stratum, on either route.
+On a structure's first sighting (n, d, the cap and the tensor's keys),
+or past plan.LIMIT, the walk runs on numerators.  From the second
+sighting on, it is one run of the structure's contraction plan
+(plan.py), whose output rows are the shapes' Vectors in that order.
+Each method's weighted sums add weight * amps[shape] on that dict
+alone, so a grouped call after a labeled one on the same map runs only
+its own sums, and both routes take one code path.  Sharing amplitudes
+does not weaken labeled == grouped, which checks the (weight, shape)
+pairs: the labeled sum reads its shapes only from the labeled walk,
+the grouped sum only from the generated shapes and their automorphism
+counts.  A census shape the walk lacks raises KeyError; it is never
+dropped.  amplitude and amplitude_vector contract the nested shape of
+the given tree afresh, outside the memo, and unpack the result to Poly
+once.
 
 Vertex and tensor indices are 0-based throughout this module.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 from typing import Iterator
 
@@ -495,59 +493,39 @@ def _amplitude_vector_from_shape(shape: Shape, groups, memo: dict, addmul) -> Ve
     return got
 
 
+def _shapes_upto(d: int, D: int) -> list[Shape]:
+    """Every rooted shape up to D, stratum by stratum from (): each after its subtrees, which lie in earlier strata."""
+    return [s for V in range((D - 1) // (d - 1) + 1) for s in _shapes_cached(V, d)]
+
+
 def _amplitudes(groups, leaf: Vector, d: int, D: int, addmul) -> dict:
-    """Every rooted shape up to D mapped to its Vector, on numerators or on slots; leaf is the Vector of ()."""
+    """Every rooted shape up to D mapped to its Vector, on numerators or on slots, in _shapes_upto's order.
+
+    leaf is the Vector of ().  A shape's subtrees are already in the memo
+    when it is reached, so each shape enters it in its turn.
+    """
     memo = {(): leaf}
-    for V in range((D - 1) // (d - 1) + 1):
-        for s in _shapes_cached(V, d):
-            _amplitude_vector_from_shape(s, groups, memo, addmul)
+    for s in _shapes_upto(d, D):
+        _amplitude_vector_from_shape(s, groups, memo, addmul)
     return memo
 
 
-def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict, addmul) -> list[list[dict]]:
+def _weighted_sums(n: int, d: int, D: int, triples, weights, amps: dict) -> list[list[dict]]:
     """For each root index, the parts by degree of the sum of weight * amps[shape] over (V, _, shape) of triples.
 
-    Stratum V fills degree N = (d-1)V + 1 alone.  amps[shape] holds
-    whatever addmul multiplies by {0: weight}: the shape's Vector with
-    poly._addmul, or its (keys, slots) pairs with _addmul_slots.
+    Stratum V fills degree N = (d-1)V + 1 alone, adding weight * v for
+    each item (k, v) of the shape's Vector at that root index, in the
+    order poly._addmul(parts[N], {0: weight}, amp) would.
     """
     rows = [[{} for _ in range(D + 1)] for _ in range(n)]
     for (V, _, s), w in zip(triples, weights):
         N = (d - 1) * V + 1
         for parts, amp in zip(rows, amps[s]):
-            addmul(parts[N], {0: w}, amp)
+            acc = parts[N]
+            get = acc.get
+            for k, v in amp.items():
+                acc[k] = get(k, 0) + w * v
     return rows
-
-
-class _TreePlans:
-    """One tree structure's plan-cache entry, keyed ("trees", n, d, D, the tensor's keys), fixed when built.
-
-    ``contraction`` runs _amplitudes on slots, from the tensor's ints;
-    ``amps`` maps each shape to its row of the plan's outputs, the
-    (keys, slots) pair of its Vector at each root index.  ``nbytes``
-    counts both (the shapes are _shapes_cached's).
-    """
-
-    __slots__ = ("contraction", "amps", "nbytes")
-
-    def __init__(self, key, limit: int):
-        _, n, d, D, keys = key
-        rec = Recorder(limit)
-        # slot 0 holds the 1 of each variable
-        leaf = [{k: 0 for k in x} for x in _variables(n, D + 1)]
-        amps = _amplitudes(_vertex_rule(rec.input(keys)), leaf, d, D, rec.addmul)
-        self.contraction = Plan(rec, amps.values())
-        self.amps = dict(zip(amps, self.contraction.outputs))
-        self.nbytes = self.contraction.nbytes + sys.getsizeof(self.amps)
-
-
-def _addmul_slots(v: list[int], acc: dict[int, int], a: dict[int, int], b) -> None:
-    """acc += a * b, as poly._addmul computes it, with b a (keys, slots) pair read from the slot list v."""
-    get = acc.get
-    for ka, va in a.items():
-        for kb, s in zip(*b):
-            k = ka + kb
-            acc[k] = get(k, 0) + va * v[s]
 
 
 def tree_sum_inverse(
@@ -583,21 +561,31 @@ def tree_sum_inverse(
     powers = [L**k for k in range(top + 1)]
     weights = [w * powers[top - V] for V, w, _ in triples]
     # one contraction per map and cap, for every stratum of both methods
-    amps, addmul = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, scaled))
-    rows = _weighted_sums(n, d, D, triples, weights, amps, addmul)
+    amps = pmap._memoized(("amplitudes", D), lambda: _contracted(n, d, D, scaled))
+    rows = _weighted_sums(n, d, D, triples, weights, amps)
     den = _labelings(top, d) * powers[top]
     return [Series._reduced(n, D, den, comps) for comps in rows]
 
 
-def _contracted(n: int, d: int, D: int, scaled) -> tuple:
-    """The map's contraction at cap D, as (amps, addmul) for _weighted_sums.
+def _contracted(n: int, d: int, D: int, scaled) -> dict:
+    """The map's contraction at cap D: every rooted shape up to D mapped to its Vector.
 
-    On the dict route, every shape's Vector and poly._addmul; on the plan
-    route, the entry's amps and _addmul_slots on one run's slot list.
+    On the dict route, _amplitudes on numerators; on the plan route, one
+    run of the structure's contraction plan, whose output rows are the
+    shapes' Vectors in _shapes_upto's order.
     """
     # the tensor's keys in their own order, so a plan's outputs keep the dict route's order
-    key = ("trees", n, d, D, tuple(scaled))
-    entry = PLANS.get(key, lambda limit: _TreePlans(key, limit))
-    if entry is None:
-        return _amplitudes(_vertex_rule(scaled), _variables(n, D + 1), d, D, _addmul), _addmul
-    return entry.amps, partial(_addmul_slots, entry.contraction.slots([scaled.items()]))
+    keys = tuple(scaled)
+    plan = PLANS.get(("trees", n, d, D, keys), lambda limit: _contraction_plan(n, d, D, keys, limit))
+    if plan is None:
+        return _amplitudes(_vertex_rule(scaled), _variables(n, D + 1), d, D, _addmul)
+    return dict(zip(_shapes_upto(d, D), plan.run([scaled.items()])))
+
+
+def _contraction_plan(n: int, d: int, D: int, keys, limit: int) -> Plan:
+    """_amplitudes recorded as a plan whose input is the tensor's ints, keyed by keys; one output row per shape."""
+    rec = Recorder(limit)
+    # slot 0 holds the 1 of each variable
+    leaf = [{k: 0 for k in x} for x in _variables(n, D + 1)]
+    amps = _amplitudes(_vertex_rule(rec.input(keys)), leaf, d, D, rec.addmul)
+    return Plan(rec, [amps[s] for s in _shapes_upto(d, D)])

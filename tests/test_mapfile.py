@@ -112,6 +112,41 @@ def test_serialize_parse_round_trip_catalog():
         assert serialize_map(back) == text
 
 
+BAD_NAMES = ["my map", "tab\tname", "new\nline", "a#b", "#", " lead", "trail\r", "form\x0cfeed", "line\u2028sep"]
+
+
+@pytest.mark.parametrize("name", BAD_NAMES, ids=repr)
+def test_a_name_that_would_not_read_back_is_refused(name):
+    pmap = PolyMap(SymTensor(1, 2, {(0, (0, 0)): Fraction(1, 2)}), name=name)
+    # written as it stands, the name is refused or read back as another
+    try:
+        back = parse_map(f"map {name}\nn 1\nd 2\nend\n").name
+    except MapFormatError:
+        back = None
+    assert back != name
+    with pytest.raises(ValueError, match="would not read back"):
+        serialize_map(pmap)
+
+
+@pytest.mark.parametrize("name", ["a/b", "x-1_y.z", "\u00fc", "map", "end", None, ""])
+def test_a_one_token_name_reads_back(name):
+    pmap = PolyMap(SymTensor(1, 2, {(0, (0, 0)): Fraction(1, 2)}), name=name)
+    back = parse_map(serialize_map(pmap))
+    assert back.name == (name or "unnamed")
+    assert back.tensor == pmap.tensor
+
+
+def test_a_refused_map_leaves_an_existing_file_unchanged(tmp_path):
+    path = tmp_path / "m2.map"
+    save_map(get_fixture("m2zero-2-2"), path)
+    before = path.read_bytes()
+    bad = PolyMap(get_fixture("m2zero-2-2").tensor, name="my map")
+    with pytest.raises(ValueError):
+        save_map(bad, path)
+    assert path.read_bytes() == before
+    assert load_map(path).name == "m2zero-2-2"
+
+
 def test_serialized_coefficients_always_p_over_q():
     t = SymTensor(1, 2, {(0, (0, 0)): Fraction(3)})
     text = serialize_map(PolyMap(t, name="three"))

@@ -169,9 +169,9 @@ def test_corrupted_amplitude_is_carried_by_both_sums_and_refused_by_verify():
     pmap = random_map(2, 2, seed=36)
     D = 5
     assert inversion.verify_inverse(pmap, tree_sum_inverse(pmap, D), D)
+    assert not PLANS.plans
     # a wrong amplitude for the one-vertex subtree, at root index 0
-    amps, addmul = pmap._memo[("amplitudes", D)]
-    assert addmul is trees._addmul
+    amps = pmap._memo[("amplitudes", D)]
     vec = amps[((), ())]
     assert vec[0]
     amps[((), ())] = [{k: 2 * v for k, v in vec[0].items()}] + vec[1:]
@@ -191,25 +191,28 @@ def _warm_tree_plans(pmap, D: int) -> None:
         tree_sum_inverse(fresh, D, method="grouped")
 
 
-def test_corrupted_slot_is_carried_by_both_sums_and_refused_by_verify():
+def test_corrupted_plan_amplitude_is_carried_by_both_sums_and_refused_by_verify(monkeypatch):
     pmap = random_map(2, 2, seed=36)
     D = 5
     _warm_tree_plans(pmap, D)
     want = tree_sum_inverse(pmap, D)
     assert inversion.verify_inverse(pmap, want, D)
-    amps, addmul = pmap._memo[("amplitudes", D)]
-    (slots,) = addmul.args
-    assert addmul.func is trees._addmul_slots and type(slots) is list
-    assert amps is PLANS.plans[("trees", 2, 2, D, tuple(pmap.tensor._scaled[1]))].amps
-    # the one-vertex subtree's amplitude at root index 0, at the slots the
-    # contraction plan records it in
-    _, at = amps[((), ())][0]
-    assert any(slots[s] for s in at)
-    for s in at:
-        slots[s] *= 2
+    # on the plan route: the memo is one run of the structure's contraction plan
+    contraction = PLANS.plans[("trees", 2, 2, D, tuple(pmap.tensor._scaled[1]))]
+    runs = []
+    run = type(contraction).run
+    monkeypatch.setattr(type(contraction), "run", lambda plan, inputs: runs.append(plan) or run(plan, inputs))
+    pmap = type(pmap)(pmap.tensor)
+    assert tree_sum_inverse(pmap, D) == want and runs == [contraction]
+    # a wrong amplitude for the one-vertex subtree, at root index 0
+    amps = pmap._memo[("amplitudes", D)]
+    vec = amps[((), ())]
+    assert any(vec[0].values())
+    amps[((), ())] = [{k: 2 * v for k, v in vec[0].items()}] + vec[1:]
     labeled = tree_sum_inverse(pmap, D, method="labeled")
     grouped = tree_sum_inverse(pmap, D, method="grouped")
-    # both sums read the shared slot list, so only substitution sees the fault
+    assert runs == [contraction]
+    # both sums read the shared memo, so only substitution sees the fault
     assert labeled == grouped != want
     assert not inversion.verify_inverse(pmap, labeled, D)
     PLANS.clear()
@@ -233,8 +236,10 @@ def test_a_wrong_weight_in_one_sum_plan_breaks_labeled_equals_grouped(monkeypatc
     monkeypatch.setattr(trees, "_stratum_weights", traded)
     fresh = type(pmap)(pmap.tensor)
     labeled = tree_sum_inverse(fresh, D, method="labeled")
-    # on the plan route, so both methods read one run's slots
-    assert fresh._memo[("amplitudes", D)][1].func is trees._addmul_slots
+    # on the plan route, so both methods read one run's Vectors
+    (contraction,) = PLANS.plans.values()
+    memo = fresh._memo[("amplitudes", D)]
+    assert list(memo.values()) == contraction.run([pmap.tensor._scaled[1].items()])
     assert labeled == want
     assert tree_sum_inverse(fresh, D, method="grouped") != labeled
     PLANS.clear()
@@ -248,8 +253,8 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
     D = 3 * (d - 1) + 1
     tree_sum_inverse(pmap, D, method="grouped")
     tree_sum_inverse(pmap, D, method="labeled")
-    memo, addmul = pmap._memo[("amplitudes", D)]
-    assert addmul is trees._addmul
+    assert not PLANS.plans
+    memo = pmap._memo[("amplitudes", D)]
     L, _ = pmap.tensor._scaled
     for V in range(4):
         # one labeled tree of each census shape; the memo packs in base D + 1,
@@ -262,15 +267,14 @@ def test_memoized_amplitudes_equal_fresh_contractions(pmap):
                 got = [_from_nums(n, D + 1, L**V, nums) for nums in memo[shape]]
                 assert got == amplitude_vector(tree, pmap), (V, shape)
         assert not shapes
-    # on the plan route, each shape's (keys, slots) pairs read one run's
-    # slot list as the same Vector
+    # on the plan route, one run of the contraction plan memoizes the same
+    # Vectors, shape for shape and in the same order
     _warm_tree_plans(pmap, D)
+    assert len(PLANS.plans) == 1
     fresh = type(pmap)(pmap.tensor)
     tree_sum_inverse(fresh, D)
-    amps, addmul = fresh._memo[("amplitudes", D)]
-    assert addmul.func is trees._addmul_slots
-    (slots,) = addmul.args
-    assert {s: [dict(zip(keys, [slots[i] for i in at])) for keys, at in row] for s, row in amps.items()} == memo
+    amps = fresh._memo[("amplitudes", D)]
+    assert list(amps.items()) == list(memo.items())
     PLANS.clear()
 
 

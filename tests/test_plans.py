@@ -9,7 +9,6 @@ copy of its map, so nothing comes from an earlier call's memo.
 
 from __future__ import annotations
 
-import operator
 import sys
 from array import array
 from fractions import Fraction
@@ -60,15 +59,15 @@ def _fields(value):
 def counts(monkeypatch):
     """Plans run and compiled since the last reset, through the module-level cache.
 
-    A run is a call of Plan.slots, which Plan.run makes once, so the tree
-    sums' runs of their contraction count too.
+    A run is a call of Plan.run, the tree sums' runs of their contraction
+    included.
     """
     seen = {"run": 0, "compiled": 0}
-    slots, get = plan.Plan.slots, PLANS.get
+    run, get = plan.Plan.run, PLANS.get
 
-    def counted_slots(self, *args):
+    def counted_run(self, *args):
         seen["run"] += 1
-        return slots(self, *args)
+        return run(self, *args)
 
     def counted_get(key, compile):
         def counted_compile(limit):
@@ -77,7 +76,7 @@ def counts(monkeypatch):
 
         return get(key, counted_compile)
 
-    monkeypatch.setattr(plan.Plan, "slots", counted_slots)
+    monkeypatch.setattr(plan.Plan, "run", counted_run)
     monkeypatch.setattr(PLANS, "get", counted_get)
     PLANS.clear()
     yield seen
@@ -180,7 +179,7 @@ def test_tree_sums_agree_on_both_routes(pmap, D, counts):
     labeled = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="labeled"))
     grouped = _routes(counts, lambda: tree_sum_inverse(_fresh(pmap), D, method="grouped"))
     assert labeled == grouped == want
-    # with the entry warm, the grouped call reads the labeled call's slot list
+    # with the entry warm, the grouped call reads the Vectors the labeled call memoized
     tree_sum_inverse(_fresh(pmap), D, method="labeled")
     tree_sum_inverse(_fresh(pmap), D, method="labeled")
     fresh = _fresh(pmap)
@@ -192,8 +191,8 @@ def test_tree_sums_agree_on_both_routes(pmap, D, counts):
 
 def test_a_tree_structure_over_the_limit_is_recorded_once_and_stays_on_dicts(monkeypatch):
     compiled = []
-    record = trees._TreePlans
-    monkeypatch.setattr(trees, "_TreePlans", lambda key, limit: compiled.append(limit) or record(key, limit))
+    record = trees._contraction_plan
+    monkeypatch.setattr(trees, "_contraction_plan", lambda *args: compiled.append(args[-1]) or record(*args))
     monkeypatch.setattr(PLANS, "limit", 500)
     pmap, D = random_map(2, 2, seed=1), 6
     want = fixed_point_inverse(pmap, D)
@@ -224,19 +223,20 @@ def test_a_tree_structure_records_its_contraction_once_while_both_methods_compil
         want = tree_sum_inverse(fresh, D)
         assert want == tree_sum_inverse(fresh, D, method="grouped")
     # one walk on the first sighting's dicts and one recording on the second;
-    # the structure compiled once, and both sums read the contraction's slots
+    # the structure compiled once, and the memo holds one run's output rows by shape
     assert walks == ["numerators", "slots"]
     assert counts["compiled"] == 1
     (entry,) = PLANS.plans.values()
-    amps, addmul = fresh._memo[("amplitudes", D)]
-    assert amps is entry.amps and addmul.func is trees._addmul_slots
-    # with the cache cleared, a map whose memo holds the entry's slot list
-    # runs both methods on it, and runs and records no plan
+    amps = fresh._memo[("amplitudes", D)]
+    assert list(amps) == trees._shapes_upto(3, D)
+    assert list(amps.values()) == entry.run([fresh.tensor._scaled[1].items()])
+    # with the cache cleared, a map whose memo holds the contraction's Vectors
+    # runs both methods on them, and runs and records no plan
     PLANS.clear()
     counts.update(run=0, compiled=0)
 
     def refuse(*args):
-        raise AssertionError("recorded a plan for a map whose memo holds its entry")
+        raise AssertionError("recorded a plan for a map whose memo holds its contraction")
 
     monkeypatch.setattr(trees, "Recorder", refuse)
     for method in ("labeled", "grouped"):
@@ -259,12 +259,12 @@ def test_tree_sum_budget_refused_before_any_plan(monkeypatch, method, counts):
 
     monkeypatch.setattr(trees, "_contract_children", refuse)
     counts.update(run=0, compiled=0)
-    slots = []
-    monkeypatch.setattr(plan.Plan, "slots", lambda *args: slots.append(args))
+    runs = []
+    monkeypatch.setattr(plan.Plan, "run", lambda *args: runs.append(args))
     for p in (_fresh(pmap), warm):
         with pytest.raises(BudgetExceededError, match="V=5"):
             tree_sum_inverse(p, 6, budget=10**5, method=method)
-    assert counts == {"run": 0, "compiled": 0} and not slots
+    assert counts == {"run": 0, "compiled": 0} and not runs
 
 
 @pytest.mark.parametrize("method", ["labeled", "grouped"])
@@ -290,6 +290,61 @@ def test_a_sum_plan_never_drops_a_shape_its_contraction_lacks(monkeypatch, metho
     PLANS.clear()
 
 
+def _ordered(memo: dict) -> list:
+    """A tree memo as a list: each shape with its Vector's items, in the memo's order at both levels."""
+    return [(s, [list(c.items()) for c in vec]) for s, vec in memo.items()]
+
+
+@pytest.mark.parametrize(
+    "pmap,D",
+    TREE_MAPS + [(random_map(5, 3, seed=1, name="random-5-3-seed1"), 7)],
+    ids=lambda x: x.name if isinstance(x, PolyMap) else str(x),
+)
+def test_the_tree_memo_is_the_same_shape_to_vector_dict_on_both_routes(pmap, D, counts):
+    n, d = pmap.n, pmap.d
+    PLANS.clear()
+    memos = []
+    for sighting in range(3):
+        counts.update(run=0, compiled=0)
+        fresh = _fresh(pmap)
+        tree_sum_inverse(fresh, D, method=("labeled", "grouped")[sighting % 2])
+        memo = fresh._memo[("amplitudes", D)]
+        assert type(memo) is dict and list(memo) == trees._shapes_upto(d, D)
+        assert all(type(vec) is list and len(vec) == n for vec in memo.values())
+        memos.append(_ordered(memo))
+        if not PLANS.plans:
+            # past plan.LIMIT: refused on the second sighting, on dicts throughout
+            assert counts["run"] == 0 and list(PLANS.marks.values()) == [sighting > 0]
+        else:
+            assert sighting > 0 and counts == {"run": 1, "compiled": int(sighting == 1)}
+    assert (len(PLANS.plans) == 1) == (pmap.name != "random-5-3-seed1")
+    assert memos[0] == memos[1] == memos[2]
+    PLANS.clear()
+
+
+def _internal(shape) -> int:
+    """The internal vertices of a rooted shape; a leaf has none."""
+    return 0 if shape == () else 1 + sum(map(_internal, shape))
+
+
+@pytest.mark.parametrize("d,top", [(2, 4), (3, 3)])
+def test_the_shape_order_puts_subtrees_first_and_each_stratum_is_the_census(d, top):
+    shapes = trees._shapes_upto(d, (d - 1) * top + 1)
+    position = {s: i for i, s in enumerate(shapes)}
+    assert len(position) == len(shapes) and shapes[0] == ()
+    # the plan route zips this order with its output rows, which the
+    # contraction walk stores as it reaches each shape
+    for i, s in enumerate(shapes):
+        assert all(position[c] < i for c in s), s
+    strata = [_internal(s) for s in shapes]
+    assert strata == sorted(strata) and strata[-1] == top
+    for V in range(top + 1):
+        census = [s for _, s in trees.labeled_shape_census(V, d)]
+        stratum = [s for s in shapes if _internal(s) == V]
+        assert len(census) == len(set(census)) == len(stratum)
+        assert set(census) == set(stratum), V
+
+
 def test_the_cache_counts_every_plan_of_a_tree_entry():
     PLANS.clear()
     for pmap, D in TREE_MAPS:
@@ -297,32 +352,35 @@ def test_the_cache_counts_every_plan_of_a_tree_entry():
             tree_sum_inverse(_fresh(pmap), D, method=method)
             assert PLANS.nbytes == sum(e.nbytes for e in PLANS.plans.values())
     assert len(PLANS.plans) == len({(p.n, p.d, D, tuple(p.tensor._scaled[1])) for p, D in TREE_MAPS})
-    for entry in PLANS.plans.values():
-        # the shapes map to the contraction's own output rows, not to copies
-        assert all(map(operator.is_, entry.amps.values(), entry.contraction.outputs))
-        assert entry.nbytes == entry.contraction.nbytes + sys.getsizeof(entry.amps)
+    for (_, n, d, D, _), entry in PLANS.plans.items():
+        # the entry is the contraction plan alone, one output row per shape
+        assert type(entry) is plan.Plan
+        assert len(entry.outputs) == len(trees._shapes_upto(d, D))
+        assert all(len(row) == n for row in entry.outputs)
+        assert entry.nbytes == entry._held()
     PLANS.clear()
 
 
 def _snapshot(entry) -> tuple:
-    """A tree entry's nbytes, the bytes it holds now, and its rows by shape as lists."""
-    rows = {s: [(keys, slots.tolist()) for keys, slots in row] for s, row in entry.amps.items()}
-    return entry.nbytes, entry.contraction._held() + sys.getsizeof(entry.amps), rows
+    """A tree entry's nbytes, the bytes it holds now, and its triples and output rows as lists."""
+    rows = [[(keys, slots.tolist()) for keys, slots in row] for row in entry.outputs]
+    triples = (entry.size, entry.out.tolist(), entry.a.tolist(), entry.b.tolist())
+    return entry.nbytes, entry._held(), triples, rows
 
 
 def test_a_tree_entry_never_changes_after_it_is_stored(monkeypatch):
     stored = []
-    build = trees._TreePlans
+    build = trees._contraction_plan
 
-    def recorded(key, limit):
-        entry = build(key, limit)
+    def recorded(*args):
+        entry = build(*args)
         stored.append((entry, _snapshot(entry)))
         return entry
 
     def refuse(*args):
         raise AssertionError("a tree entry grew after it was stored")
 
-    monkeypatch.setattr(trees, "_TreePlans", recorded)
+    monkeypatch.setattr(trees, "_contraction_plan", recorded)
     monkeypatch.setattr(PLANS, "grew", refuse)
     PLANS.clear()
     # three sightings: on dicts, compiled and warm, each with both methods
@@ -333,9 +391,9 @@ def test_a_tree_entry_never_changes_after_it_is_stored(monkeypatch):
                 tree_sum_inverse(fresh, D, method=method)
     assert len(stored) == len(PLANS.plans)
     assert PLANS.nbytes == sum(e.nbytes for e in PLANS.plans.values())
-    for entry, (nbytes, held, rows) in stored:
-        assert nbytes == held
-        assert _snapshot(entry) == (nbytes, held, rows)
+    for entry, snapshot in stored:
+        assert snapshot[0] == snapshot[1]
+        assert _snapshot(entry) == snapshot
     PLANS.clear()
 
 

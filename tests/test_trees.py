@@ -472,26 +472,29 @@ def test_tree_sum_contracts_each_distinct_subtree_once(monkeypatch, n, d, D, dis
 def test_tree_sum_runs_the_contraction_plan_once_per_map_and_cap(monkeypatch, n, d, D):
     calls = _count_contractions(monkeypatch)
     runs = []
-    slots = Plan.slots
+    run = Plan.run
 
     def counted(plan, inputs):
         runs.append(plan)
-        return slots(plan, inputs)
+        return run(plan, inputs)
 
-    monkeypatch.setattr(Plan, "slots", counted)
+    monkeypatch.setattr(Plan, "run", counted)
     pmap = random_map(n, d, seed=5)
 
     def contraction_runs(cap, methods):
-        entry = PLANS.plans[("trees", n, d, cap, tuple(pmap.tensor._scaled[1]))]
+        contraction = PLANS.plans[("trees", n, d, cap, tuple(pmap.tensor._scaled[1]))]
         counts = []
+        memo = None
         for method in methods:
             runs.clear()
             tree_sum_inverse(pmap, cap, method=method)
-            counts.append(runs.count(entry.contraction))
-            # each call runs no other plan, and its sums read the contraction's slots
+            counts.append(runs.count(contraction))
+            # each call runs no other plan, and its sums read the Vectors of the first call's run
             assert len(runs) == counts[-1]
-            amps, addmul = pmap._memo[("amplitudes", cap)]
-            assert amps is entry.amps and addmul.func is trees._addmul_slots
+            amps = pmap._memo[("amplitudes", cap)]
+            assert memo is None or amps is memo
+            memo = amps
+        assert list(memo) == trees._shapes_upto(d, cap)
         return counts
 
     PLANS.clear()
